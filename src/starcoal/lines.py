@@ -114,8 +114,8 @@ def an_distribution(n: int, theta: float, t: float) -> LineDist:
     """
     _check_n(n)
     _check_theta(theta)
-    if t < 0.0:
-        raise InvalidParameterError(f"t must be non-negative, got {t!r}")
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise InvalidParameterError(f"t must be non-negative and finite, got {t!r}")
     probs = _an_fractions(n, theta, t)
     return LineDist(n=n, theta=theta, t=t, probs=tuple(float(q) for q in probs))
 
@@ -210,8 +210,8 @@ def an_distribution_spectral(n: int, theta: float, t: float) -> LineDist:
     """
     _check_n(n)
     _check_theta(theta)
-    if t < 0.0:
-        raise InvalidParameterError(f"t must be non-negative, got {t!r}")
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise InvalidParameterError(f"t must be non-negative and finite, got {t!r}")
     q, p = _spectral_fractions(n, theta)
     pf = Fraction(math.exp(-0.5 * theta * t))
     ef = Fraction(math.exp(-t))

@@ -30,6 +30,7 @@ from .core import (
     NoStationaryDistributionError,
     NonMonotoneDriftError,
     Piece,
+    QuadratureError,
     QuadSpec,
     RngStream,
     SimulationAbortError,
@@ -66,7 +67,8 @@ __all__ = [
 ]
 
 ASG_STATE_CAP = 10_000_000
-
+_UA_RESIDUAL_STATE = 1_000
+_GF_TERM_BUDGET = 10_000_000
 _SERIES_RATIO_LIMIT = 0.9
 
 
@@ -278,6 +280,7 @@ def _skeleton_series(drift: DriftSpec) -> tuple[float, float]:
     quadrature otherwise.
     """
     rp = roots(drift.theta, drift.beta, drift.p)
+    scale = 2.0 / drift.beta
     g = rp.decay_rate
     inv_g = 1.0 / g
     b = rp.b
@@ -289,8 +292,9 @@ def _skeleton_series(drift: DriftSpec) -> tuple[float, float]:
         k += 1
         term *= b * (inv_g + k) / (inv_g + k + 1.0)
         if k > 500_000:
-            raise RuntimeError("skeleton series for p11 failed to converge")
-    p11 = rp.r1 + (2.0 / drift.beta) * acc
+            msg = f"skeleton series for p11 failed to converge for {drift!r}"
+            raise QuadratureError(msg, rp.r1 + scale * acc, scale * abs(term))
+    p11 = rp.r1 + scale * acc
 
     y = rp.c / (1.0 + rp.c)
     front = (1.0 + rp.c) ** (-inv_g)
@@ -302,8 +306,9 @@ def _skeleton_series(drift: DriftSpec) -> tuple[float, float]:
         k += 1
         term *= y * (inv_g + k) * (inv_g + k) / (k * (inv_g + k + 1.0))
         if k > 500_000:
-            raise RuntimeError("skeleton series for p21 failed to converge")
-    p21 = rp.r1 - (2.0 / drift.beta) * front * acc
+            msg = f"skeleton series for p21 failed to converge for {drift!r}"
+            raise QuadratureError(msg, rp.r1 - scale * front * acc, scale * front * abs(term))
+    p21 = rp.r1 - scale * front * acc
     return p11, p21
 
 
@@ -722,38 +727,26 @@ def asg_simulate(
 def ua_time_ensemble(n: int, beta: float, size: int, rng: RngStream) -> np.ndarray:
     """Ultimate-ancestor times of size independent dual runs.
 
-    Staged vectorization with a scalar finish: branching makes a heavy tail
-    of event counts, so once few replicates remain the per-stage numpy
-    overhead dominates and a plain loop is faster.
+    Staged over events; replicates still running after k events hold n + k
+    lines.  One reaching S = _UA_RESIDUAL_STATE lines adds a fresh Exp(1)
+    residual to its clock, exact since the collapse clock has rate 1 at any
+    line count.  At beta = 2 that share is exactly n/S of the sample.
     """
     if n < 1:
         raise InvalidParameterError(f"n must be at least 1, got {n!r}")
-    if n == 1:
-        return np.zeros(size)
-    state = np.full(size, n, dtype=np.int64)
+    if not (beta > 0.0 and math.isfinite(beta)):
+        raise InvalidParameterError(f"beta must be positive and finite, got {beta!r}")
     t_ua = np.zeros(size)
+    if n == 1:
+        return t_ua
     active = np.arange(size)
-    while active.size > 64:
-        s = state[active].astype(float)
-        total = 0.5 * beta * s + 1.0
-        t_ua[active] += rng.gen.exponential(size=active.size) / total
-        branch = rng.gen.random(active.size) * total < 0.5 * beta * s
-        state[active[branch]] += 1
-        if np.any(state[active] >= ASG_STATE_CAP):
-            raise SimulationAbortError(f"branching dual exceeded {ASG_STATE_CAP} lines")
-        active = active[branch]
-    for i in active:
-        s = int(state[i])
-        clock = float(t_ua[i])
-        while True:
-            total = 0.5 * beta * s + 1.0
-            clock += rng.gen.exponential() / total
-            if rng.gen.random() * total >= 0.5 * beta * s:
-                break
-            s += 1
-            if s >= ASG_STATE_CAP:
-                raise SimulationAbortError(f"branching dual exceeded {ASG_STATE_CAP} lines")
-        t_ua[i] = clock
+    for s in range(n, _UA_RESIDUAL_STATE):
+        if not active.size:
+            return t_ua
+        rate = 0.5 * beta * s
+        t_ua[active] += rng.gen.exponential(size=active.size) / (rate + 1.0)
+        active = active[rng.gen.random(active.size) * (rate + 1.0) < rate]
+    t_ua[active] += rng.gen.exponential(size=active.size)
     return t_ua
 
 
@@ -786,13 +779,21 @@ def asg_stationary_gf(beta: float, y: float) -> float:
 
     Matches the type-2 fixation probability at argument y.  Terms decay at
     least geometrically in y, so the tail is cut when its geometric bound
-    drops below 1e-13.
+    drops below 1e-13; QuadratureError is raised up front, from the
+    log-gamma form of pi_i, when that takes over _GF_TERM_BUDGET terms.
     """
+    if not (beta > 0.0 and math.isfinite(beta)):
+        raise InvalidParameterError(f"beta must be positive and finite, got {beta!r}")
     if not (0.0 <= y < 1.0):
         raise InvalidParameterError(f"y must lie in [0, 1), got {y!r}")
     if y == 0.0:
         return 0.0
     a = 2.0 / beta
+    last = _GF_TERM_BUDGET
+    log_pi = math.log(a) + math.lgamma(a + 1.0) + math.lgamma(last) - math.lgamma(a + 1.0 + last)
+    if log_pi + last * math.log(y) + math.log(y / (1.0 - y)) > math.log(1e-13):
+        msg = f"stationary gf at beta={beta!r}, y={y!r} needs over {last} terms"
+        raise QuadratureError(msg, math.nan, math.inf)
     term = a / (a + 1.0) * y
     acc = 0.0
     i = 1
@@ -800,8 +801,6 @@ def asg_stationary_gf(beta: float, y: float) -> float:
         acc += term
         term *= i / (a + i + 1.0) * y
         i += 1
-        if i > 10_000_000:
-            raise RuntimeError("generating-function series failed to converge")
     return acc + term
 
 
@@ -856,8 +855,8 @@ def asg_count_ensemble(n: int, beta: float, t: float, size: int, rng: RngStream)
     """
     if n < 1:
         raise InvalidParameterError(f"n must be at least 1, got {n!r}")
-    if not t > 0.0:
-        raise InvalidParameterError(f"t must be positive, got {t!r}")
+    if not (t > 0.0 and math.isfinite(t)):
+        raise InvalidParameterError(f"t must be positive and finite, got {t!r}")
     remaining = np.full(size, float(t))
     out = np.zeros(size, dtype=np.int64)
     done = np.zeros(size, dtype=bool)
@@ -903,8 +902,8 @@ def selection_duality_check(
         raise InvalidParameterError(f"n must be at least 1, got {n!r}")
     if not (0.0 <= x <= 1.0):
         raise InvalidParameterError(f"x must lie in [0, 1], got {x!r}")
-    if not t > 0.0:
-        raise InvalidParameterError(f"t must be positive, got {t!r}")
+    if not (t > 0.0 and math.isfinite(t)):
+        raise InvalidParameterError(f"t must be positive and finite, got {t!r}")
     if n_mc < 2:
         raise InvalidParameterError("n_mc must be at least 2")
     swapped = _fv_logistic_endpoints(beta, 1.0 - x, t, n_mc, rng)

@@ -324,6 +324,13 @@ def test_library_error_exit_code(capsys):
     assert err.startswith("error: ")
 
 
+def test_lines_rejects_non_finite_time(capsys):
+    rc, out, err = run_cli(capsys, ["lines", "--n", "5", "--theta", "1", "--t-grid", "nan"])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_out_file_matches_stdout(capsys, tmp_path):
     argv = ["eigen", "--theta", "1.7", "--p", "0.25", "--n", "5"]
     rc, stdout_text, _ = run_cli(capsys, argv)

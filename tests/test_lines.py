@@ -62,8 +62,11 @@ def test_an_distribution_edges():
         an_distribution(0, 1.5, 1.0)
     with pytest.raises(InvalidParameterError):
         an_distribution(4, -1.0, 1.0)
-    with pytest.raises(InvalidParameterError):
-        an_distribution(4, 1.5, -0.1)
+    for bad_t in (-0.1, math.nan, math.inf):
+        with pytest.raises(InvalidParameterError):
+            an_distribution(4, 1.5, bad_t)
+        with pytest.raises(InvalidParameterError):
+            an_distribution_spectral(4, 1.5, bad_t)
 
 
 def test_spectral_route_matches_direct():

@@ -8,6 +8,7 @@ the flow closed forms.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,13 +16,16 @@ from scipy.integrate import solve_ivp
 from scipy.stats import kstest
 
 import starcoal.selection as selection
+import starcoal.verification as verification
 from starcoal.core import (
     DomainEscapeError,
     InvalidParameterError,
     NoStationaryDistributionError,
     NonMonotoneDriftError,
+    QuadratureError,
     RngStream,
     SimulationAbortError,
+    StarcoalError,
     TwoTypeParams,
 )
 from starcoal.selection import (
@@ -417,11 +421,56 @@ def test_selection_duality_check():
     assert abs(lhs - rhs) < 4.0 * math.hypot(se_l, se_r)
     with pytest.raises(InvalidParameterError):
         selection_duality_check(2, 0.5, 1.0, 2.0, 1, RngStream(0))
+    # An infinite horizon would never end the staged event loops.
+    with pytest.raises(InvalidParameterError):
+        selection_duality_check(2, 0.5, math.inf, 2.0, 10, RngStream(0))
+    with pytest.raises(InvalidParameterError):
+        asg_count_ensemble(2, 2.0, math.inf, 10, RngStream(0))
 
 
 def test_state_cap_aborts(monkeypatch):
     monkeypatch.setattr(selection, "ASG_STATE_CAP", 12)
-    with pytest.raises(SimulationAbortError):
-        ua_time_ensemble(10, 8.0, 2_000, RngStream(74, 0))
+    # The ensemble finishes replicates at its own, lower threshold with an
+    # exact residual, so it never reaches the cap; the path simulator does.
+    times = ua_time_ensemble(10, 8.0, 2_000, RngStream(74, 0))
+    assert times.shape == (2_000,)
+    assert np.all(np.isfinite(times))
     with pytest.raises(SimulationAbortError):
         asg_simulate(11, 50.0, RngStream(75, 0))
+
+
+def test_ua_residual_stitching(monkeypatch):
+    # With the threshold two states above the start, half the beta = 2
+    # replicates finish on the Exp(1) residual; the stitched clock must
+    # still be exactly Exp(1).
+    n = 2
+    monkeypatch.setattr(selection, "_UA_RESIDUAL_STATE", n + 2)
+    times = ua_time_ensemble(n, 2.0, 30_000, RngStream(76, 0))
+    se = float(times.std(ddof=1)) / math.sqrt(times.size)
+    assert abs(float(times.mean()) - 1.0) < 3.5 * se
+    assert kstest(times, "expon").pvalue > 0.01
+
+
+def test_asg_suite_finishes_at_former_abort_seeds():
+    # Seeds 3 and 28 once drove a beta = 2 replicate past ASG_STATE_CAP.
+    for seed in (3, 28):
+        results = verification._suite_asg(seed)
+        assert len(results) == 5
+        assert all(isinstance(r, verification.CheckResult) for r in results)
+
+
+def test_asg_stationary_gf_fails_fast_near_one():
+    start = time.perf_counter()
+    with pytest.raises(StarcoalError, match="y=0.999999"):
+        asg_stationary_gf(2.0, 0.999999)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(InvalidParameterError):
+        asg_stationary_gf(0.0, 0.5)
+
+
+def test_skeleton_series_raises_typed_error():
+    # phi = 1 with tiny p puts the p11 ratio b within 2e-6 of 1, far
+    # beyond the series' term budget.
+    with pytest.raises(QuadratureError, match="theta=1.0") as exc:
+        selection._skeleton_series(mutation_selection_drift(1.0, 1e-12, 1.0))
+    assert math.isfinite(exc.value.estimate)
