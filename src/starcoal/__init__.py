@@ -32,9 +32,6 @@ from .core import (
     StarcoalError,
     TwoTypeParams,
     exp_decay_window,
-    mixedlaw_mass,
-    mixedlaw_mean,
-    mixedlaw_sample,
     quad,
     replacement_decay_integral,
     sample_truncated_exponential,

@@ -15,6 +15,7 @@ by deterministic reduction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,9 +43,8 @@ __all__ = [
     "sample_truncated_exponential",
     "replacement_decay_integral",
     "exp_decay_window",
-    "mixedlaw_mass",
-    "mixedlaw_mean",
-    "mixedlaw_sample",
+    "check_real",
+    "check_int",
 ]
 
 
@@ -90,6 +90,37 @@ class SimulationAbortError(StarcoalError, RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# Argument checks
+# ---------------------------------------------------------------------------
+
+
+def check_real(name: str, value, lo: float, hi: float, *, open_lo=False, open_hi=False):
+    """Require lo <= value <= hi, with either end optionally open.
+
+    NaN fails every comparison and so is always rejected; an infinite value
+    passes only through a closed infinite end, so hi = inf with open_hi
+    means "finite".  Non-numbers are rejected rather than raising TypeError.
+    """
+    try:
+        if (lo < value if open_lo else lo <= value) and (value < hi if open_hi else value <= hi):
+            return
+    except TypeError:
+        pass
+    span = f"{'(' if open_lo else '['}{float(lo)!r}, {float(hi)!r}{')' if open_hi else ']'}"
+    raise InvalidParameterError(f"{name} must lie in {span}, got {value!r}")
+
+
+def check_int(name: str, value, minimum: int):
+    """Require an integer (Python or numpy) no smaller than minimum."""
+    try:
+        if operator.index(value) >= minimum:
+            return
+    except TypeError:
+        pass
+    raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+# ---------------------------------------------------------------------------
 # Parameters
 # ---------------------------------------------------------------------------
 
@@ -109,10 +140,8 @@ class TwoTypeParams:
     p: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and self.theta > 0.0):
-            raise InvalidParameterError(f"theta must be finite and positive, got {self.theta!r}")
-        if not (0.0 < self.p < 1.0):
-            raise InvalidParameterError(f"p must lie strictly inside (0, 1), got {self.p!r}")
+        check_real("theta", self.theta, 0.0, math.inf, open_lo=True, open_hi=True)
+        check_real("p", self.p, 0.0, 1.0, open_lo=True, open_hi=True)
 
     @property
     def theta1(self) -> float:
@@ -175,10 +204,9 @@ class QuadSpec:
     max_subdivisions: int = 400
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise InvalidParameterError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 8:
-            raise InvalidParameterError("max_subdivisions must be at least 8")
+        check_real("abs_tol", self.abs_tol, 0.0, math.inf, open_lo=True, open_hi=True)
+        check_real("rel_tol", self.rel_tol, 0.0, math.inf, open_lo=True, open_hi=True)
+        check_int("max_subdivisions", self.max_subdivisions, 8)
 
 
 def _quad_smooth(f, a: float, b: float, spec: QuadSpec, tighten: float = 1.0):
@@ -246,8 +274,7 @@ def quad_offset(f_off, width: float, spec: QuadSpec | None = None) -> float:
     power exponent down to about 0.1.
     """
     spec = spec or QuadSpec()
-    if not (width > 0.0 and math.isfinite(width)):
-        raise InvalidParameterError("offset integration width must be positive and finite")
+    check_real("width", width, 0.0, math.inf, open_lo=True, open_hi=True)
     floor = max(64.0 * 5e-324, width * 1e-250)
     depth = math.log(width / floor)
 
@@ -367,10 +394,8 @@ def quad(
         QuadratureError: the requested tolerance could not be certified.
     """
     spec = spec or QuadSpec()
-    if not (math.isfinite(lower) and math.isfinite(upper)):
-        raise InvalidParameterError("quadrature endpoints must be finite")
-    if upper < lower:
-        raise InvalidParameterError("upper endpoint precedes lower endpoint")
+    check_real("lower", lower, -math.inf, math.inf, open_lo=True, open_hi=True)
+    check_real("upper", upper, lower, math.inf, open_hi=True)
     if upper == lower:
         return 0.0
     if singular_lower and singular_upper:
@@ -413,8 +438,8 @@ def replacement_decay_integral(theta: float, t: float) -> float:
     and t * exp(-t) at theta == 2; evaluated through exp_decay_window so the
     removable singularity never produces cancellation.
     """
-    if t < 0.0:
-        raise InvalidParameterError("t must be non-negative")
+    check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
+    check_real("t", t, 0.0, math.inf, open_hi=True)
     return exp_decay_window(1.0 - 0.5 * theta, t, t)
 
 
@@ -430,8 +455,7 @@ def truncated_exponential_inverse_cdf(u, t: float):
     tiny and huge t keep full precision.  u == 0 lands on the excluded lower
     boundary 0 of the open support.
     """
-    if t <= 0.0:
-        raise InvalidParameterError("truncation horizon t must be positive")
+    check_real("t", t, 0.0, math.inf, open_lo=True, open_hi=True)
     return -np.log1p(np.asarray(u) * np.expm1(-t))
 
 
@@ -623,15 +647,3 @@ class MixedLaw:
             return float(hi)
         return float(scipy.optimize.brentq(fn, lo, hi, xtol=1e-14, rtol=8.9e-16))
 
-
-def mixedlaw_mass(law: MixedLaw, spec: QuadSpec | None = None) -> float:
-    """Total mass of a mixed law with the density parts re-integrated."""
-    return law.quadrature_mass(spec)
-
-
-def mixedlaw_mean(law: MixedLaw, spec: QuadSpec | None = None) -> float:
-    return law.mean(spec)
-
-
-def mixedlaw_sample(law: MixedLaw, rng: RngStream) -> float:
-    return law.sample(rng)

@@ -19,6 +19,8 @@ from .core import (
     QuadSpec,
     SingularityError,
     TwoTypeParams,
+    check_int,
+    check_real,
     quad,
 )
 
@@ -109,8 +111,7 @@ def eigenvalue(params: TwoTypeParams, n: int) -> float:
     The jump between n = 1 and n = 2 reflects the replacement events, which
     kill all centered powers of degree >= 2 but only relabel degree 1.
     """
-    if n < 0:
-        raise InvalidParameterError("eigenvalue index must be non-negative")
+    check_int("n", n, 0)
     if n == 0:
         return 0.0
     if n == 1:
@@ -120,8 +121,7 @@ def eigenvalue(params: TwoTypeParams, n: int) -> float:
 
 def eigen_coefficients(params: TwoTypeParams, n: int) -> tuple[float, float]:
     """Constant and linear corrections (c_n0, c_n1) of the n-th eigen poly."""
-    if n < 2:
-        raise InvalidParameterError("correction coefficients exist for n >= 2 only")
+    check_int("n", n, 2)
     theta, p = params.theta, params.p
     a = 2.0 / theta
     q = 1.0 - p
@@ -137,8 +137,7 @@ def eigen_poly(params: TwoTypeParams, n: int) -> PolyRep:
     linear and a constant term so the low-degree output of the generator
     cancels.
     """
-    if n < 0:
-        raise InvalidParameterError("eigen poly index must be non-negative")
+    check_int("n", n, 0)
     if n == 0:
         return PolyRep(params.p, (1.0,))
     if n == 1:
@@ -152,8 +151,7 @@ def eigen_poly(params: TwoTypeParams, n: int) -> PolyRep:
 
 
 def eigen_system(params: TwoTypeParams, max_degree: int) -> EigenSystem:
-    if max_degree < 0:
-        raise InvalidParameterError("max_degree must be non-negative")
+    check_int("max_degree", max_degree, 0)
     ns = range(max_degree + 1)
     return EigenSystem(
         params=params,
@@ -189,8 +187,7 @@ def q1_eval(params: TwoTypeParams, xi: float) -> float:
     -(1/(1-p)) (1 - xi/p)^{-1} below; at p = 1/2 both collapse to
     1/(xi - 1/2).  Pairings against it only exist as principal values.
     """
-    if not (0.0 <= xi <= 1.0):
-        raise InvalidParameterError(f"xi must lie in [0, 1], got {xi!r}")
+    check_real("xi", xi, 0.0, 1.0)
     p = params.p
     if xi == p:
         raise SingularityError("Q1 diverges at xi = p")
@@ -278,8 +275,7 @@ def hyper_pairing(g: PolyRep, n: int) -> float:
     all higher centered powers' low-degree corrections, leaving
     g^{(n)}(shift)/n!.
     """
-    if n < 2:
-        raise InvalidParameterError("hyper pairing is defined for n >= 2")
+    check_int("n", n, 2)
     return g.coefficient(n)
 
 
@@ -290,10 +286,8 @@ def expansion_expectation(params: TwoTypeParams, g: PolyRep, x: float, t: float)
     plus sum over n >= 2 of e^{-(1 + n theta/2) t} a_n P_n(x).  Agrees with
     the moment route for every polynomial.
     """
-    if not (0.0 <= x <= 1.0):
-        raise InvalidParameterError(f"x must lie in [0, 1], got {x!r}")
-    if t < 0.0:
-        raise InvalidParameterError(f"t must be non-negative, got {t!r}")
+    check_real("x", x, 0.0, 1.0)
+    check_real("t", t, 0.0, math.inf, open_hi=True)
     g = g.with_shift(params.p)
     a = g.coeffs
     acc = [stationary_expectation(params, g)]

@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import InvalidParameterError, RngStream, TwoTypeParams, replacement_decay_integral
+from .core import check_int, check_real
 from .twotype import transition_moment
 
 __all__ = [
@@ -75,16 +76,6 @@ class LinePath:
     absorption_time: float | None
 
 
-def _check_n(n: int):
-    if n < 1:
-        raise InvalidParameterError(f"sample size n must be at least 1, got {n!r}")
-
-
-def _check_theta(theta: float):
-    if not (theta > 0.0 and math.isfinite(theta)):
-        raise InvalidParameterError(f"theta must be positive and finite, got {theta!r}")
-
-
 def _an_fractions(n: int, theta: float, t: float) -> list[Fraction]:
     """Exact rationals for P(A(t) = j), j = 0..n."""
     pf = Fraction(math.exp(-0.5 * theta * t))
@@ -112,10 +103,9 @@ def an_distribution(n: int, theta: float, t: float) -> LineDist:
     C(n,j) p(t)^j (1-p(t))^{n-j} e^{-t} with p(t) = e^{-theta t/2}; j = 1
     adds the alternating resolvent sum and j = 0 closes the total to 1.
     """
-    _check_n(n)
-    _check_theta(theta)
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise InvalidParameterError(f"t must be non-negative and finite, got {t!r}")
+    check_int("n", n, 1)
+    check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
+    check_real("t", t, 0.0, math.inf, open_hi=True)
     probs = _an_fractions(n, theta, t)
     return LineDist(n=n, theta=theta, t=t, probs=tuple(float(q) for q in probs))
 
@@ -127,9 +117,8 @@ def an_limit(theta: float, t: float, j) -> float:
     (e^{-theta t/2} - e^{-t})/(1 - theta/2), read as t e^{-t} at theta = 2;
     the j >= 2 mass tends to e^{-t} and j = 0 takes the complement.
     """
-    _check_theta(theta)
-    if not t > 0.0:
-        raise InvalidParameterError(f"t must be positive, got {t!r}")
+    check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
+    check_real("t", t, 0.0, math.inf, open_lo=True, open_hi=True)
     one = replacement_decay_integral(theta, t)
     survive = math.exp(-t)
     if j == 1:
@@ -186,8 +175,8 @@ def _spectral_fractions(n: int, theta: float) -> tuple[list[Fraction], list[list
 
 def spectral_coeffs(n: int, theta: float) -> SpectralCoeffs:
     """Eigenvalues 0, theta/2, 1 + k theta/2 with their weight arrays."""
-    _check_n(n)
-    _check_theta(theta)
+    check_int("n", n, 1)
+    check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
     q, p = _spectral_fractions(n, theta)
     lams = [0.0, 0.5 * theta] + [1.0 + 0.5 * k * theta for k in range(2, n + 1)]
     return SpectralCoeffs(
@@ -208,10 +197,9 @@ def an_distribution_spectral(n: int, theta: float, t: float) -> LineDist:
     route is still independent of an_distribution, which never forms the
     spectral weight matrices.
     """
-    _check_n(n)
-    _check_theta(theta)
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise InvalidParameterError(f"t must be non-negative and finite, got {t!r}")
+    check_int("n", n, 1)
+    check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
+    check_real("t", t, 0.0, math.inf, open_hi=True)
     q, p = _spectral_fractions(n, theta)
     pf = Fraction(math.exp(-0.5 * theta * t))
     ef = Fraction(math.exp(-t))
@@ -229,8 +217,8 @@ def mean_absorption_time(n: int, theta: float) -> float:
     computed in rational arithmetic; n = 1 reduces to 2/theta and n = 2,
     theta = 2 gives exactly 4/3.
     """
-    _check_n(n)
-    _check_theta(theta)
+    check_int("n", n, 1)
+    check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
     r = 1 + Fraction(2) / Fraction(theta)
     denom = Fraction(1)
     for j in range(n):
@@ -249,10 +237,10 @@ def simulate_lines(
     seen from a single line relabel it without changing the count, so they
     are not simulated after the collapse.
     """
-    _check_n(n)
-    _check_theta(theta)
-    if horizon is not None and not horizon > 0.0:
-        raise InvalidParameterError("horizon must be positive when given")
+    check_int("n", n, 1)
+    check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
+    if horizon is not None:
+        check_real("horizon", horizon, 0.0, math.inf, open_lo=True, open_hi=True)
     clock = 0.0
     state = n
     events: list[tuple[float, str, int]] = []
@@ -288,53 +276,45 @@ def simulate_lines(
 
 def _line_ensemble(
     n: int, theta: float, t: float, size: int, rng: RngStream
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized chain endpoints: (state at t, lines before collapse).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Staged backward engine: (state at t, lines before collapse, clock).
 
-    The second array is 0 for replicates with no collapse before t.  Each
-    stage processes one event per active replicate, so at most n + 1 stages
-    run regardless of size.
+    The second array is 0 for replicates with no collapse before t; the
+    clock holds each replicate's last event time by t.  Each stage draws
+    one Exp(1) wait for every active replicate and one uniform for each
+    whose event lands by t, so at most n + 1 stages run regardless of size.
+    t = inf runs every chain to absorption, where the clock is the
+    absorption time.
     """
     state = np.full(size, n, dtype=np.int64)
     clock = np.zeros(size)
     coal_before = np.zeros(size, dtype=np.int64)
     active = np.arange(size)
     while active.size:
-        s = state[active].astype(float)
-        rate = 0.5 * theta * s + (s >= 2.0)
+        count = state[active]
+        rate = 0.5 * theta * count + (count >= 2)
         landed = clock[active] + rng.gen.exponential(size=active.size) / rate
         alive = landed <= t
-        idx = active[alive]
-        clock[idx] = landed[alive]
-        s_idx = state[idx]
-        coal = (s_idx >= 2) & (
-            rng.gen.random(idx.size) * (0.5 * theta * s_idx + 1.0) < 1.0
-        )
-        coal_idx = idx[coal]
-        coal_before[coal_idx] = s_idx[coal]
+        if not alive.all():
+            active, count, rate, landed = active[alive], count[alive], rate[alive], landed[alive]
+        clock[active] = landed
+        # From i >= 2 lines the total rate is 1 + i theta/2, and the collapse
+        # has rate 1: it wins with probability 1/rate.
+        coal = (count >= 2) & (rng.gen.random(active.size) * rate < 1.0)
+        coal_idx = active[coal]
+        coal_before[coal_idx] = count[coal]
         state[coal_idx] = 1
-        state[idx[~coal]] -= 1
-        active = idx[state[idx] >= 1]
-    return state, coal_before
+        state[active[~coal]] -= 1
+        active = active[state[active] >= 1]
+    return state, coal_before, clock
 
 
 def absorption_time_ensemble(n: int, theta: float, size: int, rng: RngStream) -> np.ndarray:
-    """Absorption times of size independent chains, staged like the above."""
-    _check_n(n)
-    _check_theta(theta)
-    state = np.full(size, n, dtype=np.int64)
-    clock = np.zeros(size)
-    active = np.arange(size)
-    while active.size:
-        s = state[active].astype(float)
-        rate = 0.5 * theta * s + (s >= 2.0)
-        clock[active] += rng.gen.exponential(size=active.size) / rate
-        s_int = state[active]
-        coal = (s_int >= 2) & (rng.gen.random(active.size) * (0.5 * theta * s_int + 1.0) < 1.0)
-        state[active[coal]] = 1
-        state[active[~coal]] -= 1
-        active = active[state[active] >= 1]
-    return clock
+    """Absorption times of size independent chains, by the staged engine."""
+    check_int("n", n, 1)
+    check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
+    check_int("size", size, 1)
+    return _line_ensemble(n, theta, math.inf, size, rng)[2]
 
 
 def duality_check(
@@ -351,19 +331,16 @@ def duality_check(
     Returns:
         (lhs, rhs, rhs standard error).
     """
-    _check_n(n)
-    if not (0.0 <= x <= 1.0):
-        raise InvalidParameterError(f"x must lie in [0, 1], got {x!r}")
-    if not t > 0.0:
-        raise InvalidParameterError(f"t must be positive, got {t!r}")
-    if n_mc < 2:
-        raise InvalidParameterError("n_mc must be at least 2")
+    check_int("n", n, 1)
+    check_real("x", x, 0.0, 1.0)
+    check_real("t", t, 0.0, math.inf, open_lo=True, open_hi=True)
+    check_int("n_mc", n_mc, 2)
     p = params.p
     lhs = math.fsum(
         math.comb(n, k) * p ** (n - k) * transition_moment(params, k, x, t)
         for k in range(n + 1)
     )
-    state, coal_before = _line_ensemble(n, params.theta, t, n_mc, rng)
+    state, coal_before = _line_ensemble(n, params.theta, t, n_mc, rng)[:2]
     values = np.empty(n_mc)
     no_coal = coal_before == 0
     values[no_coal] = x ** state[no_coal].astype(float) * p ** (n - state[no_coal]).astype(float)
@@ -391,9 +368,8 @@ def stationary_moment_via_coalescent(
         (estimate, standard error); n = 1 returns (p, 0.0) since every
         trajectory then scores exactly p.
     """
-    _check_n(n)
-    if n_mc < 2:
-        raise InvalidParameterError("n_mc must be at least 2")
+    check_int("n", n, 1)
+    check_int("n_mc", n_mc, 2)
     state = np.full(n_mc, n, dtype=np.int64)
     a = np.ones(n_mc, dtype=np.int64)
     active = np.arange(n_mc)

@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .core import InvalidParameterError, RngStream, replacement_decay_integral
+from .core import check_int, check_real
 
 __all__ = [
     "MultiParams",
@@ -50,8 +51,7 @@ class MultiParams:
     p_vec: tuple[float, ...]
 
     def __post_init__(self):
-        if not (self.theta > 0.0 and math.isfinite(self.theta)):
-            raise InvalidParameterError(f"theta must be positive and finite, got {self.theta!r}")
+        check_real("theta", self.theta, 0.0, math.inf, open_lo=True, open_hi=True)
         if len(self.p_vec) < 2:
             raise InvalidParameterError("p_vec needs at least two types")
         if any(not (0.0 < q < 1.0) for q in self.p_vec):
@@ -142,9 +142,11 @@ def _check_state(mp: MultiParams, x_vec) -> np.ndarray:
 
 
 def pim_line_kernel(mp: MultiParams, t: float) -> np.ndarray:
-    """Single-line kernel delta_ij e^{-theta t/2} + (1 - e^{-theta t/2}) p_j."""
-    if t < 0.0:
-        raise InvalidParameterError(f"t must be non-negative, got {t!r}")
+    """Single-line kernel delta_ij e^{-theta t/2} + (1 - e^{-theta t/2}) p_j.
+
+    t = inf is allowed and gives p_j in every row.
+    """
+    check_real("t", t, 0.0, math.inf)
     e = math.exp(-0.5 * mp.theta * t)
     m = -math.expm1(-0.5 * mp.theta * t)
     return e * np.eye(mp.d) + m * np.tile(np.asarray(mp.p_vec), (mp.d, 1))
@@ -159,12 +161,9 @@ def pim_transition_law(mp: MultiParams, x_vec, t: float) -> SimplexLaw:
     time.  Masses add to 1 exactly because the (x_i - p_i) terms cancel.
     """
     x = _check_state(mp, x_vec)
-    if t < 0.0:
-        raise InvalidParameterError(f"t must be non-negative, got {t!r}")
+    check_real("t", t, 0.0, math.inf, open_hi=True)
     if t == 0.0:
         return SimplexLaw(d=mp.d, atom_point=tuple(float(v) for v in x), atom_mass=1.0, regions=())
-    if not math.isfinite(t):
-        raise InvalidParameterError("pim_transition_law needs finite t")
     theta = mp.theta
     a = 2.0 / theta
     eh = math.exp(-0.5 * theta * t)
@@ -210,10 +209,10 @@ def pim_transition_law(mp: MultiParams, x_vec, t: float) -> SimplexLaw:
 def pim_region_density(mp: MultiParams, x_vec, t: float, i: int, xi_i: float) -> float:
     """Branch-i density at coordinate value xi_i, zero off its segment."""
     x = _check_state(mp, x_vec)
-    if not t > 0.0:
-        raise InvalidParameterError(f"t must be positive, got {t!r}")
+    check_real("t", t, 0.0, math.inf, open_lo=True, open_hi=True)
     if not 0 <= i < mp.d:
-        raise InvalidParameterError("type index out of range")
+        raise InvalidParameterError(f"type index i must lie in [0, {mp.d}), got {i!r}")
+    check_real("xi_i", xi_i, -math.inf, math.inf)
     theta = mp.theta
     a = 2.0 / theta
     eh = math.exp(-0.5 * theta * t)
@@ -251,10 +250,8 @@ def markov_line_kernel(mm: MutationMatrix, theta: float, t: float) -> np.ndarray
     """
     from scipy.stats import poisson
 
-    if not (theta > 0.0 and math.isfinite(theta)):
-        raise InvalidParameterError(f"theta must be positive and finite, got {theta!r}")
-    if t < 0.0 or not math.isfinite(t):
-        raise InvalidParameterError(f"t must be non-negative and finite, got {t!r}")
+    check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
+    check_real("t", t, 0.0, math.inf, open_hi=True)
     lam = 0.5 * theta * t
     if lam == 0.0:
         return np.eye(mm.d)
@@ -310,9 +307,8 @@ def infinite_sampling_prob(n: int, j: int, theta: float) -> float:
     (y)_(k) is the rising factorial; at theta = 2 every j gives 1/(n + 1).
     """
     if n < 1 or not 0 <= j <= n:
-        raise InvalidParameterError("need n >= 1 and 0 <= j <= n")
-    if not (theta > 0.0 and math.isfinite(theta)):
-        raise InvalidParameterError(f"theta must be positive and finite, got {theta!r}")
+        raise InvalidParameterError(f"need n >= 1 and 0 <= j <= n, got n={n!r}, j={j!r}")
+    check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
     a = Fraction(2) / Fraction(theta)
     num = Fraction(math.factorial(n), math.factorial(j))
     for m in range(j):
@@ -328,10 +324,9 @@ def eta_moment(m: int, b: int, theta: float) -> float:
 
     Equals (2/theta) b! / prod_{i=0..b} (2/theta + m + i), kept rational.
     """
-    if m < 0 or b < 0:
-        raise InvalidParameterError("moment orders must be non-negative")
-    if not (theta > 0.0 and math.isfinite(theta)):
-        raise InvalidParameterError(f"theta must be positive and finite, got {theta!r}")
+    check_int("m", m, 0)
+    check_int("b", b, 0)
+    check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
     a = Fraction(2) / Fraction(theta)
     val = a * math.factorial(b)
     for i in range(b + 1):
@@ -348,5 +343,5 @@ def num_types_dist(n: int, k: int, theta: float) -> float:
     gives 1 - eta_moment(0, n, theta).
     """
     if n < 1 or not 1 <= k <= n:
-        raise InvalidParameterError("need n >= 1 and 1 <= k <= n")
+        raise InvalidParameterError(f"need n >= 1 and 1 <= k <= n, got n={n!r}, k={k!r}")
     return math.comb(n, k - 1) * eta_moment(n - k + 1, k - 1, theta)

@@ -34,9 +34,11 @@ from .core import (
     QuadSpec,
     RngStream,
     SimulationAbortError,
+    check_int,
+    check_real,
     quad,
 )
-from .twotype import PathRecord, TwoTypeParams
+from .twotype import PathRecord, TwoTypeParams, _jump_endpoints, _jump_path
 from .twotype import stationary_law as _neutral_stationary_law
 
 __all__ = [
@@ -93,18 +95,14 @@ class DriftSpec:
         if self.kind not in ("neutral", "logistic", "mutation_selection", "custom"):
             raise InvalidParameterError(f"unknown drift kind {self.kind!r}")
         if self.kind in ("neutral", "mutation_selection"):
-            if self.theta is None or not (self.theta > 0.0 and math.isfinite(self.theta)):
-                raise InvalidParameterError("theta must be positive and finite")
-            if self.p is None or not (0.0 < self.p < 1.0):
-                raise InvalidParameterError("p must lie strictly in (0, 1)")
+            check_real("theta", self.theta, 0.0, math.inf, open_lo=True, open_hi=True)
+            check_real("p", self.p, 0.0, 1.0, open_lo=True, open_hi=True)
         if self.kind in ("logistic", "mutation_selection"):
-            if self.beta is None or not (self.beta > 0.0 and math.isfinite(self.beta)):
-                raise InvalidParameterError("beta must be positive and finite")
+            check_real("beta", self.beta, 0.0, math.inf, open_lo=True, open_hi=True)
         if self.kind == "custom":
-            if self.velocity_fn is None or not callable(self.velocity_fn):
+            if not callable(self.velocity_fn):
                 raise InvalidParameterError("custom drift needs a velocity callable")
-            if self.lipschitz is None or not (self.lipschitz > 0.0 and math.isfinite(self.lipschitz)):
-                raise InvalidParameterError("custom drift needs a positive Lipschitz bound")
+            check_real("lipschitz", self.lipschitz, 0.0, math.inf, open_lo=True, open_hi=True)
 
     def velocity(self, x: float) -> float:
         if self.kind == "neutral":
@@ -159,19 +157,18 @@ class RootPair:
         return -self.r1 / self.r2
 
 
+@lru_cache(maxsize=128)
 def roots(theta: float, beta: float, p: float) -> RootPair:
     """Solve chi^2 - (1 - phi) chi - p phi = 0, phi = theta/beta.
 
     The larger-magnitude root comes from the quadratic formula and the
     other from the exact product -p phi, which avoids cancellation when
-    phi is large (weak selection).
+    phi is large (weak selection).  Cached: flow() asks for the roots of
+    the same drift at every call.
     """
-    if not (theta > 0.0 and math.isfinite(theta)):
-        raise InvalidParameterError(f"theta must be positive and finite, got {theta!r}")
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise InvalidParameterError(f"beta must be positive and finite, got {beta!r}")
-    if not (0.0 < p < 1.0):
-        raise InvalidParameterError(f"p must lie strictly in (0, 1), got {p!r}")
+    check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
+    check_real("beta", beta, 0.0, math.inf, open_lo=True, open_hi=True)
+    check_real("p", p, 0.0, 1.0, open_lo=True, open_hi=True)
     phi = theta / beta
     s = 1.0 - phi
     prod = -p * phi
@@ -215,10 +212,8 @@ def flow(drift: DriftSpec, chi0: float, t: float) -> float:
     equilibrium); custom drift integrates the ODE with step size capped by
     the Lipschitz bound.
     """
-    if not (0.0 <= chi0 <= 1.0):
-        raise InvalidParameterError(f"chi0 must lie in [0, 1], got {chi0!r}")
-    if t < 0.0:
-        raise InvalidParameterError(f"t must be non-negative, got {t!r}")
+    check_real("chi0", chi0, 0.0, 1.0)
+    check_real("t", t, 0.0, math.inf)
     if drift.kind == "neutral":
         return drift.p + (chi0 - drift.p) * math.exp(-0.5 * drift.theta * t)
     if drift.kind == "logistic":
@@ -258,8 +253,7 @@ def mu_nu(drift: DriftSpec, t: float) -> tuple[float, float]:
     displays b e^{-decay t} and c e^{-decay t}, an independent code path
     from flow(); the factories' other kinds delegate to the closed flows.
     """
-    if t < 0.0:
-        raise InvalidParameterError(f"t must be non-negative, got {t!r}")
+    check_real("t", t, 0.0, math.inf, open_hi=True)
     if drift.kind == "mutation_selection":
         rp = roots(drift.theta, drift.beta, drift.p)
         gap = rp.r1 - rp.r2
@@ -439,8 +433,7 @@ def stationary_density(drift: DriftSpec, xi: float) -> float:
     zero and returns 0.  Neutral drift reproduces the two-type stationary
     density exactly.
     """
-    if not (0.0 <= xi <= 1.0):
-        raise InvalidParameterError(f"xi must lie in [0, 1], got {xi!r}")
+    check_real("xi", xi, 0.0, 1.0)
     pi1, pi2 = replacement_stationary(drift)
     if drift.kind == "neutral":
         theta, p = drift.theta, drift.p
@@ -586,26 +579,10 @@ def stationary_sample(drift: DriftSpec, rng: RngStream, size=None):
 
 
 def simulate_path(drift: DriftSpec, x: float, horizon: float, rng: RngStream) -> PathRecord:
-    """Forward trajectory under an arbitrary drift: flow between rate-1 jumps."""
-    if not (0.0 <= x <= 1.0):
-        raise InvalidParameterError(f"x must lie in [0, 1], got {x!r}")
-    if not horizon > 0.0:
-        raise InvalidParameterError(f"horizon must be positive, got {horizon!r}")
-    events = []
-    clock = 0.0
-    freq = x
-    while True:
-        wait = rng.gen.exponential()
-        if clock + wait > horizon:
-            break
-        clock += wait
-        before = flow(drift, freq, wait)
-        freq = 1.0 if rng.gen.random() < before else 0.0
-        events.append((clock, 1 if freq == 1.0 else 2, freq))
-    final = flow(drift, freq, horizon - clock)
-    return PathRecord(
-        initial_frequency=x, horizon=horizon, events=tuple(events), final_frequency=final
-    )
+    """Forward trajectory to a finite horizon: flow between rate-1 jumps."""
+    check_real("x", x, 0.0, 1.0)
+    check_real("horizon", horizon, 0.0, math.inf, open_lo=True, open_hi=True)
+    return _jump_path(lambda f, w: flow(drift, f, w), x, horizon, rng)
 
 
 def fixation_prob(beta: float, x: float, fixed_type: int) -> float:
@@ -624,10 +601,8 @@ def fixation_prob(beta: float, x: float, fixed_type: int) -> float:
     degrades gracefully to P1 = x instead of losing the mass spike at
     z = 1 that defeats quadrature in the original variable.
     """
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise InvalidParameterError(f"beta must be positive and finite, got {beta!r}")
-    if not (0.0 <= x <= 1.0):
-        raise InvalidParameterError(f"frequency must lie in [0, 1], got {x!r}")
+    check_real("beta", beta, 0.0, math.inf, open_lo=True, open_hi=True)
+    check_real("x", x, 0.0, 1.0)
     if fixed_type not in (1, 2):
         raise InvalidParameterError("fixed_type must be 1 or 2")
     if x == 0.0:
@@ -680,16 +655,14 @@ def asg_simulate(
     """Simulate the branching dual from n lines.
 
     Without a horizon the run stops at the first collapse to one line (the
-    ultimate ancestor); with one it continues through collapses until the
-    horizon.  Rate-1 events at a single line relabel it and are skipped.
-    States beyond ASG_STATE_CAP abort.
+    ultimate ancestor); with a finite one it continues through collapses
+    until the horizon.  Rate-1 events at a single line relabel it and are
+    skipped.  States beyond ASG_STATE_CAP abort.
     """
-    if n < 1:
-        raise InvalidParameterError(f"n must be at least 1, got {n!r}")
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise InvalidParameterError(f"beta must be positive and finite, got {beta!r}")
-    if horizon is not None and not horizon > 0.0:
-        raise InvalidParameterError("horizon must be positive when given")
+    check_int("n", n, 1)
+    check_real("beta", beta, 0.0, math.inf, open_lo=True, open_hi=True)
+    if horizon is not None:
+        check_real("horizon", horizon, 0.0, math.inf, open_lo=True, open_hi=True)
     clock = 0.0
     state = n
     t_ua = 0.0 if n == 1 else None
@@ -732,10 +705,9 @@ def ua_time_ensemble(n: int, beta: float, size: int, rng: RngStream) -> np.ndarr
     residual to its clock, exact since the collapse clock has rate 1 at any
     line count.  At beta = 2 that share is exactly n/S of the sample.
     """
-    if n < 1:
-        raise InvalidParameterError(f"n must be at least 1, got {n!r}")
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise InvalidParameterError(f"beta must be positive and finite, got {beta!r}")
+    check_int("n", n, 1)
+    check_real("beta", beta, 0.0, math.inf, open_lo=True, open_hi=True)
+    check_int("size", size, 1)
     t_ua = np.zeros(size)
     if n == 1:
         return t_ua
@@ -756,10 +728,8 @@ def asg_stationary(beta: float, i: int) -> float:
     Rational arithmetic up to i = 64, log-gamma beyond; beta = 2 gives
     exactly 1/(i (i+1)).
     """
-    if i < 1:
-        raise InvalidParameterError(f"state index must be at least 1, got {i!r}")
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise InvalidParameterError(f"beta must be positive and finite, got {beta!r}")
+    check_int("i", i, 1)
+    check_real("beta", beta, 0.0, math.inf, open_lo=True, open_hi=True)
     if i <= 64:
         from fractions import Fraction
 
@@ -782,10 +752,8 @@ def asg_stationary_gf(beta: float, y: float) -> float:
     drops below 1e-13; QuadratureError is raised up front, from the
     log-gamma form of pi_i, when that takes over _GF_TERM_BUDGET terms.
     """
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise InvalidParameterError(f"beta must be positive and finite, got {beta!r}")
-    if not (0.0 <= y < 1.0):
-        raise InvalidParameterError(f"y must lie in [0, 1), got {y!r}")
+    check_real("beta", beta, 0.0, math.inf, open_lo=True, open_hi=True)
+    check_real("y", y, 0.0, 1.0, open_hi=True)
     if y == 0.0:
         return 0.0
     a = 2.0 / beta
@@ -802,33 +770,6 @@ def asg_stationary_gf(beta: float, y: float) -> float:
         term *= i / (a + i + 1.0) * y
         i += 1
     return acc + term
-
-
-def _fv_logistic_endpoints(
-    beta: float, x0: float, t: float, size: int, rng: RngStream
-) -> np.ndarray:
-    """Endpoints of the pure-selection jump process, staged over events."""
-    clock = np.zeros(size)
-    freq = np.full(size, x0)
-    active = np.arange(size)
-    while active.size:
-        wait = rng.gen.exponential(size=active.size)
-        landed = clock[active] + wait
-        hit = landed <= t
-        idx = active[hit]
-        clock[idx] = landed[hit]
-        f = freq[idx]
-        w = wait[hit]
-        with np.errstate(invalid="ignore"):
-            before = f / ((1.0 - f) * np.exp(-0.5 * beta * w) + f)
-        before = np.where(f == 0.0, 0.0, before)
-        freq[idx] = (rng.gen.random(idx.size) < before).astype(float)
-        active = idx
-    f = freq
-    w = t - clock
-    with np.errstate(invalid="ignore"):
-        out = f / ((1.0 - f) * np.exp(-0.5 * beta * w) + f)
-    return np.where(f == 0.0, 0.0, out)
 
 
 def _yule_total(pe: np.ndarray, start: int, rng: RngStream) -> np.ndarray:
@@ -853,10 +794,10 @@ def asg_count_ensemble(n: int, beta: float, t: float, size: int, rng: RngStream)
     with the collapse clock paused.  Each loop pass settles one phase, so
     the pass count is of order t.
     """
-    if n < 1:
-        raise InvalidParameterError(f"n must be at least 1, got {n!r}")
-    if not (t > 0.0 and math.isfinite(t)):
-        raise InvalidParameterError(f"t must be positive and finite, got {t!r}")
+    check_int("n", n, 1)
+    check_real("beta", beta, 0.0, math.inf, open_lo=True, open_hi=True)
+    check_real("t", t, 0.0, math.inf, open_lo=True, open_hi=True)
+    check_int("size", size, 1)
     remaining = np.full(size, float(t))
     out = np.zeros(size, dtype=np.int64)
     done = np.zeros(size, dtype=bool)
@@ -898,15 +839,12 @@ def selection_duality_check(
     Returns:
         (lhs, rhs, (lhs standard error, rhs standard error)).
     """
-    if n < 1:
-        raise InvalidParameterError(f"n must be at least 1, got {n!r}")
-    if not (0.0 <= x <= 1.0):
-        raise InvalidParameterError(f"x must lie in [0, 1], got {x!r}")
-    if not (t > 0.0 and math.isfinite(t)):
-        raise InvalidParameterError(f"t must be positive and finite, got {t!r}")
-    if n_mc < 2:
-        raise InvalidParameterError("n_mc must be at least 2")
-    swapped = _fv_logistic_endpoints(beta, 1.0 - x, t, n_mc, rng)
+    check_int("n", n, 1)
+    check_real("x", x, 0.0, 1.0)
+    check_real("t", t, 0.0, math.inf, open_lo=True, open_hi=True)
+    check_int("n_mc", n_mc, 2)
+    drift = logistic_drift(beta)
+    swapped = _jump_endpoints(lambda f, w: _flow_array(drift, f, w), 1.0 - x, t, n_mc, rng)
     lhs_vals = (1.0 - swapped) ** n
     counts = asg_count_ensemble(n, beta, t, n_mc, rng)
     rhs_vals = np.power(float(x), counts.astype(float))

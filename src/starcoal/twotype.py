@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    InvalidParameterError,
     MixedLaw,
     Piece,
     RngStream,
     TwoTypeParams,
+    check_int,
+    check_real,
     exp_decay_window,
     replacement_decay_integral,
     truncated_exponential_inverse_cdf,
@@ -79,27 +80,14 @@ class PathRecord:
     final_frequency: float
 
 
-def _check_x(x: float):
-    if not (0.0 <= x <= 1.0):
-        raise InvalidParameterError(f"frequency x must lie in [0, 1], got {x!r}")
-
-
-def _check_t(t: float, *, positive: bool = False):
-    if positive:
-        if not t > 0.0:
-            raise InvalidParameterError(f"t must be positive, got {t!r}")
-    elif t < 0.0:
-        raise InvalidParameterError(f"t must be non-negative, got {t!r}")
-
-
 def line_kernel(params: TwoTypeParams, t: float) -> LineKernel:
     """Mutation-only transition matrix of a single line over (0, t).
 
     A line keeps its type unless at least one mutation occurs (probability
     1 - e^{-theta t/2}), in which case the last mutation decides the type,
-    landing on type 1 with probability p.
+    landing on type 1 with probability p.  t = inf gives rows (p, 1 - p).
     """
-    _check_t(t)
+    check_real("t", t, 0.0, math.inf)
     e = math.exp(-0.5 * params.theta * t)
     m = -math.expm1(-0.5 * params.theta * t)
     p = params.p
@@ -110,10 +98,11 @@ def marginal_q(params: TwoTypeParams, x: float, t: float) -> tuple[float, float]
     """Type distribution of one individual drawn at time t, no replacement.
 
     q1 = x e^{-theta t/2} + (1 - e^{-theta t/2}) p, written here as
-    p + (x-p) e^{-theta t/2} so that x = p is an exact fixed point.
+    p + (x-p) e^{-theta t/2} so that x = p is an exact fixed point; t = inf
+    gives (p, 1 - p).
     """
-    _check_x(x)
-    _check_t(t)
+    check_real("x", x, 0.0, 1.0)
+    check_real("t", t, 0.0, math.inf)
     q1 = params.p + (x - params.p) * math.exp(-0.5 * params.theta * t)
     return q1, 1.0 - q1
 
@@ -137,12 +126,10 @@ def transition_law(params: TwoTypeParams, x: float, t: float) -> MixedLaw:
     Returns:
         MixedLaw with exact component masses.
     """
-    _check_x(x)
-    _check_t(t)
+    check_real("x", x, 0.0, 1.0)
+    check_real("t", t, 0.0, math.inf, open_hi=True)
     if t == 0.0:
         return MixedLaw(atoms=((x, 1.0),), pieces=())
-    if not math.isfinite(t):
-        raise InvalidParameterError("transition_law needs finite t; the t=inf law is stationary_law")
     theta, p = params.theta, params.p
     a = 2.0 / theta
     delta = 1.0 - 0.5 * theta
@@ -227,8 +214,9 @@ def transition_density_eval(params: TwoTypeParams, x: float, t: float, xi: float
     q1(t; x) is not represented here.  t = inf is allowed and gives the
     stationary branches.
     """
-    _check_x(x)
-    _check_t(t, positive=True)
+    check_real("x", x, 0.0, 1.0)
+    check_real("t", t, 0.0, math.inf, open_lo=True)
+    check_real("xi", xi, -math.inf, math.inf)
     theta, p = params.theta, params.p
     a = 2.0 / theta
     eh = math.exp(-0.5 * theta * t)
@@ -295,8 +283,7 @@ def stationary_density_eval(params: TwoTypeParams, xi: float) -> float:
     p != 1/2; the upper branch value is returned there.  An infinite limit
     (theta > 2) is reported as inf rather than raising.
     """
-    if not (0.0 <= xi <= 1.0):
-        raise InvalidParameterError(f"xi must lie in [0, 1], got {xi!r}")
+    check_real("xi", xi, 0.0, 1.0)
     theta, p = params.theta, params.p
     a = 2.0 / theta
     if xi == p and a < 1.0:
@@ -329,10 +316,9 @@ def transition_moment(params: TwoTypeParams, n: int, x: float, t: float) -> floa
     t = inf; n = 0 short-circuits to 1 because the cross-term bracket
     vanishes only symbolically there (the denominator 2/theta - 1 can be 0).
     """
-    if n < 0:
-        raise InvalidParameterError("moment order n must be non-negative")
-    _check_x(x)
-    _check_t(t)
+    check_int("n", n, 0)
+    check_real("x", x, 0.0, 1.0)
+    check_real("t", t, 0.0, math.inf)
     if n == 0:
         return 1.0
     theta, p = params.theta, params.p
@@ -359,8 +345,7 @@ def stationary_moment(params: TwoTypeParams, n: int) -> tuple[float, float]:
     form expands xi^n = ((xi-p) + p)^n binomially through the centered
     moments, whose odd first term vanishes.
     """
-    if n < 0:
-        raise InvalidParameterError("moment order n must be non-negative")
+    check_int("n", n, 0)
     theta, p = params.theta, params.p
     a = 2.0 / theta
     q = 1.0 - p
@@ -387,8 +372,8 @@ def sample_transition(params: TwoTypeParams, x: float, t: float, rng: RngStream,
             consumes exactly three aligned uniform blocks so results are
             reproducible under resizing of downstream code.
     """
-    _check_x(x)
-    _check_t(t, positive=True)
+    check_real("x", x, 0.0, 1.0)
+    check_real("t", t, 0.0, math.inf, open_lo=True, open_hi=True)
     theta, p = params.theta, params.p
     eh = math.exp(-0.5 * theta * t)
     atom = p + (x - p) * eh
@@ -407,58 +392,80 @@ def sample_transition(params: TwoTypeParams, x: float, t: float, rng: RngStream,
     return float(out) if scalar else out
 
 
-def simulate_path(params: TwoTypeParams, x: float, horizon: float, rng: RngStream) -> PathRecord:
-    """Forward jump-process trajectory on [0, horizon].
+def _jump_path(step, x: float, horizon: float, rng: RngStream) -> PathRecord:
+    """Scalar forward engine: rate-1 jumps to 1 or 0, flow in between.
 
-    Replacement epochs arrive at rate 1.  Between epochs the frequency
-    follows the deterministic mutation flow toward p; at an epoch the whole
-    population becomes type 1 with probability equal to the current
-    frequency (setting it to 1), else type 2 (setting it to 0).
+    step(freq, elapsed) is the deterministic flow over elapsed time.  Each
+    event draws one Exp(1) wait and then one uniform; the frequency just
+    before the jump, step(freq, wait), is the probability of jumping to 1.
+    The wait that overshoots the horizon is drawn and discarded, and the
+    final frequency flows from the last jump to the horizon.  The caller
+    validates x and a finite horizon; an infinite one would never end.
     """
-    _check_x(x)
-    _check_t(horizon, positive=True)
-    theta, p = params.theta, params.p
+    # Scalar numpy draws cost more than the rest of an event, so the bound
+    # methods are looked up once; standard_exponential() returns exactly
+    # the values of exponential() from the same stream, with less overhead.
+    exponential, uniform = rng.gen.standard_exponential, rng.gen.random
     events = []
     clock = 0.0
     freq = x
     while True:
-        wait = rng.gen.exponential()
+        wait = exponential()
         if clock + wait > horizon:
             break
         clock += wait
-        before = p + (freq - p) * math.exp(-0.5 * theta * wait)
-        freq = 1.0 if rng.gen.random() < before else 0.0
+        freq = 1.0 if uniform() < step(freq, wait) else 0.0
         events.append((clock, 1 if freq == 1.0 else 2, freq))
-    final = p + (freq - p) * math.exp(-0.5 * theta * (horizon - clock))
-    return PathRecord(
-        initial_frequency=x, horizon=horizon, events=tuple(events), final_frequency=final
-    )
+    return PathRecord(x, horizon, tuple(events), step(freq, horizon - clock))
 
 
-def path_endpoint_ensemble(
-    params: TwoTypeParams, x: float, t: float, n_paths: int, rng: RngStream
-) -> np.ndarray:
-    """Endpoint frequencies of n_paths independent forward trajectories.
+def _jump_endpoints(step, x: float, t: float, size: int, rng: RngStream) -> np.ndarray:
+    """Staged forward engine: endpoints at t of size paths from x.
 
-    Staged vectorization: each stage advances every still-active path by one
-    replacement event; paths whose next event falls beyond t are finalized
-    by the deterministic flow.  The stage count is the maximum event count,
-    which concentrates near t + O(sqrt(t log n_paths)).
+    The same process as _jump_path with step acting on arrays.  Each stage
+    draws one Exp(1) wait for every still-active path and one uniform for
+    each path whose event lands by t; the rest are finalized by the flow.
+    The stage count is the largest event count, which concentrates near
+    t + O(sqrt(t log size)).  The caller validates x and a finite t.
     """
-    theta, p = params.theta, params.p
-    clock = np.zeros(n_paths)
-    freq = np.full(n_paths, float(x))
-    active = np.arange(n_paths)
+    clock = np.zeros(size)
+    freq = np.full(size, float(x))
+    active = np.arange(size)
     while active.size:
         wait = rng.gen.exponential(size=active.size)
         landed = clock[active] + wait
         hit = landed <= t
         idx = active[hit]
         clock[idx] = landed[hit]
-        before = p + (freq[idx] - p) * np.exp(-0.5 * theta * wait[hit])
+        before = step(freq[idx], wait[hit])
         freq[idx] = (rng.gen.random(idx.size) < before).astype(float)
         active = idx
-    return p + (freq - p) * np.exp(-0.5 * theta * (t - clock))
+    return step(freq, t - clock)
+
+
+def simulate_path(params: TwoTypeParams, x: float, horizon: float, rng: RngStream) -> PathRecord:
+    """Forward jump-process trajectory on [0, horizon], horizon finite.
+
+    Replacement epochs arrive at rate 1.  Between epochs the frequency
+    follows the deterministic mutation flow toward p; at an epoch the whole
+    population becomes type 1 with probability equal to the current
+    frequency (setting it to 1), else type 2 (setting it to 0).
+    """
+    check_real("x", x, 0.0, 1.0)
+    check_real("horizon", horizon, 0.0, math.inf, open_lo=True, open_hi=True)
+    p, decay = params.p, -0.5 * params.theta
+    return _jump_path(lambda f, w: p + (f - p) * math.exp(decay * w), x, horizon, rng)
+
+
+def path_endpoint_ensemble(
+    params: TwoTypeParams, x: float, t: float, n_paths: int, rng: RngStream
+) -> np.ndarray:
+    """Endpoint frequencies at finite t of n_paths independent trajectories."""
+    check_real("x", x, 0.0, 1.0)
+    check_real("t", t, 0.0, math.inf, open_hi=True)
+    check_int("n_paths", n_paths, 1)
+    p, decay = params.p, -0.5 * params.theta
+    return _jump_endpoints(lambda f, w: p + (f - p) * np.exp(decay * w), x, t, n_paths, rng)
 
 
 def replacement_component_density(
@@ -471,12 +478,10 @@ def replacement_component_density(
     weight e^{-t} t^k / k!.  The factor u = 1 + (2/(theta t)) log w is the
     conditional position of the last of k uniformly ordered replacements.
     """
-    if k < 1:
-        raise InvalidParameterError("replacement count k must be at least 1")
-    _check_x(x)
-    _check_t(t, positive=True)
-    if not math.isfinite(t):
-        raise InvalidParameterError("t must be finite")
+    check_int("k", k, 1)
+    check_real("x", x, 0.0, 1.0)
+    check_real("t", t, 0.0, math.inf, open_lo=True, open_hi=True)
+    check_real("xi", xi, -math.inf, math.inf)
     theta, p = params.theta, params.p
     eh = math.exp(-0.5 * theta * t)
     log_poisson = k * math.log(t) - t - math.lgamma(k + 1.0)

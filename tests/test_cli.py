@@ -9,6 +9,9 @@ seeds, and exit codes.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -329,6 +332,20 @@ def test_lines_rejects_non_finite_time(capsys):
     assert rc == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_simulate_fv_rejects_infinite_time():
+    # An infinite horizon once spun the jump loop forever, so the command
+    # runs in a child process whose timeout turns a hang into a failure.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    argv = ["simulate", "fv", "--theta", "1", "--p", "0.3", "--x", "0.5", "--t", "inf"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "starcoal.cli", *argv, "--n-mc", "10"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
 
 
 def test_out_file_matches_stdout(capsys, tmp_path):

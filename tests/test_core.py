@@ -14,9 +14,6 @@ from starcoal.core import (
     RngStream,
     TwoTypeParams,
     exp_decay_window,
-    mixedlaw_mass,
-    mixedlaw_mean,
-    mixedlaw_sample,
     quad,
     quad_offset,
     replacement_decay_integral,
@@ -159,14 +156,12 @@ def test_mixed_law_mass_mean_cdf():
     assert law.mean() == pytest.approx(0.25 * 0.5 + 1.5 * 0.125, abs=1e-12)
     assert law.cdf(0.2) == pytest.approx(0.3, abs=1e-14)
     assert law.cdf(0.5) == pytest.approx(1.0, abs=1e-14)
-    assert mixedlaw_mass(law) == law.quadrature_mass()
-    assert mixedlaw_mean(law) == law.mean()
 
 
 def test_mixed_law_sampling():
     law = _toy_law()
     rng = RngStream(11, 0)
-    draws = np.array([mixedlaw_sample(law, rng) for _ in range(20_000)])
+    draws = np.array([law.sample(rng) for _ in range(20_000)])
     atom_freq = float(np.mean(draws == 0.5))
     assert abs(atom_freq - 0.25) < 3.5 * math.sqrt(0.25 * 0.75 / 20_000)
     rest = draws[draws != 0.5]

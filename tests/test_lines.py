@@ -67,6 +67,8 @@ def test_an_distribution_edges():
             an_distribution(4, 1.5, bad_t)
         with pytest.raises(InvalidParameterError):
             an_distribution_spectral(4, 1.5, bad_t)
+        with pytest.raises(InvalidParameterError):
+            an_limit(1.0, bad_t, 1)
 
 
 def test_spectral_route_matches_direct():
@@ -169,6 +171,8 @@ def test_absorption_time_ensemble_mean():
     se = float(times.std(ddof=1)) / math.sqrt(times.size)
     z = abs(float(times.mean()) - want) / se
     assert z < 3.5, f"z = {z:.2f}"
+    with pytest.raises(InvalidParameterError):
+        absorption_time_ensemble(3, 1.0, -5, RngStream(0))
 
 
 def test_duality_check_consistency():

@@ -135,6 +135,8 @@ def test_flow_semigroup_and_equilibria():
         flow(custom_drift(lambda y: 0.0, 1.0), 0.5, math.inf)
     with pytest.raises(InvalidParameterError):
         flow(MS, 1.2, 1.0)
+    with pytest.raises(InvalidParameterError):
+        flow(neutral_drift(1.0, 0.3), 0.3, math.nan)
 
 
 def test_mu_nu_matches_endpoint_flows():
@@ -288,6 +290,8 @@ def test_simulate_path_under_selection():
     flat = simulate_path(logistic_drift(1.8), 0.0, 3.0, RngStream(64, 0))
     assert flat.final_frequency == 0.0
     assert all(freq == 0.0 for _, _, freq in flat.events)
+    with pytest.raises(InvalidParameterError):
+        simulate_path(logistic_drift(1.8), 0.6, math.inf, RngStream(0))
 
 
 def test_fixation_prob_oracles():
@@ -346,6 +350,8 @@ def test_asg_simulate_invariants():
     assert all(ev[0] <= 0.2 for ev in horizon_path.events)
     with pytest.raises(InvalidParameterError):
         asg_simulate(0, 1.5, RngStream(0))
+    with pytest.raises(InvalidParameterError):
+        asg_simulate(3, 1.5, RngStream(0), horizon=math.inf)
 
 
 def test_ua_time_is_unit_exponential():
@@ -357,6 +363,8 @@ def test_ua_time_is_unit_exponential():
         assert abs(float(times.mean()) - 1.0) < 3.5 * se
         assert kstest(times, "expon").pvalue > 0.01
     assert np.all(ua_time_ensemble(1, 2.0, 50, RngStream(70, 0)) == 0.0)
+    with pytest.raises(InvalidParameterError):
+        ua_time_ensemble(2, 2.0, -1, RngStream(0))
 
 
 def test_asg_stationary():
@@ -426,6 +434,9 @@ def test_selection_duality_check():
         selection_duality_check(2, 0.5, math.inf, 2.0, 10, RngStream(0))
     with pytest.raises(InvalidParameterError):
         asg_count_ensemble(2, 2.0, math.inf, 10, RngStream(0))
+    for bad_beta in (-1.0, math.nan):
+        with pytest.raises(InvalidParameterError):
+            selection_duality_check(2, 0.4, 0.8, bad_beta, 100, RngStream(0))
 
 
 def test_state_cap_aborts(monkeypatch):

@@ -57,6 +57,8 @@ def test_line_kernel_rows():
     far = line_kernel(PAR_B, 60.0)
     assert far.p11 == pytest.approx(0.6, abs=1e-12)
     assert far.p21 == pytest.approx(0.6, abs=1e-12)
+    with pytest.raises(InvalidParameterError):
+        line_kernel(PAR_B, math.nan)
 
 
 def test_transition_law_structure():
@@ -126,6 +128,8 @@ def test_transition_moment_oracles():
         )
     with pytest.raises(InvalidParameterError):
         transition_moment(PAR_A, -1, 0.7, 1.0)
+    with pytest.raises(InvalidParameterError):
+        transition_moment(PAR_A, 2, 0.5, math.nan)
 
 
 def test_transition_moments_match_density_integration():
@@ -249,6 +253,9 @@ def test_simulate_path_invariants():
         last_t, last_f = when, freq
     flow = par.p + (last_f - par.p) * math.exp(-0.75 * (6.0 - last_t))
     assert rec.final_frequency == pytest.approx(flow, rel=1e-15)
+    # An infinite horizon would never end the event loop.
+    with pytest.raises(InvalidParameterError):
+        simulate_path(par, 0.4, math.inf, RngStream(0))
 
 
 def test_path_endpoint_ensemble_mean():
@@ -259,3 +266,6 @@ def test_path_endpoint_ensemble_mean():
     want = par.p + transition_moment(par, 1, x, t)
     se = float(ends.std(ddof=1)) / math.sqrt(ends.size)
     assert abs(float(ends.mean()) - want) < 4.0 * se
+    for bad_x, bad_t, size in ((0.7, math.inf, 10), (2.0, 1.0, 10), (0.7, 1.0, -1)):
+        with pytest.raises(InvalidParameterError):
+            path_endpoint_ensemble(par, bad_x, bad_t, size, RngStream(0))

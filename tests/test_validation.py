@@ -1,0 +1,222 @@
+"""Input contract of the public entry points, as hypothesis properties.
+
+Every real argument has a documented domain.  NaN is outside every one
+of them, and t = inf is inside only where a docstring says so: the closed
+forms transition_moment, transition_density_eval, marginal_q, line_kernel,
+pim_line_kernel and flow for the named drift kinds.  Any value outside
+the domain must raise InvalidParameterError before any work starts: not a
+nan result, not a bare numpy error, and not an event loop that never
+ends.  Each case below calls one entry point with valid defaults and
+replaces one argument with a value drawn from outside its domain; the bad
+values are few in kind (NaN, an infinity, a value below or above the
+range), so 30 examples per entry point cover them.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from starcoal import core, eigen, lines, multitype, selection, twotype
+from starcoal.core import InvalidParameterError, RngStream, TwoTypeParams
+
+INF = math.inf
+
+# (lo, hi, open_lo, open_hi) domains of the real arguments.
+UNIT = (0.0, 1.0, False, False)
+OPEN_UNIT = (0.0, 1.0, True, True)
+POSITIVE = (0.0, INF, True, True)
+TIME = (0.0, INF, False, True)
+TIME_POS = (0.0, INF, True, True)
+TIME_INF = (0.0, INF, False, False)
+TIME_POS_INF = (0.0, INF, True, False)
+ANY = (-INF, INF, False, False)
+
+PAR = TwoTypeParams(1.3, 0.35)
+MP = multitype.MultiParams(1.4, (0.2, 0.5, 0.3))
+MM = multitype.MutationMatrix(np.array([[0.5, 0.5], [0.3, 0.7]]))
+MS = selection.mutation_selection_drift(1.0, 0.5, 2.0)
+G = eigen.PolyRep(0.35, (0.1, 0.2, 0.3))
+
+
+def rng():
+    return RngStream(0)
+
+
+def outside(lo, hi, open_lo, open_hi):
+    """Values outside the domain; NaN always is, signed zeros kept honest."""
+    parts = [st.just(math.nan)]
+    if lo == -INF:
+        if open_lo:
+            parts.append(st.just(-INF))
+    else:
+        below = lo if open_lo else math.nextafter(lo, -INF)
+        parts.append(st.floats(max_value=below, allow_nan=False))
+    if hi == INF:
+        if open_hi:
+            parts.append(st.just(INF))
+    else:
+        above = hi if open_hi else math.nextafter(hi, INF)
+        parts.append(st.floats(min_value=above, allow_nan=False))
+    return st.one_of(parts)
+
+
+# name -> (call with valid keyword defaults, {argument: domain})
+CASES = {
+    "core.TwoTypeParams": (
+        lambda theta=1.0, p=0.3: TwoTypeParams(theta, p), {"theta": POSITIVE, "p": OPEN_UNIT}),
+    "core.QuadSpec": (
+        lambda abs_tol=1e-9, rel_tol=1e-9: core.QuadSpec(abs_tol, rel_tol),
+        {"abs_tol": POSITIVE, "rel_tol": POSITIVE}),
+    "core.quad_offset": (
+        lambda width=0.5: core.quad_offset(lambda d: 1.0, width), {"width": POSITIVE}),
+    "core.replacement_decay_integral": (
+        lambda theta=1.0, t=1.0: core.replacement_decay_integral(theta, t),
+        {"theta": POSITIVE, "t": TIME}),
+    "core.truncated_exponential_inverse_cdf": (
+        lambda t=1.0: core.truncated_exponential_inverse_cdf(0.5, t), {"t": TIME_POS}),
+    "twotype.line_kernel": (lambda t=1.0: twotype.line_kernel(PAR, t), {"t": TIME_INF}),
+    "twotype.marginal_q": (
+        lambda x=0.4, t=1.0: twotype.marginal_q(PAR, x, t), {"x": UNIT, "t": TIME_INF}),
+    "twotype.transition_law": (
+        lambda x=0.4, t=1.0: twotype.transition_law(PAR, x, t), {"x": UNIT, "t": TIME}),
+    "twotype.transition_density_eval": (
+        lambda x=0.4, t=1.0, xi=0.9: twotype.transition_density_eval(PAR, x, t, xi),
+        {"x": UNIT, "t": TIME_POS_INF, "xi": ANY}),
+    "twotype.stationary_density_eval": (
+        lambda xi=0.9: twotype.stationary_density_eval(PAR, xi), {"xi": UNIT}),
+    "twotype.transition_moment": (
+        lambda x=0.4, t=1.0: twotype.transition_moment(PAR, 2, x, t), {"x": UNIT, "t": TIME_INF}),
+    "twotype.sample_transition": (
+        lambda x=0.4, t=1.0: twotype.sample_transition(PAR, x, t, rng()),
+        {"x": UNIT, "t": TIME_POS}),
+    "twotype.simulate_path": (
+        lambda x=0.4, horizon=1.0: twotype.simulate_path(PAR, x, horizon, rng()),
+        {"x": UNIT, "horizon": TIME_POS}),
+    "twotype.path_endpoint_ensemble": (
+        lambda x=0.4, t=1.0: twotype.path_endpoint_ensemble(PAR, x, t, 10, rng()),
+        {"x": UNIT, "t": TIME}),
+    "twotype.replacement_component_density": (
+        lambda x=0.4, t=1.0, xi=0.9: twotype.replacement_component_density(PAR, x, t, 1, xi),
+        {"x": UNIT, "t": TIME_POS, "xi": ANY}),
+    "eigen.q1_eval": (lambda xi=0.9: eigen.q1_eval(PAR, xi), {"xi": UNIT}),
+    "eigen.expansion_expectation": (
+        lambda x=0.4, t=1.0: eigen.expansion_expectation(PAR, G, x, t), {"x": UNIT, "t": TIME}),
+    "lines.an_distribution": (
+        lambda theta=1.0, t=1.0: lines.an_distribution(4, theta, t),
+        {"theta": POSITIVE, "t": TIME}),
+    "lines.an_distribution_spectral": (
+        lambda theta=1.0, t=1.0: lines.an_distribution_spectral(4, theta, t),
+        {"theta": POSITIVE, "t": TIME}),
+    "lines.an_limit": (
+        lambda theta=1.0, t=1.0: lines.an_limit(theta, t, 1), {"theta": POSITIVE, "t": TIME_POS}),
+    "lines.spectral_coeffs": (
+        lambda theta=1.0: lines.spectral_coeffs(4, theta), {"theta": POSITIVE}),
+    "lines.mean_absorption_time": (
+        lambda theta=1.0: lines.mean_absorption_time(4, theta), {"theta": POSITIVE}),
+    "lines.simulate_lines": (
+        lambda theta=1.0, horizon=1.0: lines.simulate_lines(4, theta, rng(), horizon),
+        {"theta": POSITIVE, "horizon": TIME_POS}),
+    "lines.absorption_time_ensemble": (
+        lambda theta=1.0: lines.absorption_time_ensemble(4, theta, 10, rng()), {"theta": POSITIVE}),
+    "lines.duality_check": (
+        lambda x=0.4, t=1.0: lines.duality_check(PAR, 2, x, t, 10, rng()),
+        {"x": UNIT, "t": TIME_POS}),
+    "multitype.MultiParams": (
+        lambda theta=1.0: multitype.MultiParams(theta, (0.2, 0.8)), {"theta": POSITIVE}),
+    "multitype.pim_line_kernel": (lambda t=1.0: multitype.pim_line_kernel(MP, t), {"t": TIME_INF}),
+    "multitype.pim_transition_law": (
+        lambda t=1.0: multitype.pim_transition_law(MP, (0.2, 0.5, 0.3), t), {"t": TIME}),
+    "multitype.pim_region_density": (
+        lambda t=1.0, xi_i=0.9: multitype.pim_region_density(MP, (0.2, 0.5, 0.3), t, 0, xi_i),
+        {"t": TIME_POS, "xi_i": ANY}),
+    "multitype.markov_line_kernel": (
+        lambda theta=1.0, t=1.0: multitype.markov_line_kernel(MM, theta, t),
+        {"theta": POSITIVE, "t": TIME}),
+    "multitype.infinite_sampling_prob": (
+        lambda theta=1.0: multitype.infinite_sampling_prob(4, 2, theta), {"theta": POSITIVE}),
+    "multitype.eta_moment": (
+        lambda theta=1.0: multitype.eta_moment(1, 2, theta), {"theta": POSITIVE}),
+    "selection.mutation_selection_drift": (
+        lambda theta=1.0, p=0.5, beta=2.0: selection.mutation_selection_drift(theta, p, beta),
+        {"theta": POSITIVE, "p": OPEN_UNIT, "beta": POSITIVE}),
+    "selection.custom_drift": (
+        lambda lipschitz=1.0: selection.custom_drift(lambda y: 0.0, lipschitz),
+        {"lipschitz": POSITIVE}),
+    "selection.roots": (
+        lambda theta=1.0, beta=2.0, p=0.5: selection.roots(theta, beta, p),
+        {"theta": POSITIVE, "beta": POSITIVE, "p": OPEN_UNIT}),
+    "selection.flow": (
+        lambda chi0=0.4, t=1.0: selection.flow(MS, chi0, t), {"chi0": UNIT, "t": TIME_INF}),
+    "selection.mu_nu": (lambda t=1.0: selection.mu_nu(MS, t), {"t": TIME}),
+    "selection.stationary_density": (
+        lambda xi=0.9: selection.stationary_density(MS, xi), {"xi": UNIT}),
+    "selection.simulate_path": (
+        lambda x=0.4, horizon=1.0: selection.simulate_path(MS, x, horizon, rng()),
+        {"x": UNIT, "horizon": TIME_POS}),
+    "selection.fixation_prob": (
+        lambda beta=2.0, x=0.4: selection.fixation_prob(beta, x, 1), {"beta": POSITIVE, "x": UNIT}),
+    "selection.asg_simulate": (
+        lambda beta=1.0, horizon=1.0: selection.asg_simulate(3, beta, rng(), horizon),
+        {"beta": POSITIVE, "horizon": TIME_POS}),
+    "selection.ua_time_ensemble": (
+        lambda beta=1.0: selection.ua_time_ensemble(3, beta, 10, rng()), {"beta": POSITIVE}),
+    "selection.asg_stationary": (
+        lambda beta=1.0: selection.asg_stationary(beta, 3), {"beta": POSITIVE}),
+    "selection.asg_stationary_gf": (
+        lambda beta=1.0, y=0.5: selection.asg_stationary_gf(beta, y),
+        {"beta": POSITIVE, "y": (0.0, 1.0, False, True)}),
+    "selection.asg_count_ensemble": (
+        lambda beta=1.0, t=1.0: selection.asg_count_ensemble(3, beta, t, 10, rng()),
+        {"beta": POSITIVE, "t": TIME_POS}),
+    "selection.selection_duality_check": (
+        lambda x=0.4, t=1.0, beta=1.0: selection.selection_duality_check(2, x, t, beta, 10, rng()),
+        {"x": UNIT, "t": TIME_POS, "beta": POSITIVE}),
+}
+
+# name -> (call with a valid default size, smallest valid size)
+SIZE_CASES = {
+    "twotype.path_endpoint_ensemble": (
+        lambda size=10: twotype.path_endpoint_ensemble(PAR, 0.4, 1.0, size, rng()), 1),
+    "lines.absorption_time_ensemble": (
+        lambda size=10: lines.absorption_time_ensemble(4, 1.0, size, rng()), 1),
+    "lines.duality_check": (lambda size=10: lines.duality_check(PAR, 2, 0.4, 1.0, size, rng()), 2),
+    "lines.stationary_moment_via_coalescent": (
+        lambda size=10: lines.stationary_moment_via_coalescent(PAR, 2, size, rng()), 2),
+    "selection.ua_time_ensemble": (
+        lambda size=10: selection.ua_time_ensemble(3, 1.0, size, rng()), 1),
+    "selection.asg_count_ensemble": (
+        lambda size=10: selection.asg_count_ensemble(3, 1.0, 1.0, size, rng()), 1),
+    "selection.selection_duality_check": (
+        lambda size=10: selection.selection_duality_check(2, 0.4, 1.0, 1.0, size, rng()), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_defaults_are_valid(name):
+    call, _ = CASES[name]
+    call()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_real_argument_outside_domain_raises(name, data):
+    call, domains = CASES[name]
+    arg = data.draw(st.sampled_from(sorted(domains)), label="argument")
+    value = data.draw(outside(*domains[arg]), label="value")
+    with pytest.raises(InvalidParameterError, match=arg):
+        call(**{arg: value})
+
+
+@pytest.mark.parametrize("name", sorted(SIZE_CASES))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_ensemble_size_must_be_an_integer(name, data):
+    call, minimum = SIZE_CASES[name]
+    call()
+    bad = data.draw(st.one_of(st.integers(max_value=minimum - 1), st.floats()), label="size")
+    with pytest.raises(InvalidParameterError):
+        call(size=bad)
