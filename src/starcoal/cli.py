@@ -20,7 +20,7 @@ import math
 import os
 import sys
 
-from .core import RngStream, StarcoalError
+from .core import RngStream, StarcoalError, check_int
 from .eigen import eigen_poly, eigenvalue
 from .lines import (
     absorption_time_ensemble,
@@ -175,48 +175,26 @@ def _cmd_lines(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    check_int("n_mc", args.n_mc, 2)
     rng = RngStream(_seed_of(args), 0)
     if args.kind == "fv":
         par = TwoTypeParams(theta=args.theta, p=args.p)
-        ends = path_endpoint_ensemble(par, args.x, args.t, args.n_mc, rng)
-        mean = float(ends.mean())
-        se = float(ends.std(ddof=1)) / math.sqrt(args.n_mc)
-        analytic = args.p + transition_moment(par, 1, args.x, args.t)
-        params = [
-            ("theta", args.theta),
-            ("p", args.p),
-            ("x", args.x),
-            ("t", args.t),
-            ("n_mc", args.n_mc),
-            ("seed", _seed_of(args)),
-        ]
-        rows = [("mean", mean), ("se", se), ("analytic_mean", analytic)]
+        values = path_endpoint_ensemble(par, args.x, args.t, args.n_mc, rng)
+        params = [("theta", args.theta), ("p", args.p), ("x", args.x), ("t", args.t)]
+        names = ("mean", "analytic_mean")
+        exact = args.p + transition_moment(par, 1, args.x, args.t)
     elif args.kind == "lines":
-        times = absorption_time_ensemble(args.n, args.theta, args.n_mc, rng)
-        mean = float(times.mean())
-        se = float(times.std(ddof=1)) / math.sqrt(args.n_mc)
-        params = [
-            ("n", args.n),
-            ("theta", args.theta),
-            ("n_mc", args.n_mc),
-            ("seed", _seed_of(args)),
-        ]
-        rows = [
-            ("mean_absorption_time", mean),
-            ("se", se),
-            ("exact_mean", mean_absorption_time(args.n, args.theta)),
-        ]
+        values = absorption_time_ensemble(args.n, args.theta, args.n_mc, rng)
+        params = [("n", args.n), ("theta", args.theta)]
+        names = ("mean_absorption_time", "exact_mean")
+        exact = mean_absorption_time(args.n, args.theta)
     else:
-        times = ua_time_ensemble(args.n, args.beta, args.n_mc, rng)
-        mean = float(times.mean())
-        se = float(times.std(ddof=1)) / math.sqrt(args.n_mc)
-        params = [
-            ("n", args.n),
-            ("beta", args.beta),
-            ("n_mc", args.n_mc),
-            ("seed", _seed_of(args)),
-        ]
-        rows = [("mean_collapse_time", mean), ("se", se), ("exact_mean", 1.0)]
+        values = ua_time_ensemble(args.n, args.beta, args.n_mc, rng)
+        params = [("n", args.n), ("beta", args.beta)]
+        names, exact = ("mean_collapse_time", "exact_mean"), 1.0
+    params += [("n_mc", args.n_mc), ("seed", _seed_of(args))]
+    se = float(values.std(ddof=1)) / math.sqrt(args.n_mc)
+    rows = [(names[0], float(values.mean())), ("se", se), (names[1], exact)]
     _emit(args, params, ["quantity", "value"], rows)
     return 0
 

@@ -120,6 +120,17 @@ def check_int(name: str, value, minimum: int):
     raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def check_size(name: str, value):
+    """Require a sample shape: None, an integer >= 1 or a tuple of them."""
+    dims = () if value is None else value if isinstance(value, tuple) else (value,)
+    try:
+        if all(operator.index(v) >= 1 for v in dims):
+            return
+    except TypeError:
+        pass
+    raise InvalidParameterError(f"{name} must be None or a shape of integers >= 1, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Parameters
 # ---------------------------------------------------------------------------

@@ -5,16 +5,16 @@ rate theta/2 and the whole set of unresolved lines collapses to one at the
 population replacement events, rate 1.  The line count A(t) therefore moves
 down the chain n -> n-1 -> ... with collapse jumps to 1, and its law is an
 explicit mix of binomial terms.  The alternating sums in the closed forms
-cancel catastrophically in floats near n = 50, so all distribution values
-are assembled in exact rational arithmetic (the float inputs e^{-theta t/2}
-and e^{-t} are themselves exact rationals) and rounded once at the end.
+cancel catastrophically in floats near n = 50, so every distribution value
+is assembled as integers over a common dyadic denominator, rounded once:
+the float inputs e^{-theta t/2}, e^{-t} and theta are dyadic rationals, so
+each rate ratio 1 + m theta/2 and each time factor is an integer ratio.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -76,24 +76,10 @@ class LinePath:
     absorption_time: float | None
 
 
-def _an_fractions(n: int, theta: float, t: float) -> list[Fraction]:
-    """Exact rationals for P(A(t) = j), j = 0..n."""
-    pf = Fraction(math.exp(-0.5 * theta * t))
-    ef = Fraction(math.exp(-t))
-    half = Fraction(theta) / 2
-    probs: list[Fraction] = [Fraction(0)] * (n + 1)
-    for j in range(2, n + 1):
-        probs[j] = math.comb(n, j) * pf**j * (1 - pf) ** (n - j) * ef
-    s1 = Fraction(0)
-    s0 = Fraction(0)
-    for k in range(1, n + 1):
-        sign = -1 if k % 2 == 0 else 1
-        denom = 1 + (k - 1) * half
-        s1 += sign * math.comb(n, k) * (pf - ef * pf**k) / denom
-        s0 += sign * math.comb(n, k) * (pf + (k - 1) * half * ef * pf**k) / denom
-    probs[1] = n * pf * (1 - pf) ** (n - 1) * ef + s1
-    probs[0] = 1 - s0
-    return probs
+def _dyadic(x: float) -> tuple[int, int]:
+    """Split a float into (m, e) with x == m / 2^e exactly."""
+    m, den = float(x).as_integer_ratio()
+    return m, den.bit_length() - 1
 
 
 def an_distribution(n: int, theta: float, t: float) -> LineDist:
@@ -102,12 +88,35 @@ def an_distribution(n: int, theta: float, t: float) -> LineDist:
     For 1 < j <= n the probability is the binomial survival term
     C(n,j) p(t)^j (1-p(t))^{n-j} e^{-t} with p(t) = e^{-theta t/2}; j = 1
     adds the alternating resolvent sum and j = 0 closes the total to 1.
+    With p(t) = A / 2^a, e^{-t} = B / 2^b and 1 + m theta/2 = d[m] / D,
+    every term is an integer over 2^{an+b} L, L = d[0] ... d[n-1].
     """
     check_int("n", n, 1)
     check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
     check_real("t", t, 0.0, math.inf, open_hi=True)
-    probs = _an_fractions(n, theta, t)
-    return LineDist(n=n, theta=theta, t=t, probs=tuple(float(q) for q in probs))
+    A, a = _dyadic(math.exp(-0.5 * theta * t))
+    B, b = _dyadic(math.exp(-t))
+    T, c = _dyadic(theta)
+    D = 1 << (c + 1)
+    d = [D + m * T for m in range(n)]
+    L = math.prod(d)
+    shift = a * n + b
+    apow = [A**k for k in range(n + 1)]
+    cpow = [((1 << a) - A) ** k for k in range(n + 1)]  # (1 - p)^k 2^{ak}
+    probs = [0.0, 0.0] + [
+        math.comb(n, j) * apow[j] * cpow[n - j] * B / (1 << shift) for j in range(2, n + 1)
+    ]
+    pf = A << (shift - a)  # p(t); every term here is over 2^shift
+    s1 = s0 = 0
+    for k in range(1, n + 1):
+        w = (-1) ** (k + 1) * math.comb(n, k) * (L // d[k - 1])
+        tail = B * apow[k] << (a * (n - k))  # e^{-t} p^k
+        s1 += w * D * (pf - tail)
+        s0 += w * (D * pf + (k - 1) * T * tail)
+    den = L << shift
+    probs[1] = (n * A * cpow[n - 1] * B * L + s1) / den
+    probs[0] = (den - s0) / den
+    return LineDist(n=n, theta=theta, t=t, probs=tuple(probs))
 
 
 def an_limit(theta: float, t: float, j) -> float:
@@ -145,85 +154,93 @@ class SpectralCoeffs:
     p_coeffs: tuple[tuple[float, ...], ...]
 
 
-def _spectral_fractions(n: int, theta: float) -> tuple[list[Fraction], list[list[Fraction]]]:
-    half = Fraction(theta) / 2
-    q: list[Fraction] = [Fraction(0)] * (n + 1)
-    q[0] = Fraction(1)
-    if n >= 1:
-        q[1] = sum(
-            (-1 if i % 2 == 0 else 1) * Fraction(math.comb(n, i), 1) / (1 + (i - 1) * half)
-            for i in range(1, n + 1)
-        )
-    for k in range(2, n + 1):
-        sign = -1 if k % 2 == 0 else 1
-        q[k] = sign * math.comb(n, k) * (k - 1) * (1 + k * half) / (1 + (k - 1) * half)
-    p: list[list[Fraction]] = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    p[0][0] = Fraction(1)
-    if n >= 1:
-        p[0][1] = Fraction(-1)
-    for k in range(2, n + 1):
-        p[0][k] = -half / (1 + k * half)
-    if n >= 1:
-        for k in range(1, n + 1):
-            p[1][k] = Fraction(1)
-    for j in range(2, n + 1):
-        sign = -1 if j % 2 == 0 else 1
-        for k in range(j, n + 1):
-            p[j][k] = sign * math.comb(k, j) * (1 + (k - 1) * half) / ((k - 1) * (1 + k * half))
-    return q, p
+def _spectral_pairs(n: int, theta: float):
+    """q[k] and the rows p[j][.] as integer (numerator, denominator) pairs.
+
+    With theta = T / 2^c, 1 + m theta/2 = d[m] / D for D = 2^{c+1} and
+    d[m] = D + m T.  Returns (q, rows, L): rows yields p[0], ..., p[n] one at
+    a time and L = d[0] ... d[n-1] is the denominator of q[1].
+    """
+    T, c = _dyadic(theta)
+    D = 1 << (c + 1)
+    d = [D + m * T for m in range(n + 1)]
+    L = math.prod(d[:n])
+    sign = [(-1) ** (k + 1) for k in range(n + 1)]
+    q1 = sum(sign[i] * math.comb(n, i) * D * (L // d[i - 1]) for i in range(1, n + 1))
+    q = [(1, 1), (q1, L)] + [
+        (sign[k] * math.comb(n, k) * (k - 1) * d[k], d[k - 1]) for k in range(2, n + 1)
+    ]
+
+    def rows():
+        yield [(1, 1), (-1, 1)] + [(-T, d[k]) for k in range(2, n + 1)]
+        yield [(0, 1)] + [(1, 1)] * n
+        for j in range(2, n + 1):
+            yield [(0, 1)] * j + [
+                (sign[j] * math.comb(k, j) * d[k - 1], (k - 1) * d[k]) for k in range(j, n + 1)
+            ]
+
+    return q, rows(), L
 
 
 def spectral_coeffs(n: int, theta: float) -> SpectralCoeffs:
     """Eigenvalues 0, theta/2, 1 + k theta/2 with their weight arrays."""
     check_int("n", n, 1)
     check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
-    q, p = _spectral_fractions(n, theta)
+    q, rows, _ = _spectral_pairs(n, theta)
     lams = [0.0, 0.5 * theta] + [1.0 + 0.5 * k * theta for k in range(2, n + 1)]
-    return SpectralCoeffs(
-        n=n,
-        theta=theta,
-        eigenvalues=tuple(lams[: n + 1]),
-        q_weights=tuple(float(v) for v in q),
-        p_coeffs=tuple(tuple(float(v) for v in row) for row in p),
-    )
+    q_weights = tuple(num / den for num, den in q)
+    p_coeffs = tuple(tuple(num / den for num, den in row) for row in rows)
+    return SpectralCoeffs(n, theta, tuple(lams[: n + 1]), q_weights, p_coeffs)
 
 
 def an_distribution_spectral(n: int, theta: float, t: float) -> LineDist:
     """Line-count law reconstructed as sum_k e^{-lambda_k t} Q^(k) P_j^(k).
 
     The time factors are evaluated through the exact identity
-    e^{-(1 + k theta/2) t} = e^{-t} (e^{-theta t/2})^k so the alternating
-    spectral sums cancel in rational arithmetic rather than in floats; the
-    route is still independent of an_distribution, which never forms the
-    spectral weight matrices.
+    e^{-(1 + k theta/2) t} = e^{-t} (e^{-theta t/2})^k.  With
+    e^{-theta t/2} = A / 2^a and e^{-t} = B / 2^b they are integers over the
+    common dyadic denominator 2^{an+b}, so each probability is one integer
+    sum, rounded once, and the alternating spectral sums cancel exactly
+    rather than in floats.  The route is still independent of
+    an_distribution, which never forms the spectral weight matrices.
     """
     check_int("n", n, 1)
     check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
     check_real("t", t, 0.0, math.inf, open_hi=True)
-    q, p = _spectral_fractions(n, theta)
-    pf = Fraction(math.exp(-0.5 * theta * t))
-    ef = Fraction(math.exp(-t))
-    factors = [Fraction(1), pf] + [ef * pf**k for k in range(2, n + 1)]
-    probs = [
-        float(sum(factors[k] * q[k] * p[j][k] for k in range(n + 1))) for j in range(n + 1)
-    ]
+    A, a = _dyadic(math.exp(-0.5 * theta * t))
+    B, b = _dyadic(math.exp(-t))
+    shift = a * n + b
+    q, rows, L = _spectral_pairs(n, theta)
+    probs = []
+    for j, row in enumerate(rows):
+        # The weights q[k] p[j][k] over den are integers, so // is exact: rows
+        # 0 and 1 share the denominator L of q[1], and for j >= 2 the d
+        # factors cancel, leaving +-C(n,k) C(k,j).
+        den, lo = (L, 2) if j < 2 else (1, j)
+        w = [qn * pn * den // (qd * pd) for (qn, qd), (pn, pd) in zip(q, row)]
+        # Horner in A over the factors e^{-t} p^k = B A^k 2^{a(n-k)} / 2^shift.
+        h = 0
+        for k in range(n, lo - 1, -1):
+            h = h * A + (w[k] << (a * (n - k)))
+        # The eigenvalues 0 and theta/2 have factors 1 and p.
+        num = B * A**lo * h + (w[0] << shift) + (w[1] * A << (shift - a))
+        probs.append(num / (den << shift))
     return LineDist(n=n, theta=theta, t=t, probs=tuple(probs))
 
 
 def mean_absorption_time(n: int, theta: float) -> float:
     """Expected time until every line has resolved.
 
-    Equals r (1 - n! / (r (r+1) ... (r+n-1))) with r = 1 + 2/theta,
-    computed in rational arithmetic; n = 1 reduces to 2/theta and n = 2,
-    theta = 2 gives exactly 4/3.
+    Equals r (1 - n! / (r (r+1) ... (r+n-1))) with r = 1 + 2/theta; with
+    theta = T / 2^c, r + j = (2^{c+1} + (j+1) T) / T, so the value is one
+    integer ratio, rounded once.  n = 2, theta = 2 gives exactly 4/3.
     """
     check_int("n", n, 1)
     check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
-    r = 1 + Fraction(2) / Fraction(theta)
-    denom = Fraction(1)
-    for j in range(n):
-        denom *= r + j
-    return float(r * (1 - Fraction(math.factorial(n)) / denom))
+    T, c = _dyadic(theta)
+    D = 1 << (c + 1)
+    prod = math.prod(D + m * T for m in range(1, n + 1))
+    return (T + D) * (prod - math.factorial(n) * T**n) / (T * prod)
 
 
 def simulate_lines(

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .core import InvalidParameterError, RngStream, replacement_decay_integral
-from .core import check_int, check_real
+from .core import check_int, check_real, check_size
 
 __all__ = [
     "MultiParams",
@@ -226,8 +226,9 @@ def pim_region_density(mp: MultiParams, x_vec, t: float, i: int, xi_i: float) ->
 def pim_stationary_sample(mp: MultiParams, rng: RngStream, size=None):
     """Stationary state: mass eta = U^{theta/2} on type i ~ p_vec, rest split by p.
 
-    Returns one (d,) vector or a (size, d) array.
+    Returns one (d,) vector or an array of shape size + (d,).
     """
+    check_size("size", size)
     p = np.asarray(mp.p_vec)
     if size is None:
         eta = rng.gen.random() ** (0.5 * mp.theta)
@@ -237,8 +238,8 @@ def pim_stationary_sample(mp: MultiParams, rng: RngStream, size=None):
         return out
     eta = rng.gen.random(size) ** (0.5 * mp.theta)
     i = rng.gen.choice(mp.d, p=p, size=size)
-    out = (1.0 - eta)[:, None] * p[None, :]
-    out[np.arange(size), i] += eta
+    out = (1.0 - eta)[..., None] * p
+    out[(*np.indices(eta.shape), i)] += eta
     return out
 
 

@@ -36,6 +36,7 @@ from .core import (
     SimulationAbortError,
     check_int,
     check_real,
+    check_size,
     quad,
 )
 from .twotype import PathRecord, TwoTypeParams, _jump_endpoints, _jump_path
@@ -567,6 +568,7 @@ def stationary_law(drift: DriftSpec) -> MixedLaw:
 
 def stationary_sample(drift: DriftSpec, rng: RngStream, size=None):
     """Draw from the stationary law: endpoint by pi, age Exp(1), then flow."""
+    check_size("size", size)
     pi1, _ = replacement_stationary(drift)
     if size is None:
         chi0 = 1.0 if rng.gen.random() < pi1 else 0.0
@@ -574,7 +576,8 @@ def stationary_sample(drift: DriftSpec, rng: RngStream, size=None):
     chi0 = (rng.gen.random(size) < pi1).astype(float)
     tau = rng.gen.exponential(size=size)
     if drift.kind == "custom":
-        return np.array([flow(drift, float(c), float(s)) for c, s in zip(chi0, tau)])
+        ends = [flow(drift, float(c), float(s)) for c, s in zip(chi0.flat, tau.flat)]
+        return np.array(ends).reshape(tau.shape)
     return _flow_array(drift, chi0, tau)
 
 
@@ -593,13 +596,12 @@ def fixation_prob(beta: float, x: float, fixed_type: int) -> float:
     (1 - (1-x)(1-z)); type 2 takes the complement form.  P1(x) + P2(1-x)
     is identically 1.
 
-    The z form is integrated directly only for a = 2/beta < 1, where the
-    weight a z^{a-1} is an endpoint singularity the ladder handles.  For
-    a >= 1 the exact substitution u = z^a flattens the weight, giving
-    x int du / (x + (1-x) u^{1/a}); the integrand is bounded by 1/x and
-    its transition layer sits at u ~ e^{-a}, so weak selection (a huge)
-    degrades gracefully to P1 = x instead of losing the mass spike at
-    z = 1 that defeats quadrature in the original variable.
+    Both sides of beta = 2 integrate the substituted form u = z^a, a = 2/beta:
+    x int_0^1 du / (x + (1-x) u^{1/a}), bounded by 1/x.  For a < 1 it is
+    smooth, with a layer of width about a below u = 1, and needs one plain
+    Gauss-Kronrod pass.  For a >= 1 the root u^{1/a} is singular at u = 0,
+    which gets the log-offset treatment; the layer sits at u ~ e^{-a}, so
+    weak selection (a huge) degrades gracefully to P1 = x.
     """
     check_real("beta", beta, 0.0, math.inf, open_lo=True, open_hi=True)
     check_real("x", x, 0.0, 1.0)
@@ -610,24 +612,11 @@ def fixation_prob(beta: float, x: float, fixed_type: int) -> float:
     if x == 1.0:
         return 1.0
     a = 2.0 / beta
+    inv_a = 1.0 / a
     # the type-2 probability is 1 - (weighted integral with x and 1-x
     # swapped), so both cases reduce to one kernel evaluation
     w = 1.0 - x if fixed_type == 1 else x
-    if a < 1.0:
-        integral = a * quad(
-            lambda z: z ** (a - 1.0) / (1.0 - w * (1.0 - z)),
-            0.0,
-            1.0,
-            singular_lower=True,
-        )
-    else:
-        inv_a = 1.0 / a
-        integral = quad(
-            lambda u: 1.0 / (1.0 - w + w * u**inv_a),
-            0.0,
-            1.0,
-            singular_lower=True,
-        )
+    integral = quad(lambda u: 1.0 / (1.0 - w + w * u**inv_a), 0.0, 1.0, singular_lower=a >= 1.0)
     if fixed_type == 1:
         return x * integral
     return 1.0 - (1.0 - x) * integral

@@ -24,6 +24,7 @@ from .core import (
     TwoTypeParams,
     check_int,
     check_real,
+    check_size,
     exp_decay_window,
     replacement_decay_integral,
     truncated_exponential_inverse_cdf,
@@ -299,6 +300,7 @@ def stationary_sample(params: TwoTypeParams, rng: RngStream, size=None):
     eta = U^{theta/2} has density (2/theta) eta^{2/theta - 1}; the sample is
     p(1-eta) + eta with probability p, else p(1-eta).
     """
+    check_size("size", size)
     if size is None:
         eta = rng.gen.random() ** (0.5 * params.theta)
         base = params.p * (1.0 - eta)
@@ -374,6 +376,7 @@ def sample_transition(params: TwoTypeParams, x: float, t: float, rng: RngStream,
     """
     check_real("x", x, 0.0, 1.0)
     check_real("t", t, 0.0, math.inf, open_lo=True, open_hi=True)
+    check_size("size", size)
     theta, p = params.theta, params.p
     eh = math.exp(-0.5 * theta * t)
     atom = p + (x - p) * eh

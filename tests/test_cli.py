@@ -334,6 +334,22 @@ def test_lines_rejects_non_finite_time(capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "kind_args",
+    [
+        ["fv", "--theta", "1", "--p", "0.3", "--x", "0.5", "--t", "1"],
+        ["lines", "--n", "3", "--theta", "1"],
+        ["asg", "--n", "3", "--beta", "1"],
+    ],
+)
+def test_simulate_rejects_single_replicate(capsys, kind_args):
+    # One replicate has no sample variance: the se row would be nan.
+    rc, out, err = run_cli(capsys, ["simulate", *kind_args, "--n-mc", "1", "--seed", "1"])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and "n_mc" in err
+
+
 def test_simulate_fv_rejects_infinite_time():
     # An infinite horizon once spun the jump loop forever, so the command
     # runs in a child process whose timeout turns a hang into a failure.

@@ -81,6 +81,111 @@ def test_spectral_route_matches_direct():
     assert an_distribution_spectral(6, 1.1, 0.0).probs == an_distribution(6, 1.1, 0.0).probs
 
 
+# Exact-rational oracles: the Fraction implementations the integer routes
+# replaced.  Both are exact up to the final rounding, so the floats must be
+# equal, not merely close.
+ORACLE_THETAS = (0.5, 2.0, 5.0, 1e-3, 40.0)
+ORACLE_TIMES = (0.0, 0.1, 1.0, 10.0, 200.0)
+
+
+def _an_fractions(n: int, theta: float, t: float) -> list[Fraction]:
+    pf = Fraction(math.exp(-0.5 * theta * t))
+    ef = Fraction(math.exp(-t))
+    half = Fraction(theta) / 2
+    probs: list[Fraction] = [Fraction(0)] * (n + 1)
+    for j in range(2, n + 1):
+        probs[j] = math.comb(n, j) * pf**j * (1 - pf) ** (n - j) * ef
+    s1 = Fraction(0)
+    s0 = Fraction(0)
+    for k in range(1, n + 1):
+        sign = -1 if k % 2 == 0 else 1
+        denom = 1 + (k - 1) * half
+        s1 += sign * math.comb(n, k) * (pf - ef * pf**k) / denom
+        s0 += sign * math.comb(n, k) * (pf + (k - 1) * half * ef * pf**k) / denom
+    probs[1] = n * pf * (1 - pf) ** (n - 1) * ef + s1
+    probs[0] = 1 - s0
+    return probs
+
+
+def _spectral_fractions(n: int, theta: float) -> tuple[list[Fraction], list[list[Fraction]]]:
+    half = Fraction(theta) / 2
+    q: list[Fraction] = [Fraction(0)] * (n + 1)
+    q[0] = Fraction(1)
+    if n >= 1:
+        q[1] = sum(
+            (-1 if i % 2 == 0 else 1) * Fraction(math.comb(n, i), 1) / (1 + (i - 1) * half)
+            for i in range(1, n + 1)
+        )
+    for k in range(2, n + 1):
+        sign = -1 if k % 2 == 0 else 1
+        q[k] = sign * math.comb(n, k) * (k - 1) * (1 + k * half) / (1 + (k - 1) * half)
+    p: list[list[Fraction]] = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    p[0][0] = Fraction(1)
+    if n >= 1:
+        p[0][1] = Fraction(-1)
+    for k in range(2, n + 1):
+        p[0][k] = -half / (1 + k * half)
+    if n >= 1:
+        for k in range(1, n + 1):
+            p[1][k] = Fraction(1)
+    for j in range(2, n + 1):
+        sign = -1 if j % 2 == 0 else 1
+        for k in range(j, n + 1):
+            p[j][k] = sign * math.comb(k, j) * (1 + (k - 1) * half) / ((k - 1) * (1 + k * half))
+    return q, p
+
+
+def _spectral_sum(q, p, n: int, theta: float, t: float) -> tuple[float, ...]:
+    """sum_k e^{-lambda_k t} q[k] p[j][k] in rationals, given the oracle's (q, p)."""
+    pf = Fraction(math.exp(-0.5 * theta * t))
+    ef = Fraction(math.exp(-t))
+    factors = [Fraction(1), pf] + [ef * pf**k for k in range(2, n + 1)]
+    return tuple(
+        float(sum(factors[k] * q[k] * p[j][k] for k in range(n + 1))) for j in range(n + 1)
+    )
+
+
+def _mean_absorption_fraction(n: int, theta: float) -> float:
+    r = 1 + Fraction(2) / Fraction(theta)
+    denom = Fraction(1)
+    for j in range(n):
+        denom *= r + j
+    return float(r * (1 - Fraction(math.factorial(n)) / denom))
+
+
+def _assert_coeffs_equal(n: int, theta: float, q, p):
+    sc = spectral_coeffs(n, theta)
+    assert sc.q_weights == tuple(float(v) for v in q)
+    assert sc.p_coeffs == tuple(tuple(float(v) for v in row) for row in p)
+
+
+@pytest.mark.parametrize("theta", ORACLE_THETAS)
+def test_integer_routes_equal_rational_oracles(theta):
+    for n in range(1, 31):
+        assert mean_absorption_time(n, theta) == _mean_absorption_fraction(n, theta)
+        q, p = _spectral_fractions(n, theta)
+        _assert_coeffs_equal(n, theta, q, p)
+        for t in ORACLE_TIMES:
+            direct = tuple(float(v) for v in _an_fractions(n, theta, t))
+            assert an_distribution(n, theta, t).probs == direct, (n, t)
+            # Both rational routes give the same rationals, so the spectral
+            # route is held to the direct oracle on the whole grid and to its
+            # own, slower oracle for n <= 20.
+            spectral = an_distribution_spectral(n, theta, t).probs
+            assert spectral == direct, (n, t)
+            if n <= 20:
+                assert spectral == _spectral_sum(q, p, n, theta, t), (n, t)
+
+
+def test_integer_routes_equal_rational_oracles_at_n200():
+    n, theta, t = 200, 1.7, 0.9
+    direct = tuple(float(v) for v in _an_fractions(n, theta, t))
+    assert an_distribution(n, theta, t).probs == direct
+    assert an_distribution_spectral(n, theta, t).probs == direct
+    assert mean_absorption_time(n, theta) == _mean_absorption_fraction(n, theta)
+    _assert_coeffs_equal(n, theta, *_spectral_fractions(n, theta))
+
+
 def test_spectral_coeffs_shape():
     sc = spectral_coeffs(5, 2.0)
     assert sc.eigenvalues[0] == 0.0

@@ -309,6 +309,24 @@ def test_fixation_prob_oracles():
     assert fixation_prob(2.0, 0.5, 1) == pytest.approx(math.log(2.0), abs=1e-10)
 
 
+def test_fixation_prob_strong_selection():
+    # beta > 2 puts an integrable z^(2/beta - 1) singularity in the defining
+    # integral; the reference integrates it in v = -(2/beta) log z, where it
+    # is smooth, at 30 digits.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for beta in (2.5, 5.0, 50.0, 400.0, 1600.0):
+            half = mpmath.mpf(beta) / 2
+            for x in (0.05, 0.5, 0.95):
+                xm = mpmath.mpf(x)
+                ref = xm * mpmath.quad(
+                    lambda v: mpmath.exp(-v) / (xm + (1 - xm) * mpmath.exp(-v * half)),
+                    [0, 1 / half, 8 / half, 1, mpmath.inf],
+                )
+                assert abs(fixation_prob(beta, x, 1) - ref) < 1e-12, (beta, x)
+                assert abs(fixation_prob(beta, 1.0 - x, 2) - (1 - ref)) < 1e-12, (beta, x)
+
+
 def test_fixation_prob_properties():
     for beta in (0.5, 2.0, 7.0):
         for x in (0.1, 0.5, 0.9):

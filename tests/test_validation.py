@@ -191,7 +191,21 @@ SIZE_CASES = {
         lambda size=10: selection.asg_count_ensemble(3, 1.0, 1.0, size, rng()), 1),
     "selection.selection_duality_check": (
         lambda size=10: selection.selection_duality_check(2, 0.4, 1.0, 1.0, size, rng()), 2),
+    "twotype.sample_transition": (
+        lambda size=10: twotype.sample_transition(PAR, 0.4, 1.0, rng(), size=size), 1),
+    "twotype.stationary_sample": (lambda size=10: twotype.stationary_sample(PAR, rng(), size), 1),
+    "selection.stationary_sample": (
+        lambda size=10: selection.stationary_sample(MS, rng(), size), 1),
+    "multitype.pim_stationary_sample": (
+        lambda size=10: multitype.pim_stationary_sample(MP, rng(), size), 1),
 }
+# Samplers whose size is a numpy shape: None, an integer or a tuple.
+SHAPED = (
+    "twotype.sample_transition",
+    "twotype.stationary_sample",
+    "selection.stationary_sample",
+    "multitype.pim_stationary_sample",
+)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -220,3 +234,14 @@ def test_ensemble_size_must_be_an_integer(name, data):
     bad = data.draw(st.one_of(st.integers(max_value=minimum - 1), st.floats()), label="size")
     with pytest.raises(InvalidParameterError):
         call(size=bad)
+
+
+@pytest.mark.parametrize("name", SHAPED)
+def test_sample_shape_may_be_a_tuple(name):
+    call, _ = SIZE_CASES[name]
+    # A shape draws the same stream as the flat size, in C order.
+    flat, shaped = call(size=6), call(size=(2, 3))
+    assert np.array_equal(np.reshape(shaped, np.shape(flat)), flat)
+    for bad in ((2, 0), (3, -1), (2.0,), (2, None)):
+        with pytest.raises(InvalidParameterError, match="size"):
+            call(size=bad)
