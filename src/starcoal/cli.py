@@ -20,7 +20,7 @@ import math
 import os
 import sys
 
-from .core import RngStream, StarcoalError, check_int
+from .core import RngStream, StarcoalError, check_int, mean_se
 from .eigen import eigen_poly, eigenvalue
 from .lines import (
     absorption_time_ensemble,
@@ -193,8 +193,8 @@ def _cmd_simulate(args) -> int:
         params = [("n", args.n), ("beta", args.beta)]
         names, exact = ("mean_collapse_time", "exact_mean"), 1.0
     params += [("n_mc", args.n_mc), ("seed", _seed_of(args))]
-    se = float(values.std(ddof=1)) / math.sqrt(args.n_mc)
-    rows = [(names[0], float(values.mean())), ("se", se), (names[1], exact)]
+    mean, se = mean_se(values)
+    rows = [(names[0], mean), ("se", se), (names[1], exact)]
     _emit(args, params, ["quantity", "value"], rows)
     return 0
 

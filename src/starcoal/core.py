@@ -3,8 +3,14 @@
 This module holds the pieces every other module leans on: the validated
 two-type parameter bundle, the mixed atom-plus-density law on [0, 1] that all
 transition and stationary distributions take, deterministic seedable RNG
-streams for reproducible Monte Carlo, and adaptive quadrature that tolerates
-the power-law endpoint singularities these laws produce.
+streams for reproducible Monte Carlo, the ensemble mean and standard error,
+and quadrature.
+
+Quadrature contract: every integral either meets its QuadSpec tolerance or
+raises QuadratureError.  Smooth integrands go to QUADPACK, which calls them
+on floats.  The power-law endpoint singularities these laws produce go to
+quad_offset, one vectorized Gauss-Kronrod rule in the log of the distance
+from the endpoint, which calls its integrand on float ndarrays.
 
 Concurrency model: all evaluators are pure functions of their arguments, and
 samplers mutate only the RngStream passed to them.  Parallel Monte Carlo is
@@ -45,6 +51,7 @@ __all__ = [
     "exp_decay_window",
     "check_real",
     "check_int",
+    "mean_se",
 ]
 
 
@@ -131,6 +138,28 @@ def check_size(name: str, value):
     raise InvalidParameterError(f"{name} must be None or a shape of integers >= 1, got {value!r}")
 
 
+def mean_se(values) -> tuple[float, float]:
+    """Sample mean and standard error of the mean, in one pass over values.
+
+    The mean is sum / n, bitwise what values.mean() returns, and the sum of
+    squared deviations is dot(x, x) - sum * mean from one BLAS dot.  When
+    that difference cancels more than three digits (values nearly
+    constant), it is recomputed from the deviations x - mean instead.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    n = x.size
+    if n < 2:
+        raise InvalidParameterError(f"mean_se needs at least 2 values, got {n}")
+    total = float(x.sum())
+    mean = total / n
+    sumsq = float(np.dot(x, x))
+    dev = sumsq - total * mean
+    if dev < 1e-3 * sumsq:
+        y = x - mean
+        dev = float(np.dot(y, y))
+    return mean, math.sqrt(dev / (n - 1) / n)
+
+
 # ---------------------------------------------------------------------------
 # Parameters
 # ---------------------------------------------------------------------------
@@ -208,7 +237,11 @@ class RngStream:
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Tolerances and subdivision budget for adaptive quadrature."""
+    """Tolerances and subdivision budget for adaptive quadrature.
+
+    max_subdivisions caps QUADPACK's interval count on the plain route and
+    the number of panel bisections in quad_offset.
+    """
 
     abs_tol: float = 1e-11
     rel_tol: float = 1e-11
@@ -220,13 +253,13 @@ class QuadSpec:
         check_int("max_subdivisions", self.max_subdivisions, 8)
 
 
-def _quad_smooth(f, a: float, b: float, spec: QuadSpec, tighten: float = 1.0):
+def _quad_smooth(f, a: float, b: float, spec: QuadSpec):
     """Gauss-Kronrod integration of f on [a, b] with failure detection."""
     out = scipy.integrate.quad(
         f,
         a,
         b,
-        epsabs=spec.abs_tol * tighten,
+        epsabs=spec.abs_tol,
         epsrel=spec.rel_tol,
         limit=spec.max_subdivisions,
         full_output=1,
@@ -237,40 +270,60 @@ def _quad_smooth(f, a: float, b: float, spec: QuadSpec, tighten: float = 1.0):
         # error is still comfortably inside tolerance.
         tol = max(spec.abs_tol, spec.rel_tol * abs(value))
         if abserr > 8.0 * tol:
-            raise QuadratureError(str(out[3]).splitlines()[0], value, abserr)
+            msg = f"{str(out[3]).splitlines()[0].rstrip('.')} on [{a!r}, {b!r}]"
+            raise QuadratureError(msg, value, abserr)
     return value, abserr
 
 
-_LADDER_GRID = 1 << 14
+# The 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk21): the
+# non-negative nodes from the outside in, their Kronrod weights, and the
+# weights of the embedded 10-point Gauss rule, which uses every other node.
+_GK_HALF = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WK_HALF = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208703349798, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG_HALF = np.zeros(11)
+_WG_HALF[1::2] = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651623,
+)
+_GK_X = np.concatenate([-_GK_HALF, _GK_HALF[-2::-1]])
+_GK_WK = np.concatenate([_WK_HALF, _WK_HALF[-2::-1]])
+_GK_WKG = _GK_WK - np.concatenate([_WG_HALF, _WG_HALF[-2::-1]])
 
 
-def _sweep_blocks(g, depth: float, spec: QuadSpec, head: float = 0.0) -> float:
-    """Sum Gauss-Kronrod blocks of g over [0, depth], starting from `head`.
+def _offset_panels(f_off, width: float, lo: np.ndarray, half: np.ndarray):
+    """Kronrod values, |Kronrod - Gauss| and node values of g on each panel.
 
-    A single pass over the whole range mixes magnitudes spanning hundreds of
-    decades and trips QUADPACK's roundoff detector, so the range is swept in
-    fixed blocks; each call then sees a narrow dynamic range.  Blocks whose
-    error claim exceeds the smooth-path escape are still accepted while a
-    bounded total claimed-error allowance lasts, since node-rounding noise
-    inflates the claim far beyond the realized error.
+    g(s) = f_off(delta) * delta at delta = width * e^{-s}, one f_off call for
+    every node of every panel; a non-finite g raises.
     """
-    nblocks = max(1, math.ceil(depth / 3.0))
-    step = depth / nblocks
-    share = 0.5 / nblocks
-    slack = 32.0 * spec.abs_tol
-    pieces = [head]
-    for k in range(nblocks):
-        a = k * step
-        b = depth if k == nblocks - 1 else (k + 1) * step
-        try:
-            value, _ = _quad_smooth(g, a, b, spec, tighten=share)
-        except QuadratureError as err:
-            if err.error_bound > slack:
-                raise
-            slack -= err.error_bound
-            value = err.estimate
-        pieces.append(value)
-    return math.fsum(pieces)
+    off = width * np.exp(-((lo + half)[:, None] + half[:, None] * _GK_X))
+    try:
+        with np.errstate(all="ignore"):
+            g = np.asarray(f_off(off), dtype=float) * off
+    except TypeError as exc:
+        raise InvalidParameterError(
+            f"offset integrand over width {width!r} must accept a float ndarray: {exc}"
+        ) from exc
+    bad = ~np.isfinite(g)
+    if bad.any():
+        msg = f"offset integrand over width {width!r} is not finite at offset {float(off[bad][0])!r}"
+        raise QuadratureError(msg, math.nan, math.inf)
+    return half * (g @ _GK_WK), np.abs(half * (g @ _GK_WKG)), g
 
 
 def quad_offset(f_off, width: float, spec: QuadSpec | None = None) -> float:
@@ -280,144 +333,107 @@ def quad_offset(f_off, width: float, spec: QuadSpec | None = None) -> float:
     toward a difficult endpoint: offsets are exact doubles at every scale,
     so steep layers and integrable power blow-ups near delta == 0 can be
     resolved far below one ulp of the endpoint's absolute position.  The
-    substitution delta = width * exp(-s) makes the integrand tame, and the
-    sweep runs deep enough that the neglected tail is harmless for any
-    power exponent down to about 0.1.
+    substitution delta = width * e^{-s} turns a power law d^(k-1) into
+    g(s) = f_off(delta) delta ~ e^{-k s}, which 21-point Gauss-Kronrod panels
+    of width about 3, graded geometrically toward s = 0, integrate over s
+    in [0, depth], down to the floor delta = 1e-250 * width.  f_off
+    receives every node of a pass at once as a float ndarray.  The error of
+    a panel is taken as |Kronrod - Gauss|; while their sum exceeds half the
+    tolerance, the panels that carry the excess are bisected and evaluated
+    again.  The mass below the floor is bounded from the decay of |g|
+    across the deepest panel, not added.
+
+    Raises:
+        QuadratureError: the panels miss the tolerance within
+            spec.max_subdivisions bisections, the bounded mass below the
+            floor exceeds half the tolerance (for a unit mass near d^(k-1),
+            k below about 0.05), or f_off returns a non-finite value.
+        InvalidParameterError: f_off does not accept an ndarray.
     """
     spec = spec or QuadSpec()
     check_real("width", width, 0.0, math.inf, open_lo=True, open_hi=True)
     floor = max(64.0 * 5e-324, width * 1e-250)
-    depth = math.log(width / floor)
-
-    def g(s: float) -> float:
-        off = width * math.exp(-s)
-        return f_off(off) * off
-
-    return _sweep_blocks(g, depth, spec)
-
-
-def _grid_layer_sum(f, end: float, inward: float, count: int):
-    """Midpoint sum of f over the first `count` floats next to `end`.
-
-    Walking the actual float grid sidesteps node rounding entirely: each
-    machine number owns a rounding cell of one ulp, and f evaluated at the
-    cell centre times the cell width is the exact contribution of that cell
-    up to curvature terms of order ulp^2.  Returns the summed mass and the
-    outer boundary of the covered region.
-    """
-    first = math.nextafter(end, inward)
-    u = abs(first - end)
-    probe = end + count * u if inward > end else end - count * u
-    if math.nextafter(probe, inward) - probe == first - end:
-        # No binade crossing: the grid is uniform and can be built by
-        # arithmetic instead of nextafter stepping.
-        sign = 1.0 if inward > end else -1.0
-        total = u * math.fsum(f(end + sign * j * u) for j in range(1, count + 1))
-        boundary = end + sign * (count + 0.5) * u
+    depth = max(math.log(width / floor), 3.0)
+    count = math.ceil(depth / 3.0)
+    step = depth / count
+    # The first panel is graded toward s = 0, down to the float resolution
+    # of offsets near width: a density that piles up at the far end of the
+    # piece, like a w^(a-1) for large a, holds its mass within 1/a of s = 0,
+    # where panels of width 3 would place no node.
+    edges = np.concatenate([[0.0], step * 8.0 ** np.arange(-18, 0), step * np.arange(1, count + 1)])
+    lo, half = edges[:-1], 0.5 * np.diff(edges)
+    kron, err, g = _offset_panels(f_off, width, lo, half)
+    # |g| ~ e^{-k s} across the deepest panel bounds the mass below the
+    # floor by |g(s_end)| / k.
+    inner, outer = abs(float(g[-1, 0])), abs(float(g[-1, -1]))
+    if outer == 0.0:
+        rate, tail = math.inf, 0.0
     else:
-        xs = []
-        x = first
-        for _ in range(count):
-            xs.append(x)
-            x = math.nextafter(x, inward)
-        # Nonuniform cells: each point owns half the gap to each neighbour.
-        cells = []
-        prev = end
-        for j, xj in enumerate(xs):
-            nxt = xs[j + 1] if j + 1 < len(xs) else x
-            cells.append(abs(0.5 * (nxt + xj) - 0.5 * (xj + prev)))
-            prev = xj
-        total = math.fsum(f(xj) * c for xj, c in zip(xs, cells))
-        boundary = 0.5 * (xs[-1] + x)
-    # The half cell touching `end` itself, where no machine number exists:
-    # extend f by its boundary value.  A bounded layer is flat across it; a
-    # genuinely unbounded density hides mass here that no pointwise scheme
-    # can see, which is the structural blind spot of grid-bound evaluation.
-    total += f(first) * 0.5 * u
-    return total, boundary
-
-
-def _quad_ladder(f, lower: float, upper: float, spec: QuadSpec, side: str = "lower") -> float:
-    """Integrate toward one difficult endpoint down to float resolution.
-
-    Fallback for integrands only available pointwise in the absolute
-    coordinate.  The last few thousand machine numbers before the endpoint
-    are summed cell by cell (midpoint rule on the float grid itself),
-    because no adaptive scheme can place nodes inside a layer whose width
-    is a handful of ulps; the remainder is handled in the log-offset
-    variable x = end -/+ W e^{-s} and swept in blocks.  Accuracy is limited
-    to roughly |density near the endpoint| * ulp(endpoint): below that the
-    absolute coordinate cannot even state where the endpoint is.  Densities
-    that can be evaluated from an exact endpoint offset should go through
-    quad_offset instead, which has no such floor.
-    """
-    width = upper - lower
-    end, inward = (lower, upper) if side == "lower" else (upper, lower)
-    if end == 0.0 and side == "lower":
-        # Offsets from zero are exact, so the stronger routine applies as is.
-        return quad_offset(f, width, spec)
-    u = abs(math.nextafter(end, inward) - end)
-    count = _LADDER_GRID
-    if (count + 2.0) * u >= 0.25 * width:
-        # Piece spans too few machine numbers for the split; shrink the grid
-        # region and if even that fails integrate the whole piece directly.
-        count = int(0.125 * width / u)
-        if count < 16:
-            value, _ = _quad_smooth(f, lower, upper, spec)
-            return value
-    layer, boundary = _grid_layer_sum(f, end, inward, count)
-    depth = math.log(width / abs(boundary - end))
-    if side == "lower":
-
-        def g(s: float) -> float:
-            off = width * math.exp(-s)
-            return f(lower + off) * off
-    else:
-
-        def g(s: float) -> float:
-            off = width * math.exp(-s)
-            return f(upper - off) * off
-
-    return _sweep_blocks(g, depth, spec, head=layer)
+        span = 2.0 * float(half[-1] * _GK_X[-1])
+        rate = (math.log(inner) - math.log(outer)) / span if inner > 0.0 else -math.inf
+        tail = outer / rate if rate > 0.0 else math.inf
+    budget = spec.max_subdivisions
+    while True:
+        value = math.fsum(kron.tolist())
+        tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+        excess = float(err.sum()) - 0.5 * tol
+        if excess <= 0.0:
+            break
+        # Bisect the fewest panels, largest errors first, that carry the excess.
+        order = np.argsort(err)[::-1]
+        pick = order[: int(np.searchsorted(np.cumsum(err[order]), excess)) + 1]
+        budget -= pick.size
+        if budget < 0:
+            msg = f"offset quadrature over width {width!r} did not converge within {spec.max_subdivisions} bisections"
+            raise QuadratureError(msg, value, float(err.sum()))
+        keep = np.ones(lo.size, dtype=bool)
+        keep[pick] = False
+        sub = 0.5 * half[pick]
+        new_lo, new_half = np.concatenate([lo[pick], lo[pick] + 2.0 * sub]), np.concatenate([sub, sub])
+        new_kron, new_err, _ = _offset_panels(f_off, width, new_lo, new_half)
+        lo, half = np.concatenate([lo[keep], new_lo]), np.concatenate([half[keep], new_half])
+        kron, err = np.concatenate([kron[keep], new_kron]), np.concatenate([err[keep], new_err])
+    if tail > 0.5 * tol:
+        msg = (
+            f"offset integral over width {width!r} leaves mass below the floor {floor!r}: "
+            f"|g| decays with fitted exponent {rate!r}, tail bound {tail!r}"
+        )
+        raise QuadratureError(msg, value, tail)
+    return value
 
 
 def quad(
-    f: Callable[[float], float],
+    f: Callable,
     lower: float,
     upper: float,
     spec: QuadSpec | None = None,
     *,
     singular_lower: bool = False,
-    singular_upper: bool = False,
 ) -> float:
-    """Adaptively integrate f over (lower, upper).
+    """Adaptively integrate f over (lower, upper) to spec's tolerance, or raise.
 
     Args:
-        f: scalar integrand, evaluated only strictly inside the interval.
+        f: integrand, evaluated only strictly inside the interval.  The
+            plain route calls it on floats; the singular_lower route calls
+            it on float ndarrays.
         lower, upper: finite interval endpoints with lower <= upper.
         spec: tolerances; defaults to QuadSpec().
-        singular_lower, singular_upper: flag endpoints where f may blow up
-            like an integrable power law or carry a steep boundary layer;
-            those ends get the log-offset substitution instead of a single
-            Gauss-Kronrod pass.
+        singular_lower: f may blow up like an integrable power law or
+            carry a steep boundary layer at lower, which must then be 0;
+            the integral goes to quad_offset instead of one QUADPACK pass.
 
     Raises:
-        QuadratureError: the requested tolerance could not be certified.
+        QuadratureError: the requested tolerance could not be met.
     """
     spec = spec or QuadSpec()
     check_real("lower", lower, -math.inf, math.inf, open_lo=True, open_hi=True)
     check_real("upper", upper, lower, math.inf, open_hi=True)
     if upper == lower:
         return 0.0
-    if singular_lower and singular_upper:
-        mid = 0.5 * (lower + upper)
-        return quad(f, lower, mid, spec, singular_lower=True) + quad(
-            f, mid, upper, spec, singular_upper=True
-        )
-    if singular_upper:
-        return _quad_ladder(f, lower, upper, spec, side="upper")
     if singular_lower:
-        return _quad_ladder(f, lower, upper, spec, side="lower")
+        if lower != 0.0:
+            raise InvalidParameterError(f"singular_lower needs lower == 0.0, got {lower!r}")
+        return quad_offset(f, upper, spec)
     value, _ = _quad_smooth(f, lower, upper, spec)
     return value
 
@@ -489,44 +505,41 @@ class Piece:
     density evaluates the unnormalized density on the open interval
     (lower, upper); mass is its exact integral, supplied in closed form by
     the constructors so normalization stays a testable property rather than
-    something enforced by rescaling.  cdf, when present, is the absolute
-    accumulated mass on [lower, x]; inverse_cdf maps a piece-normalized
-    uniform to a point.  singular marks an endpoint where the density has an
-    integrable blow-up, which quadrature must know about.
+    something enforced by rescaling.  cdf is the absolute accumulated mass
+    on [lower, x]; inverse_cdf, when present, maps a piece-normalized
+    uniform to a point.
 
-    offset_density, when present, is the same density written as a function
-    of the exact distance from the endpoint named by offset_side, over
-    distances in (0, offset_width).  Quadrature prefers it: the absolute
-    coordinate cannot resolve structure within an ulp of an endpoint,
-    whereas offsets are exact doubles at every scale.  offset_width is the
-    piece width computed without subtracting the rounded endpoints, so a
-    boundary placed between machine numbers costs no accuracy.
+    offset_density is the same density written as a function of the exact
+    distance from the endpoint named by offset_side, over distances in
+    (0, offset_width); it must accept a float ndarray.  Quadrature uses it:
+    the absolute coordinate cannot resolve structure within an ulp of an
+    endpoint, whereas offsets are exact doubles at every scale.
+    offset_width is the piece width computed without subtracting the
+    rounded endpoints, so a boundary placed between machine numbers costs
+    no accuracy.
     """
 
     lower: float
     upper: float
     density: Callable[[float], float]
     mass: float
-    cdf: Callable[[float], float] | None = None
+    cdf: Callable[[float], float]
+    offset_density: Callable[[np.ndarray], np.ndarray]
+    offset_side: str
+    offset_width: float
     inverse_cdf: Callable[[float], float] | None = None
-    singular: str | None = None
-    offset_density: Callable[[float], float] | None = None
-    offset_side: str | None = None
-    offset_width: float | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.lower < self.upper <= 1.0):
             raise InvalidParameterError(f"piece support [{self.lower}, {self.upper}] is not an interval in [0, 1]")
         if not (self.mass > 0.0 and self.mass <= 1.0 + 1e-12):
             raise InvalidParameterError(f"piece mass {self.mass!r} outside (0, 1]")
-        if self.singular not in (None, "lower", "upper"):
-            raise InvalidParameterError("singular must be None, 'lower' or 'upper'")
-        if self.offset_density is not None:
-            if self.offset_side not in ("lower", "upper"):
-                raise InvalidParameterError("offset_side must be 'lower' or 'upper' when offset_density is given")
-            width = self.upper - self.lower
-            if self.offset_width is None or abs(self.offset_width - width) > 1e-6 * width:
-                raise InvalidParameterError("offset_width disagrees with the piece support")
+        if self.offset_side not in ("lower", "upper"):
+            raise InvalidParameterError(f"offset_side must be 'lower' or 'upper', got {self.offset_side!r}")
+        # The rounded endpoints of a narrow piece may each be an ulp off.
+        width = self.upper - self.lower
+        if not abs(self.offset_width - width) <= 1e-6 * width + 4.0 * math.ulp(self.upper):
+            raise InvalidParameterError(f"offset_width {self.offset_width!r} disagrees with the piece support")
 
 
 @dataclass(frozen=True)
@@ -561,69 +574,33 @@ class MixedLaw:
         return math.fsum(m for _, m in self.atoms) + math.fsum(pc.mass for pc in self.pieces)
 
     def quadrature_mass(self, spec: QuadSpec | None = None) -> float:
-        """Atom masses plus numerically integrated piece densities."""
-        spec = spec or QuadSpec()
+        """Atom masses plus piece densities integrated by quad_offset."""
         total = [m for _, m in self.atoms]
-        for pc in self.pieces:
-            if pc.offset_density is not None:
-                total.append(quad_offset(pc.offset_density, pc.offset_width, spec))
-            else:
-                total.append(
-                    quad(
-                        pc.density,
-                        pc.lower,
-                        pc.upper,
-                        spec,
-                        singular_lower=pc.singular == "lower",
-                        singular_upper=pc.singular == "upper",
-                    )
-                )
+        total += [quad_offset(pc.offset_density, pc.offset_width, spec) for pc in self.pieces]
         return math.fsum(total)
 
     def mean(self, spec: QuadSpec | None = None) -> float:
-        """First moment, atoms exactly and pieces by quadrature."""
-        spec = spec or QuadSpec()
+        """First moment, atoms exactly and pieces by quad_offset."""
         total = [loc * m for loc, m in self.atoms]
         for pc in self.pieces:
-            if pc.offset_density is not None:
-                # x = anchor -/+ offset, so the moment splits into the piece
-                # mass times the anchor plus a signed pure-offset moment.
-                mass = quad_offset(pc.offset_density, pc.offset_width, spec)
-                sway = quad_offset(
-                    lambda d, pc=pc: d * pc.offset_density(d), pc.offset_width, spec
-                )
-                if pc.offset_side == "lower":
-                    total.append(pc.lower * mass + sway)
-                else:
-                    total.append(pc.upper * mass - sway)
+            # x = anchor -/+ offset, so the moment splits into the piece
+            # mass times the anchor plus a signed pure-offset moment.
+            mass = quad_offset(pc.offset_density, pc.offset_width, spec)
+            sway = quad_offset(lambda d, pc=pc: d * pc.offset_density(d), pc.offset_width, spec)
+            if pc.offset_side == "lower":
+                total.append(pc.lower * mass + sway)
             else:
-                total.append(
-                    quad(
-                        lambda x, pc=pc: x * pc.density(x),
-                        pc.lower,
-                        pc.upper,
-                        spec,
-                        singular_lower=pc.singular == "lower",
-                        singular_upper=pc.singular == "upper",
-                    )
-                )
+                total.append(pc.upper * mass - sway)
         return math.fsum(total)
 
-    def cdf(self, x: float, spec: QuadSpec | None = None) -> float:
-        """P(X <= x), using piece cdfs where available and quadrature otherwise."""
-        spec = spec or QuadSpec()
+    def cdf(self, x: float) -> float:
+        """P(X <= x) from the atoms and the piece cdfs."""
         total = [m for loc, m in self.atoms if loc <= x]
         for pc in self.pieces:
-            if x <= pc.lower:
-                continue
             if x >= pc.upper:
                 total.append(pc.mass)
-            elif pc.cdf is not None:
+            elif x > pc.lower:
                 total.append(pc.cdf(x))
-            else:
-                total.append(
-                    quad(pc.density, pc.lower, x, spec, singular_lower=pc.singular == "lower")
-                )
         return math.fsum(total)
 
     def sample(self, rng: RngStream) -> float:
@@ -645,11 +622,7 @@ class MixedLaw:
         if pc.inverse_cdf is not None:
             return pc.inverse_cdf(v)
         target = v * pc.mass
-        if pc.cdf is not None:
-            fn = lambda x: pc.cdf(x) - target
-        else:
-            spec = QuadSpec(abs_tol=1e-13, rel_tol=1e-12)
-            fn = lambda x: quad(pc.density, pc.lower, x, spec, singular_lower=pc.singular == "lower") - target
+        fn = lambda x: pc.cdf(x) - target
         lo = np.nextafter(pc.lower, pc.upper)
         hi = np.nextafter(pc.upper, pc.lower)
         if fn(lo) >= 0.0:
@@ -657,4 +630,3 @@ class MixedLaw:
         if fn(hi) <= 0.0:
             return float(hi)
         return float(scipy.optimize.brentq(fn, lo, hi, xtol=1e-14, rtol=8.9e-16))
-

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InvalidParameterError, RngStream, TwoTypeParams, replacement_decay_integral
-from .core import check_int, check_real
+from .core import check_int, check_real, mean_se
 from .twotype import transition_moment
 
 __all__ = [
@@ -188,8 +188,15 @@ def spectral_coeffs(n: int, theta: float) -> SpectralCoeffs:
     check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
     q, rows, _ = _spectral_pairs(n, theta)
     lams = [0.0, 0.5 * theta] + [1.0 + 0.5 * k * theta for k in range(2, n + 1)]
-    q_weights = tuple(num / den for num, den in q)
-    p_coeffs = tuple(tuple(num / den for num, den in row) for row in rows)
+
+    def ratio(num: int, den: int) -> float:
+        # |num / den| < 2^(bits + 1), so below 2^1023 the division cannot overflow.
+        if abs(num).bit_length() - den.bit_length() >= 1023:
+            raise InvalidParameterError(f"spectral weights for n={n!r}, theta={theta!r} exceed the float range")
+        return num / den
+
+    q_weights = tuple(ratio(num, den) for num, den in q)
+    p_coeffs = tuple(tuple(ratio(num, den) for num, den in row) for row in rows)
     return SpectralCoeffs(n, theta, tuple(lams[: n + 1]), q_weights, p_coeffs)
 
 
@@ -366,8 +373,7 @@ def duality_check(
     values[merged] = np.where(
         state[merged] == 1, x * p**exponent, p ** (exponent + 1.0)
     )
-    rhs = float(values.mean())
-    rhs_se = float(values.std(ddof=1) / math.sqrt(n_mc))
+    rhs, rhs_se = mean_se(values)
     return lhs, rhs, rhs_se
 
 
@@ -398,4 +404,4 @@ def stationary_moment_via_coalescent(
         state[active[~coal]] -= 1
         active = active[(state[active] >= 2) & (a[active] == 1)]
     values = params.p ** (n + 1 - a).astype(float)
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_mc))
+    return mean_se(values)

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .core import InvalidParameterError, RngStream, replacement_decay_integral
 from .core import check_int, check_real, check_size
@@ -247,19 +248,20 @@ def markov_line_kernel(mm: MutationMatrix, theta: float, t: float) -> np.ndarray
     """exp((theta/2)(M - I) t) by uniformization.
 
     Poisson-weighted powers of M with the weight tail kept below 1e-14;
-    weights come from scipy's Poisson pmf so large theta t is safe.
+    the weights are the Poisson pmf in log form, exp(k log lam - lam -
+    log k!), and the tail is scipy's Poisson survival function pdtrc, so
+    large theta t is safe.
     """
-    from scipy.stats import poisson
-
     check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
     check_real("t", t, 0.0, math.inf, open_hi=True)
     lam = 0.5 * theta * t
     if lam == 0.0:
         return np.eye(mm.d)
     kmax = max(20, int(lam + 12.0 * math.sqrt(lam) + 30.0))
-    while poisson.sf(kmax, lam) > 1e-14:
+    while pdtrc(kmax, lam) > 1e-14:
         kmax *= 2
-    weights = poisson.pmf(np.arange(kmax + 1), lam)
+    ks = np.arange(kmax + 1)
+    weights = np.exp(xlogy(ks, lam) - gammaln(ks + 1) - lam)
     out = np.zeros((mm.d, mm.d))
     power = np.eye(mm.d)
     for k in range(kmax + 1):

@@ -37,6 +37,7 @@ from .core import (
     check_int,
     check_real,
     check_size,
+    mean_se,
     quad,
 )
 from .twotype import PathRecord, TwoTypeParams, _jump_endpoints, _jump_path
@@ -309,8 +310,8 @@ def _skeleton_series(drift: DriftSpec) -> tuple[float, float]:
 
 def _skeleton_quadrature(drift: DriftSpec, spec: QuadSpec | None = None) -> tuple[float, float]:
     """Exp(1)-averaged endpoint flows as integrals over u = e^{-t}."""
-    p11 = quad(lambda u: flow(drift, 1.0, -math.log(u)), 0.0, 1.0, spec, singular_lower=True)
-    p21 = quad(lambda u: flow(drift, 0.0, -math.log(u)), 0.0, 1.0, spec, singular_lower=True)
+    p11 = quad(lambda u: _flow_array(drift, 1.0, -np.log(u)), 0.0, 1.0, spec, singular_lower=True)
+    p21 = quad(lambda u: _flow_array(drift, 0.0, -np.log(u)), 0.0, 1.0, spec, singular_lower=True)
     return p11, p21
 
 
@@ -534,7 +535,6 @@ def stationary_law(drift: DriftSpec) -> MixedLaw:
     def inv_up(v: float) -> float:
         return flow(drift, 1.0, -math.log(v) if v > 0.0 else math.inf)
 
-    steep = expo < 1.0
     return MixedLaw(
         atoms=(),
         pieces=(
@@ -545,7 +545,6 @@ def stationary_law(drift: DriftSpec) -> MixedLaw:
                 mass=pi2,
                 cdf=cdf_lo,
                 inverse_cdf=inv_lo,
-                singular="upper" if steep else None,
                 offset_density=dens_lo_off,
                 offset_side="upper",
                 offset_width=r1,
@@ -557,7 +556,6 @@ def stationary_law(drift: DriftSpec) -> MixedLaw:
                 mass=pi1,
                 cdf=cdf_up,
                 inverse_cdf=inv_up,
-                singular="lower" if steep else None,
                 offset_density=dens_up_off,
                 offset_side="lower",
                 offset_width=1.0 - r1,
@@ -837,8 +835,6 @@ def selection_duality_check(
     lhs_vals = (1.0 - swapped) ** n
     counts = asg_count_ensemble(n, beta, t, n_mc, rng)
     rhs_vals = np.power(float(x), counts.astype(float))
-    lhs = float(lhs_vals.mean())
-    rhs = float(rhs_vals.mean())
-    lhs_se = float(lhs_vals.std(ddof=1) / math.sqrt(n_mc))
-    rhs_se = float(rhs_vals.std(ddof=1) / math.sqrt(n_mc))
+    lhs, lhs_se = mean_se(lhs_vals)
+    rhs, rhs_se = mean_se(rhs_vals)
     return lhs, rhs, (lhs_se, rhs_se)

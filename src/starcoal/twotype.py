@@ -175,7 +175,6 @@ def transition_law(params: TwoTypeParams, x: float, t: float) -> MixedLaw:
         v = _eh + d / _p
         return (1.0 - _p - _eh * (_x - _p) / v) * _a * v ** (_a - 1.0) / _p
 
-    steep = "lower" if a < 1.0 else None
     pieces = []
     if mass_up > 0.0:
         pieces.append(
@@ -185,7 +184,6 @@ def transition_law(params: TwoTypeParams, x: float, t: float) -> MixedLaw:
                 density=dens_up,
                 mass=mass_up,
                 cdf=cdf_up,
-                singular=steep,
                 offset_density=dens_up_off,
                 offset_side="lower",
                 offset_width=(1.0 - p) * mix,
@@ -199,13 +197,14 @@ def transition_law(params: TwoTypeParams, x: float, t: float) -> MixedLaw:
                 density=dens_lo,
                 mass=mass_lo,
                 cdf=cdf_lo,
-                singular="upper" if a < 1.0 else None,
                 offset_density=dens_lo_off,
                 offset_side="upper",
                 offset_width=p * mix,
             )
         )
-    return MixedLaw(atoms=((q1, atom_mass),), pieces=tuple(pieces))
+    # e^{-t} underflows past t ~ 745, and a massless atom is no atom.
+    atoms = ((q1, atom_mass),) if atom_mass > 0.0 else ()
+    return MixedLaw(atoms=atoms, pieces=tuple(pieces))
 
 
 def transition_density_eval(params: TwoTypeParams, x: float, t: float, xi: float) -> float:
@@ -256,7 +255,6 @@ def stationary_law(params: TwoTypeParams) -> MixedLaw:
             mass=p,
             cdf=lambda xi, _p=p, _a=a: _p * ((xi - _p) / (1.0 - _p)) ** _a,
             inverse_cdf=lambda u, _p=p, _h=half: _p + (1.0 - _p) * u**_h,
-            singular="lower" if a < 1.0 else None,
             offset_density=lambda d, _p=p, _a=a: _p * _a * (d / (1.0 - _p)) ** (_a - 1.0) / (1.0 - _p),
             offset_side="lower",
             offset_width=1.0 - p,
@@ -268,7 +266,6 @@ def stationary_law(params: TwoTypeParams) -> MixedLaw:
             mass=1.0 - p,
             cdf=lambda xi, _p=p, _a=a: (1.0 - _p) * (1.0 - (1.0 - xi / _p) ** _a),
             inverse_cdf=lambda u, _p=p, _h=half: _p * (1.0 - (1.0 - u) ** _h),
-            singular="upper" if a < 1.0 else None,
             offset_density=lambda d, _p=p, _a=a: (1.0 - _p) * _a * (d / _p) ** (_a - 1.0) / _p,
             offset_side="upper",
             offset_width=p,

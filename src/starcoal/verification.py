@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import kstest
 
-from .core import InvalidParameterError, RngStream, quad
+from .core import InvalidParameterError, RngStream, mean_se, quad
 from .eigen import (
     PolyRep,
     eigen_poly,
@@ -142,6 +141,10 @@ def _suite_transition_mass(seed: int) -> list[CheckResult]:
 
 def _suite_uniform_stationary(seed: int) -> list[CheckResult]:
     """At theta = 2, p = 1/2 the stationary law is uniform on (0, 1)."""
+    # scipy.stats costs about 20 MB of memory, so only the two suites that
+    # use it import it.
+    from scipy.stats import kstest
+
     par = TwoTypeParams(theta=2.0, p=0.5)
     grid = [0.01 + 0.02 * k for k in range(50)]
     dens_dev = max(abs(stationary_density_eval(par, xi) - 1.0) for xi in grid)
@@ -158,7 +161,6 @@ def _suite_transition_moments(seed: int) -> list[CheckResult]:
     """Analytic transition moments against ensemble averages, n <= 4."""
     rng = RngStream(seed, _STREAM["transition-moments"])
     n_mc = 1_000_000
-    root = math.sqrt(n_mc)
     worst = 0.0
     for theta in _THETA_GRID:
         for p in _P_GRID:
@@ -169,8 +171,8 @@ def _suite_transition_moments(seed: int) -> list[CheckResult]:
                     power = np.ones_like(draws)
                     for n in range(1, 5):
                         power = power * draws
-                        se = float(power.std(ddof=1)) / root
-                        gap = abs(float(power.mean()) - transition_moment(par, n, x, t))
+                        mean, se = mean_se(power)
+                        gap = abs(mean - transition_moment(par, n, x, t))
                         worst = max(worst, gap / se)
     return [
         CheckResult(
@@ -276,9 +278,8 @@ def _suite_absorption_time(seed: int) -> list[CheckResult]:
     worst = 0.0
     for n in (2, 5, 10):
         for theta in (1.0, 2.0, 5.0):
-            times = absorption_time_ensemble(n, theta, size, rng)
-            se = float(times.std(ddof=1)) / math.sqrt(size)
-            z = abs(float(times.mean()) - mean_absorption_time(n, theta)) / se
+            mean, se = mean_se(absorption_time_ensemble(n, theta, size, rng))
+            z = abs(mean - mean_absorption_time(n, theta)) / se
             worst = max(worst, z)
     return [
         CheckResult("absorption-time", "|mean(2, theta=2) - 4/3|", exact_dev, 0.0),
@@ -476,6 +477,8 @@ def _suite_selection(seed: int) -> list[CheckResult]:
 
 def _suite_asg(seed: int) -> list[CheckResult]:
     """Branching-graph clocks, stationary line counts, selection duality."""
+    from scipy.stats import kstest
+
     rng = RngStream(seed, _STREAM["asg"])
     size = 40_000
     mean_z = 0.0
@@ -483,8 +486,8 @@ def _suite_asg(seed: int) -> list[CheckResult]:
     for n in (2, 10):
         for beta in (0.5, 2.0):
             times = ua_time_ensemble(n, beta, size, rng)
-            se = float(times.std(ddof=1)) / math.sqrt(size)
-            mean_z = max(mean_z, abs(float(times.mean()) - 1.0) / se)
+            mean, se = mean_se(times)
+            mean_z = max(mean_z, abs(mean - 1.0) / se)
             ks_min = min(ks_min, float(kstest(times, "expon").pvalue))
 
     pi_dev = 0.0

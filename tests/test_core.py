@@ -14,6 +14,7 @@ from starcoal.core import (
     RngStream,
     TwoTypeParams,
     exp_decay_window,
+    mean_se,
     quad,
     quad_offset,
     replacement_decay_integral,
@@ -48,31 +49,27 @@ def test_rng_stream_reproducible_and_sharded():
 
 def test_quad_smooth_and_singular():
     assert quad(math.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, abs=1e-12)
-    # Integrable power blow-ups at either end.
+    # Integrable blow-ups at a lower end of 0 go to quad_offset, which hands
+    # the integrand float ndarrays.
     assert quad(lambda z: z**-0.5, 0.0, 1.0, singular_lower=True) == pytest.approx(
         2.0, abs=1e-10
     )
-    # Upper blow-ups in absolute coordinates are resolved only down to the
-    # ulp gap below 1, leaving a tail of order ulp^a; steeper cases are what
-    # the offset-density route exists for.
-    assert quad(
-        lambda z: 0.8 * (1.0 - z) ** -0.2, 0.0, 1.0, singular_upper=True
-    ) == pytest.approx(1.0, abs=1e-10)
-    loose = QuadSpec(abs_tol=1e-9, rel_tol=1e-9)
-    assert quad(
-        lambda z: (1.0 - z) ** -0.5, 0.0, 1.0, loose, singular_upper=True
-    ) == pytest.approx(2.0, abs=1e-7)
-    assert quad(lambda z: -math.log(z), 0.0, 1.0, singular_lower=True) == pytest.approx(
+    assert quad(lambda z: -np.log(z), 0.0, 1.0, singular_lower=True) == pytest.approx(
         1.0, abs=1e-10
     )
+    # Upper blow-ups are written as offsets from the upper end.
+    assert quad_offset(lambda d: 0.8 * d**-0.2, 1.0) == pytest.approx(1.0, abs=1e-10)
+    assert quad_offset(lambda d: d**-0.5, 1.0) == pytest.approx(2.0, abs=1e-10)
     with pytest.raises(InvalidParameterError):
         quad(math.exp, 1.0, 0.0)
+    with pytest.raises(InvalidParameterError):
+        quad(lambda z: z**-0.5, 0.5, 1.0, singular_lower=True)
 
 
 def test_quad_offset_power_law():
     # int_0^W d^(a-1) dd = W^a / a, exact up to the tolerance even for
     # exponents far below anything a fixed grid could resolve.
-    for a, width in ((0.3, 0.35), (0.15, 1.0), (1.7, 0.6)):
+    for a, width in ((0.3, 0.35), (0.15, 1.0), (1.7, 0.6), (1e4, 1.0)):
         got = quad_offset(lambda d, _a=a: d ** (_a - 1.0), width)
         assert got == pytest.approx(width**a / a, rel=1e-9)
     with pytest.raises(InvalidParameterError):
@@ -81,7 +78,7 @@ def test_quad_offset_power_law():
 
 def test_quad_offset_boundary_layer():
     eps = 1e-12
-    got = quad_offset(lambda d: math.exp(-d / eps) / eps, 0.5)
+    got = quad_offset(lambda d: np.exp(-d / eps) / eps, 0.5)
     assert got == pytest.approx(1.0, rel=1e-9)
 
 
@@ -145,9 +142,25 @@ def _toy_law() -> MixedLaw:
         density=lambda xi: 1.5,
         mass=0.75,
         cdf=lambda xi: 1.5 * xi,
+        offset_density=lambda d: np.full_like(d, 1.5),
+        offset_side="lower",
+        offset_width=0.5,
         inverse_cdf=lambda v: 0.5 * v,
     )
     return MixedLaw(atoms=((0.5, 0.25),), pieces=(piece,))
+
+
+def _flat_piece(height: float) -> Piece:
+    return Piece(
+        lower=0.0,
+        upper=1.0,
+        density=lambda xi: height,
+        mass=height,
+        cdf=lambda xi: height * xi,
+        offset_density=lambda d: np.full_like(d, height),
+        offset_side="lower",
+        offset_width=1.0,
+    )
 
 
 def test_mixed_law_mass_mean_cdf():
@@ -172,40 +185,32 @@ def test_mixed_law_sampling():
 
 
 def test_mixed_law_validation():
-    good = Piece(lower=0.0, upper=1.0, density=lambda xi: 1.0, mass=1.0)
+    good = _flat_piece(1.0)
     with pytest.raises(InvalidParameterError):
         MixedLaw(atoms=(), pieces=(good, good))  # overlap
     with pytest.raises(InvalidParameterError):
         MixedLaw(atoms=((0.5, 0.5),), pieces=(good,))  # atom inside a piece
     with pytest.raises(InvalidParameterError):
         MixedLaw(atoms=(), pieces=())  # no mass at all
-    half = Piece(lower=0.0, upper=1.0, density=lambda xi: 0.5, mass=0.5)
     with pytest.raises(InvalidParameterError):
-        MixedLaw(atoms=(), pieces=(half,))  # masses must close to 1
+        MixedLaw(atoms=(), pieces=(_flat_piece(0.5),))  # masses must close to 1
+    shape = dict(lower=0.0, upper=1.0, density=lambda xi: 1.0, mass=1.0, cdf=lambda xi: xi)
     with pytest.raises(InvalidParameterError):
-        Piece(lower=0.0, upper=1.0, density=lambda xi: 1.0, mass=1.0, offset_density=lambda d: 1.0)
+        Piece(**shape, offset_density=lambda d: 1.0, offset_side="middle", offset_width=1.0)
     with pytest.raises(InvalidParameterError):
-        Piece(
-            lower=0.0,
-            upper=1.0,
-            density=lambda xi: 1.0,
-            mass=1.0,
-            offset_density=lambda d: 1.0,
-            offset_side="lower",
-            offset_width=0.25,
-        )
+        Piece(**shape, offset_density=lambda d: 1.0, offset_side="lower", offset_width=0.25)
 
 
 def test_quadrature_mass_prefers_offset_route():
-    # A density with an integrable blow-up at the upper edge, described
-    # both in absolute coordinates and as offsets from that edge.
+    # A density with an integrable blow-up at the upper edge, integrated
+    # from its offset form.
     a = 0.25
     piece = Piece(
         lower=0.0,
         upper=1.0,
         density=lambda xi: a * (1.0 - xi) ** (a - 1.0),
         mass=1.0,
-        singular="upper",
+        cdf=lambda xi: 1.0 - (1.0 - xi) ** a,
         offset_density=lambda d: a * d ** (a - 1.0),
         offset_side="upper",
         offset_width=1.0,
@@ -222,3 +227,16 @@ def test_quad_spec_validation():
         QuadSpec(abs_tol=0.0)
     with pytest.raises(InvalidParameterError):
         QuadSpec(max_subdivisions=0)
+
+
+def test_mean_se_matches_two_pass_statistics():
+    rng = np.random.default_rng(3)
+    for values in (rng.exponential(size=10_001), 1e6 + rng.random(500), np.array([1.0, 2.0])):
+        mean, se = mean_se(values)
+        assert mean == values.mean()
+        assert se == pytest.approx(values.std(ddof=1) / math.sqrt(values.size), rel=1e-12)
+    # Nearly constant values cancel in the one-pass sum of squares; the
+    # deviations are then summed directly.
+    assert mean_se(np.full(100, 0.4))[1] < 1e-15
+    with pytest.raises(InvalidParameterError):
+        mean_se(np.ones(1))

@@ -195,6 +195,16 @@ def test_spectral_coeffs_shape():
     assert len(sc.p_coeffs) == 6
 
 
+def test_spectral_coeffs_beyond_float_range():
+    # The weights q[k] ~ C(n, k) (k - 1) pass the float range near n = 1030:
+    # a typed error naming n and theta, not a bare OverflowError.
+    assert max(map(abs, spectral_coeffs(1000, 1.0).q_weights)) > 1e300
+    with pytest.raises(InvalidParameterError, match=r"n=1040, theta=1.0"):
+        spectral_coeffs(1040, 1.0)
+    # The routes that keep their weights in integers are unaffected.
+    assert mean_absorption_time(1040, 1.0) == pytest.approx(3.0, rel=1e-5)
+
+
 def test_an_limit_matches_large_n():
     theta, t = 1.5, 0.8
     big = an_distribution(200, theta, t)

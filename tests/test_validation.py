@@ -245,3 +245,26 @@ def test_sample_shape_may_be_a_tuple(name):
     for bad in ((2, 0), (3, -1), (2.0,), (2, None)):
         with pytest.raises(InvalidParameterError, match="size"):
             call(size=bad)
+
+
+def test_offset_integrand_failures_are_typed():
+    # quad_offset hands the integrand float ndarrays; a scalar-only one is a
+    # caller error, and a non-finite value is a quadrature failure, and both
+    # errors name the width.
+    with pytest.raises(InvalidParameterError, match="width 0.5"):
+        core.quad_offset(lambda d: math.exp(-d), 0.5)
+    with pytest.raises(core.QuadratureError, match="width 0.25 is not finite"):
+        core.quad_offset(lambda d: np.full_like(d, np.nan), 0.25)
+    with pytest.raises(core.QuadratureError, match="width 1.0 is not finite"):
+        core.quad_offset(lambda d: d**-1.5, 1.0)  # not integrable: overflows
+    # A density too flat at 0 leaves mass below the floor: raised, not
+    # dropped, naming the floor and the fitted exponent.
+    with pytest.raises(core.QuadratureError, match="floor 1e-250.*exponent 0.0099"):
+        core.quad_offset(lambda d: 0.01 * d**-0.99, 1.0)
+    with pytest.raises(core.QuadratureError, match="8 bisections"):
+        core.quad_offset(lambda d: np.sin(1e3 / d) / d, 1.0, core.QuadSpec(max_subdivisions=8))
+
+
+def test_quadpack_failure_names_its_interval():
+    with pytest.raises(core.QuadratureError, match=r"on \[0.0, 1.0\]"):
+        core.quad(lambda x: 1.0 / x, 0.0, 1.0)
