@@ -502,26 +502,25 @@ def sample_truncated_exponential(t: float, rng: RngStream, size=None):
 class Piece:
     """One absolutely continuous component of a MixedLaw.
 
-    density evaluates the unnormalized density on the open interval
-    (lower, upper); mass is its exact integral, supplied in closed form by
-    the constructors so normalization stays a testable property rather than
+    The density lives on the open interval (lower, upper) and is written
+    once, as offset_density: a function of the exact distance from the
+    endpoint named by offset_side, over distances in (0, offset_width),
+    that must accept a float ndarray.  Offsets are exact doubles at every
+    scale, whereas the absolute coordinate cannot resolve structure within
+    an ulp of an endpoint; quadrature and the density method both go
+    through this form.  offset_width is the piece width computed without
+    subtracting the rounded endpoints, so a boundary placed between machine
+    numbers costs no accuracy.
+
+    mass is the density's exact integral, supplied in closed form by the
+    constructors so normalization stays a testable property rather than
     something enforced by rescaling.  cdf is the absolute accumulated mass
     on [lower, x]; inverse_cdf, when present, maps a piece-normalized
     uniform to a point.
-
-    offset_density is the same density written as a function of the exact
-    distance from the endpoint named by offset_side, over distances in
-    (0, offset_width); it must accept a float ndarray.  Quadrature uses it:
-    the absolute coordinate cannot resolve structure within an ulp of an
-    endpoint, whereas offsets are exact doubles at every scale.
-    offset_width is the piece width computed without subtracting the
-    rounded endpoints, so a boundary placed between machine numbers costs
-    no accuracy.
     """
 
     lower: float
     upper: float
-    density: Callable[[float], float]
     mass: float
     cdf: Callable[[float], float]
     offset_density: Callable[[np.ndarray], np.ndarray]
@@ -540,6 +539,11 @@ class Piece:
         width = self.upper - self.lower
         if not abs(self.offset_width - width) <= 1e-6 * width + 4.0 * math.ulp(self.upper):
             raise InvalidParameterError(f"offset_width {self.offset_width!r} disagrees with the piece support")
+
+    def density(self, x: float) -> float:
+        """The density at x in (lower, upper), from its offset form."""
+        d = x - self.lower if self.offset_side == "lower" else self.upper - x
+        return float(self.offset_density(np.asarray(d, dtype=float)))
 
 
 @dataclass(frozen=True)

@@ -270,10 +270,12 @@ def _skeleton_series(drift: DriftSpec) -> tuple[float, float]:
     """Exp(1)-averaged endpoint flows by geometric-series expansion.
 
     p11 expands b e^{-g t}/(1 - b e^{-g t}) termwise; p21 uses the
-    binomial expansion in Y = c/(1+c) < 1, with the prefactor written as
-    (1+c)^{-1/g} Y^{k+1} so large c cannot overflow.  Both series need
-    their ratios b, Y away from 1; skeleton_matrix falls back to
-    quadrature otherwise.
+    binomial expansion in Y = c/(1+c) < 1, each term carrying the
+    prefactor (1+c)^{-1/g} Y^{k+1} in log space: at weak mutation and
+    selection the prefactor alone underflows, and the terms rise for about
+    Y/(g(1-Y)) steps before they fall, so the sum stops only past its peak.
+    Both series need their ratios b, Y away from 1; skeleton_matrix falls
+    back to quadrature otherwise.
     """
     rp = roots(drift.theta, drift.beta, drift.p)
     scale = 2.0 / drift.beta
@@ -293,18 +295,18 @@ def _skeleton_series(drift: DriftSpec) -> tuple[float, float]:
     p11 = rp.r1 + scale * acc
 
     y = rp.c / (1.0 + rp.c)
-    front = (1.0 + rp.c) ** (-inv_g)
-    acc = 0.0
-    k = 0
-    term = y / (inv_g + 1.0)
-    while abs(front * term) > 1e-17 * max(1.0, abs(front * acc)) and term != 0.0:
+    log_term = math.log(y / (inv_g + 1.0)) - inv_g * math.log1p(rp.c)
+    acc, k, ratio = 0.0, 0, math.inf
+    while ratio >= 1.0 or term > 1e-17 * max(1.0, acc):
+        term = math.exp(log_term)
         acc += term
         k += 1
-        term *= y * (inv_g + k) * (inv_g + k) / (k * (inv_g + k + 1.0))
+        ratio = y * (inv_g + k) * (inv_g + k) / (k * (inv_g + k + 1.0))
+        log_term += math.log(ratio)
         if k > 500_000:
             msg = f"skeleton series for p21 failed to converge for {drift!r}"
-            raise QuadratureError(msg, rp.r1 - scale * front * acc, scale * front * abs(term))
-    p21 = rp.r1 - scale * front * acc
+            raise QuadratureError(msg, rp.r1 - scale * acc, scale * term)
+    p21 = rp.r1 - scale * acc
     return p11, p21
 
 
@@ -480,14 +482,13 @@ def stationary_law(drift: DriftSpec) -> MixedLaw:
     """Stationary law as a MixedLaw, for the kinds with closed inverse flows.
 
     Neutral drift reuses the two-type law.  Mutation with selection splits
-    at the interior equilibrium r1: branch masses (pi2, pi1), densities as
-    in stationary_density, exact cdfs from the inverse flow (the factor
-    e^{-t(xi)} is the decay term of the density), and quantile functions
-    that push an Exp(1) age through the endpoint flows.  Each branch also
-    carries an offset density anchored at r1, since quadrature in the
-    absolute coordinate cannot resolve the factor |xi - r1|^{1/g - 1}
-    within an ulp of the root.  Custom drifts have no closed inverse and
-    are served pointwise by stationary_density instead.
+    at the interior equilibrium r1: branch masses (pi2, pi1), exact cdfs
+    from the inverse flow (the factor e^{-t(xi)} is the decay term of the
+    density), and quantile functions that push an Exp(1) age through the
+    endpoint flows.  Each branch writes its density once, in the offset
+    from r1, since the absolute coordinate cannot resolve the factor
+    |xi - r1|^{1/g - 1} within an ulp of the root.  Custom drifts have no
+    closed inverse and are served pointwise by stationary_density instead.
     """
     if drift.kind == "neutral":
         return _neutral_stationary_law(TwoTypeParams(theta=drift.theta, p=drift.p))
@@ -507,10 +508,6 @@ def stationary_law(drift: DriftSpec) -> MixedLaw:
     expo = 1.0 / rp.decay_rate
     half_beta = 0.5 * drift.beta
 
-    def dens_lo(z: float) -> float:
-        decay = ((r1 - z) * (-r2) / ((z - r2) * r1)) ** expo
-        return pi2 * decay / (half_beta * (r1 - z) * (z - r2))
-
     def dens_lo_off(d: float) -> float:
         back = gap - d
         return pi2 * (d * (-r2) / (back * r1)) ** expo / (half_beta * d * back)
@@ -520,10 +517,6 @@ def stationary_law(drift: DriftSpec) -> MixedLaw:
 
     def inv_lo(v: float) -> float:
         return flow(drift, 0.0, -math.log1p(-v))
-
-    def dens_up(z: float) -> float:
-        decay = ((z - r1) * (1.0 - r2) / ((z - r2) * (1.0 - r1))) ** expo
-        return pi1 * decay / (half_beta * (z - r1) * (z - r2))
 
     def dens_up_off(d: float) -> float:
         fwd = gap + d
@@ -541,7 +534,6 @@ def stationary_law(drift: DriftSpec) -> MixedLaw:
             Piece(
                 lower=0.0,
                 upper=r1,
-                density=dens_lo,
                 mass=pi2,
                 cdf=cdf_lo,
                 inverse_cdf=inv_lo,
@@ -552,7 +544,6 @@ def stationary_law(drift: DriftSpec) -> MixedLaw:
             Piece(
                 lower=r1,
                 upper=1.0,
-                density=dens_up,
                 mass=pi1,
                 cdf=cdf_up,
                 inverse_cdf=inv_up,

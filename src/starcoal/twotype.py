@@ -108,6 +108,23 @@ def marginal_q(params: TwoTypeParams, x: float, t: float) -> tuple[float, float]
     return q1, 1.0 - q1
 
 
+def _branch_density(weight, eh, shift, w, far, a: float, scale: float):
+    """One replacement branch's density, (weight + eh shift / w) a w^(a-1) / scale.
+
+    w is the branch coordinate and far = 1 - w, measured exactly from the
+    other end.  The power is w^(a-1) for w < 1/2, which keeps the w = 0
+    limits (inf, a constant 1 at a = 1, and 0), and exp((a-1) log1p(-far))
+    above, where a = 2/theta would amplify the rounding of w near 1.  The
+    stationary branches are eh = 0.  Takes floats or float ndarrays.
+    """
+    w = np.asarray(w, dtype=float)
+    high = w >= 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = np.power(w, a - 1.0, out=np.empty_like(w))
+        power[high] = np.exp((a - 1.0) * np.log1p(-np.asarray(far)[high]))
+        return (weight + eh * shift / w if eh else weight) * a * power / scale
+
+
 def transition_law(params: TwoTypeParams, x: float, t: float) -> MixedLaw:
     """Law of the type-1 frequency at time t started from x.
 
@@ -118,6 +135,8 @@ def transition_law(params: TwoTypeParams, x: float, t: float) -> MixedLaw:
     contains the atom.  Piece masses are closed-form: integrating the type-1
     branch over the last-replacement time gives
     p(1-e^{-t}) + (x-p) K(theta,t) with K the replacement decay integral.
+    A piece narrower than an ulp of its far edge holds no float strictly
+    inside, so its mass becomes an atom at that edge.
 
     Args:
         params: mutation parameters.
@@ -131,7 +150,7 @@ def transition_law(params: TwoTypeParams, x: float, t: float) -> MixedLaw:
     check_real("t", t, 0.0, math.inf, open_hi=True)
     if t == 0.0:
         return MixedLaw(atoms=((x, 1.0),), pieces=())
-    theta, p = params.theta, params.p
+    theta, p, q = params.theta, params.p, 1.0 - params.p
     a = 2.0 / theta
     delta = 1.0 - 0.5 * theta
     eh = math.exp(-0.5 * theta * t)
@@ -145,66 +164,54 @@ def transition_law(params: TwoTypeParams, x: float, t: float) -> MixedLaw:
 
     mass_up = p * s + (x - p) * big_k
     mass_lo = s - mass_up
-
-    def dens_up(xi: float, _p=p, _x=x, _eh=eh, _a=a) -> float:
-        w = (xi - _p) / (1.0 - _p)
-        return (_p + _eh * (_x - _p) / w) * _a * w ** (_a - 1.0) / (1.0 - _p)
+    width_up, width_lo = q * mix, p * mix
 
     def cdf_up(xi: float, _p=p, _x=x, _a=a, _d=delta, _t=t, _am=atom_mass) -> float:
         w = (xi - _p) / (1.0 - _p)
         return _p * (w**_a - _am) + (_x - _p) * exp_decay_window(_d, _t, _t + _a * math.log(w))
-
-    def dens_lo(xi: float, _p=p, _x=x, _eh=eh, _a=a) -> float:
-        v = 1.0 - xi / _p
-        return (1.0 - _p - _eh * (_x - _p) / v) * _a * v ** (_a - 1.0) / _p
 
     def cdf_lo(xi: float, _p=p, _x=x, _a=a, _d=delta, _t=t, _K=big_k) -> float:
         v = 1.0 - xi / _p
         win = exp_decay_window(_d, _t, _t + _a * math.log(v))
         return (1.0 - _p) * (1.0 - v**_a) - (_x - _p) * (_K - win)
 
-    # Offset forms: w and v recovered from the exact distance to the piece
-    # edge, where both branches have a boundary layer of width eh that the
-    # absolute coordinate cannot resolve once eh is below an ulp of p.
-
-    def dens_up_off(d: float, _p=p, _x=x, _eh=eh, _a=a) -> float:
-        w = _eh + d / (1.0 - _p)
-        return (_p + _eh * (_x - _p) / w) * _a * w ** (_a - 1.0) / (1.0 - _p)
-
-    def dens_lo_off(d: float, _p=p, _x=x, _eh=eh, _a=a) -> float:
-        v = _eh + d / _p
-        return (1.0 - _p - _eh * (_x - _p) / v) * _a * v ** (_a - 1.0) / _p
-
-    pieces = []
-    if mass_up > 0.0:
+    # Densities in the offset d from the piece edge nearest p: both branches
+    # have a boundary layer of width eh there that the absolute coordinate
+    # cannot resolve once eh is below an ulp of p.
+    pieces, atoms = [], []
+    lower = eh + p * mix
+    if mass_up > 0.0 and lower < 1.0:
         pieces.append(
             Piece(
-                lower=eh + p * mix,
+                lower=lower,
                 upper=1.0,
-                density=dens_up,
                 mass=mass_up,
                 cdf=cdf_up,
-                offset_density=dens_up_off,
+                offset_density=lambda d: _branch_density(p, eh, x - p, eh + d / q, (width_up - d) / q, a, q),
                 offset_side="lower",
-                offset_width=(1.0 - p) * mix,
+                offset_width=width_up,
             )
         )
-    if mass_lo > 0.0:
+    elif mass_up > 0.0:
+        atoms.append((1.0, mass_up))
+    if mass_lo > 0.0 and width_lo > 0.0:
         pieces.append(
             Piece(
                 lower=0.0,
-                upper=p * mix,
-                density=dens_lo,
+                upper=width_lo,
                 mass=mass_lo,
                 cdf=cdf_lo,
-                offset_density=dens_lo_off,
+                offset_density=lambda d: _branch_density(q, eh, p - x, eh + d / p, (width_lo - d) / p, a, p),
                 offset_side="upper",
-                offset_width=p * mix,
+                offset_width=width_lo,
             )
         )
+    elif mass_lo > 0.0:
+        atoms.append((0.0, mass_lo))
     # e^{-t} underflows past t ~ 745, and a massless atom is no atom.
-    atoms = ((q1, atom_mass),) if atom_mass > 0.0 else ()
-    return MixedLaw(atoms=atoms, pieces=tuple(pieces))
+    if atom_mass > 0.0:
+        atoms.append((q1, atom_mass))
+    return MixedLaw(atoms=tuple(atoms), pieces=tuple(pieces))
 
 
 def transition_density_eval(params: TwoTypeParams, x: float, t: float, xi: float) -> float:
@@ -217,15 +224,13 @@ def transition_density_eval(params: TwoTypeParams, x: float, t: float, xi: float
     check_real("x", x, 0.0, 1.0)
     check_real("t", t, 0.0, math.inf, open_lo=True)
     check_real("xi", xi, -math.inf, math.inf)
-    theta, p = params.theta, params.p
+    theta, p, q = params.theta, params.p, 1.0 - params.p
     a = 2.0 / theta
     eh = math.exp(-0.5 * theta * t)
-    if xi > p + (1.0 - p) * eh and xi <= 1.0:
-        w = (xi - p) / (1.0 - p)
-        return (p + eh * (x - p) / w) * a * w ** (a - 1.0) / (1.0 - p)
+    if xi > p + q * eh and xi <= 1.0:
+        return float(_branch_density(p, eh, x - p, (xi - p) / q, (1.0 - xi) / q, a, q))
     if 0.0 <= xi < p * -math.expm1(-0.5 * theta * t):
-        v = 1.0 - xi / p
-        return (1.0 - p - eh * (x - p) / v) * a * v ** (a - 1.0) / p
+        return float(_branch_density(q, eh, p - x, 1.0 - xi / p, xi / p, a, p))
     return 0.0
 
 
@@ -237,36 +242,27 @@ def stationary_law(params: TwoTypeParams) -> MixedLaw:
     side below p mirrors it with mass 1-p.  At theta = 2, p = 1/2 both
     branches are constant 1, the Uniform(0,1) law.
     """
-    theta, p = params.theta, params.p
+    theta, p, q = params.theta, params.p, 1.0 - params.p
     a = 2.0 / theta
     half = 0.5 * theta
-
-    def dens_up(xi: float, _p=p, _a=a) -> float:
-        return _p * _a * ((xi - _p) / (1.0 - _p)) ** (_a - 1.0) / (1.0 - _p)
-
-    def dens_lo(xi: float, _p=p, _a=a) -> float:
-        return (1.0 - _p) * _a * (1.0 - xi / _p) ** (_a - 1.0) / _p
-
     pieces = (
         Piece(
             lower=p,
             upper=1.0,
-            density=dens_up,
             mass=p,
             cdf=lambda xi, _p=p, _a=a: _p * ((xi - _p) / (1.0 - _p)) ** _a,
             inverse_cdf=lambda u, _p=p, _h=half: _p + (1.0 - _p) * u**_h,
-            offset_density=lambda d, _p=p, _a=a: _p * _a * (d / (1.0 - _p)) ** (_a - 1.0) / (1.0 - _p),
+            offset_density=lambda d: _branch_density(p, 0.0, 0.0, d / q, (q - d) / q, a, q),
             offset_side="lower",
-            offset_width=1.0 - p,
+            offset_width=q,
         ),
         Piece(
             lower=0.0,
             upper=p,
-            density=dens_lo,
-            mass=1.0 - p,
+            mass=q,
             cdf=lambda xi, _p=p, _a=a: (1.0 - _p) * (1.0 - (1.0 - xi / _p) ** _a),
             inverse_cdf=lambda u, _p=p, _h=half: _p * (1.0 - (1.0 - u) ** _h),
-            offset_density=lambda d, _p=p, _a=a: (1.0 - _p) * _a * (d / _p) ** (_a - 1.0) / _p,
+            offset_density=lambda d: _branch_density(q, 0.0, 0.0, d / p, (p - d) / p, a, p),
             offset_side="upper",
             offset_width=p,
         ),
@@ -282,13 +278,11 @@ def stationary_density_eval(params: TwoTypeParams, xi: float) -> float:
     (theta > 2) is reported as inf rather than raising.
     """
     check_real("xi", xi, 0.0, 1.0)
-    theta, p = params.theta, params.p
+    theta, p, q = params.theta, params.p, 1.0 - params.p
     a = 2.0 / theta
-    if xi == p and a < 1.0:
-        return math.inf
     if xi >= p:
-        return p * a * ((xi - p) / (1.0 - p)) ** (a - 1.0) / (1.0 - p)
-    return (1.0 - p) * a * (1.0 - xi / p) ** (a - 1.0) / p
+        return float(_branch_density(p, 0.0, 0.0, (xi - p) / q, (1.0 - xi) / q, a, q))
+    return float(_branch_density(q, 0.0, 0.0, 1.0 - xi / p, xi / p, a, p))
 
 
 def stationary_sample(params: TwoTypeParams, rng: RngStream, size=None):

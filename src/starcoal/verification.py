@@ -426,6 +426,8 @@ def _suite_selection(seed: int) -> list[CheckResult]:
         mass_dev = max(mass_dev, abs(law.quadrature_mass() - 1.0))
         mean_dev = max(mean_dev, abs(law.mean() - pi1))
         r1 = roots(theta, beta, p).r1
+        # The law's density is its offset form about r1; stationary_density
+        # writes the same branch in the absolute coordinate.
         for f in (0.2, 0.6, 0.9):
             for xi in (r1 * f, r1 + (1.0 - r1) * f):
                 pc = next(q for q in law.pieces if q.lower < xi < q.upper)

@@ -139,7 +139,6 @@ def _toy_law() -> MixedLaw:
     piece = Piece(
         lower=0.0,
         upper=0.5,
-        density=lambda xi: 1.5,
         mass=0.75,
         cdf=lambda xi: 1.5 * xi,
         offset_density=lambda d: np.full_like(d, 1.5),
@@ -154,7 +153,6 @@ def _flat_piece(height: float) -> Piece:
     return Piece(
         lower=0.0,
         upper=1.0,
-        density=lambda xi: height,
         mass=height,
         cdf=lambda xi: height * xi,
         offset_density=lambda d: np.full_like(d, height),
@@ -194,7 +192,7 @@ def test_mixed_law_validation():
         MixedLaw(atoms=(), pieces=())  # no mass at all
     with pytest.raises(InvalidParameterError):
         MixedLaw(atoms=(), pieces=(_flat_piece(0.5),))  # masses must close to 1
-    shape = dict(lower=0.0, upper=1.0, density=lambda xi: 1.0, mass=1.0, cdf=lambda xi: xi)
+    shape = dict(lower=0.0, upper=1.0, mass=1.0, cdf=lambda xi: xi)
     with pytest.raises(InvalidParameterError):
         Piece(**shape, offset_density=lambda d: 1.0, offset_side="middle", offset_width=1.0)
     with pytest.raises(InvalidParameterError):
@@ -208,7 +206,6 @@ def test_quadrature_mass_prefers_offset_route():
     piece = Piece(
         lower=0.0,
         upper=1.0,
-        density=lambda xi: a * (1.0 - xi) ** (a - 1.0),
         mass=1.0,
         cdf=lambda xi: 1.0 - (1.0 - xi) ** a,
         offset_density=lambda d: a * d ** (a - 1.0),

@@ -6,7 +6,8 @@ quadrature reaches, and the contract is then a QuadratureError rather than
 a silently truncated value.  The oracles integrate at 30 digits with
 mpmath in u = -log w, where a w^(a-1) dw becomes a e^(-a u) du; plain
 tanh-sinh in w itself misses most of the mass once a is small (at
-a = 0.01 it returns 0.546 for 1).
+a = 0.01 it returns 0.546 for 1).  The laws' cdfs are held to their
+closed-form component masses at every piece edge.
 """
 
 import math
@@ -15,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starcoal.core import QuadratureError, TwoTypeParams
+from starcoal.core import QuadratureError, TwoTypeParams, replacement_decay_integral
 from starcoal.eigen import eigen_poly, pv_expectation_g_q1_numeric
-from starcoal.selection import mutation_selection_drift
+from starcoal.selection import mutation_selection_drift, replacement_stationary
 from starcoal.selection import stationary_law as selection_stationary_law
 from starcoal.twotype import stationary_law, transition_law
 
@@ -129,13 +130,60 @@ def test_selection_stationary_mass(theta, beta, p, must_match):
     assert _matches_or_raises(law.quadrature_mass, 1.0) or not must_match
 
 
+@pytest.mark.parametrize("theta", [1e-15, 1e-10, 1e-6])
+def test_transition_law_at_tiny_theta(theta):
+    # w^(2/theta - 1) amplifies the rounding of w near 1 by 2/theta: the
+    # mass came out 0.931 at theta = 1e-15, and the sweep raised below 1e-8.
+    p, x, t = 0.3, 0.9, 1.0
+    law = transition_law(TwoTypeParams(theta, p), x, t)
+    assert law.quadrature_mass() == pytest.approx(1.0, abs=TOL)
+    assert law.mean() == pytest.approx(p + (x - p) * math.exp(-0.5 * theta * t), abs=TOL)
+
+
+def _edge_masses(law, pieces_with_mass):
+    """Pairs (law.cdf at each piece edge, closed-form mass up to that edge)."""
+    out = []
+    for pc, _ in pieces_with_mass:
+        for edge in (pc.lower, pc.upper):
+            want = sum(m for loc, m in law.atoms if loc <= edge)
+            want += sum(m for q, m in pieces_with_mass if q.upper <= edge)
+            out.append((law.cdf(edge), want))
+    return out
+
+
+def test_cdf_at_piece_edges_matches_closed_form_masses():
+    cases = []
+    for theta, p, x, t in ((0.5, 0.3, 0.9, 0.7), (2.0, 0.5, 0.2, 2.0), (5.0, 0.6, 0.0, 0.3)):
+        law = transition_law(TwoTypeParams(theta, p), x, t)
+        up = p * -math.expm1(-t) + (x - p) * replacement_decay_integral(theta, t)
+        low, high = sorted(law.pieces, key=lambda pc: pc.lower)
+        cases.append((law, ((low, -math.expm1(-t) - up), (high, up))))
+    for theta, p in ((0.8, 0.35), (2.0, 0.5), (5.0, 0.4)):
+        law = stationary_law(TwoTypeParams(theta, p))
+        low, high = sorted(law.pieces, key=lambda pc: pc.lower)
+        cases.append((law, ((low, 1.0 - p), (high, p))))
+    for theta, beta, p in ((1.0, 2.0, 0.5), (0.5, 4.0, 0.3)):
+        drift = mutation_selection_drift(theta, p, beta)
+        law = selection_stationary_law(drift)
+        pi1, pi2 = replacement_stationary(drift)
+        low, high = sorted(law.pieces, key=lambda pc: pc.lower)
+        cases.append((law, ((low, pi2), (high, pi1))))
+    for law, pieces_with_mass in cases:
+        for got, want in _edge_masses(law, pieces_with_mass):
+            assert got == pytest.approx(want, abs=1e-14)
+        # Each piece's own cdf runs from 0 to its closed-form mass.
+        for pc, mass in pieces_with_mass:
+            assert pc.cdf(pc.lower) == pytest.approx(0.0, abs=1e-12)
+            assert pc.cdf(pc.upper) == pytest.approx(mass, abs=1e-12)
+
+
 def _log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
 @settings(max_examples=200)
 @given(
-    theta=_log_uniform(1e-3, 1e4),
+    theta=_log_uniform(1e-15, 1e4),
     p=st.floats(1e-6, 1.0 - 1e-6),
     x=st.floats(0.0, 1.0),
     t=_log_uniform(1e-8, 1e3),

@@ -176,6 +176,17 @@ def test_skeleton_series_and_quadrature_agree():
     assert ss[1] == pytest.approx(sq[1], abs=1e-9)
 
 
+@pytest.mark.parametrize("theta, p, beta", [(0.001, 0.3, 0.001), (0.01, 0.3, 0.01)])
+def test_skeleton_series_at_weak_mutation_and_selection(theta, p, beta):
+    # The series prefactor (1 + c)^(-1/g) is 2^-1826 and 2^-183 here, and
+    # the terms rise for about 1/g steps; E nu(T) used to come back as r1.
+    drift = mutation_selection_drift(theta, p, beta)
+    want = np.array(selection._skeleton_quadrature(drift))
+    assert np.max(np.abs(skeleton_matrix(drift)[:, 0] - want)) < 1e-10
+    pi1, _ = replacement_stationary(drift)
+    assert stationary_law(drift).mean() == pytest.approx(pi1, abs=1e-10)
+
+
 def test_skeleton_custom_matches_named():
     cd = custom_drift(MS.velocity, 1.5)
     got = skeleton_matrix(cd)

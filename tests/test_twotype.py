@@ -15,7 +15,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import kstest
 
-from starcoal.core import InvalidParameterError, RngStream, TwoTypeParams
+from starcoal.core import InvalidParameterError, RngStream, TwoTypeParams, replacement_decay_integral
 from starcoal.twotype import (
     line_kernel,
     marginal_q,
@@ -78,6 +78,35 @@ def test_transition_law_structure():
     # The atom sits strictly inside the density gap.
     assert low.upper < loc < high.lower
     assert law.quadrature_mass() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_transition_law_sub_ulp_piece_becomes_edge_atom():
+    # The upper piece (1 - p)(1 - e^{-theta t/2}) = 3.5e-18 wide holds no
+    # float strictly inside; its closed-form mass sits in an atom at 1.
+    par, x, t = TwoTypeParams(theta=1e-3, p=0.3), 0.9, 1e-14
+    law = transition_law(par, x, t)
+    up = 0.3 * -math.expm1(-t) + 0.6 * replacement_decay_integral(par.theta, t)
+    assert dict(law.atoms)[1.0] == pytest.approx(up, rel=1e-12)
+    assert [(pc.lower, pc.upper) for pc in law.pieces] == [(0.0, 0.3 * -math.expm1(-0.5e-3 * t))]
+    assert law.quadrature_mass() == pytest.approx(1.0, abs=1e-15)
+    assert law.mean() == pytest.approx(0.3 + 0.6 * math.exp(-0.5e-3 * t), abs=1e-15)
+    # At a subnormal horizon the lower piece is empty as well.
+    law = transition_law(par, x, 5e-324)
+    assert not law.pieces and law.total_mass() == 1.0
+
+
+def test_piece_density_matches_pointwise_density():
+    # Piece.density goes through the offset form; the *_eval functions
+    # evaluate the same branch in the absolute coordinate.
+    for par, x, t in ((PAR_A, 0.7, 1.0), (PAR_B, 0.2, 0.4), (PAR_C, 0.0, 2.5)):
+        for pc in transition_law(par, x, t).pieces:
+            for f in (0.1, 0.5, 0.9):
+                xi = pc.lower + f * (pc.upper - pc.lower)
+                assert pc.density(xi) == pytest.approx(transition_density_eval(par, x, t, xi), rel=1e-12)
+        for pc in stationary_law(par).pieces:
+            for f in (0.1, 0.5, 0.9):
+                xi = pc.lower + f * (pc.upper - pc.lower)
+                assert pc.density(xi) == pytest.approx(stationary_density_eval(par, xi), rel=1e-12)
 
 
 def test_transition_piece_masses_against_scipy():
@@ -167,6 +196,10 @@ def test_stationary_density_oracles():
     # For theta > 2 the density diverges at p but stays integrable.
     steep = TwoTypeParams(theta=5.0, p=0.4)
     assert stationary_density_eval(steep, 0.4) == math.inf
+    # At theta = 2 with p = 1/2 both branches are the constant 1, and for
+    # theta < 2 the density vanishes at p.
+    assert stationary_density_eval(TwoTypeParams(theta=2.0, p=0.5), 0.5) == 1.0
+    assert stationary_density_eval(PAR_C, 0.35) == 0.0
     assert stationary_law(steep).quadrature_mass() == pytest.approx(1.0, abs=1e-10)
 
 
