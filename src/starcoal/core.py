@@ -14,8 +14,9 @@ from the endpoint, which calls its integrand on float ndarrays.
 
 Concurrency model: all evaluators are pure functions of their arguments, and
 samplers mutate only the RngStream passed to them.  Parallel Monte Carlo is
-sharded by giving each worker its own stream_index; results are then merged
-by deterministic reduction.
+sharded by giving each worker its own stream_index, or, to split one
+stream's draws exactly, its own RngStream.ahead position; results are then
+merged by deterministic reduction.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ __all__ = [
     "check_real",
     "check_int",
     "mean_se",
+    "mean_se_of_sums",
+    "shifted_sums",
 ]
 
 
@@ -138,26 +141,38 @@ def check_size(name: str, value):
     raise InvalidParameterError(f"{name} must be None or a shape of integers >= 1, got {value!r}")
 
 
+def shifted_sums(values, shift: float = 0.0) -> tuple[float, float]:
+    """sum(x - shift) and sum((x - shift)^2) over an ndarray.  The dot is
+    einsum's: OpenBLAS runs a long dot on its own threads, which contend
+    with a caller's thread pool."""
+    y = values - shift if shift else values
+    return float(y.sum()), float(np.einsum("i,i->", y, y))
+
+
+def mean_se_of_sums(n: int, shift: float, total: float, sumsq: float) -> tuple[float, float]:
+    """Mean and standard error of n values from their shifted_sums about
+    shift; the nearer shift is to the mean, the fewer digits cancel."""
+    mean = total / n
+    return shift + mean, math.sqrt((sumsq - total * mean) / (n - 1) / n)
+
+
 def mean_se(values) -> tuple[float, float]:
     """Sample mean and standard error of the mean, in one pass over values.
 
-    The mean is sum / n, bitwise what values.mean() returns, and the sum of
-    squared deviations is dot(x, x) - sum * mean from one BLAS dot.  When
-    that difference cancels more than three digits (values nearly
-    constant), it is recomputed from the deviations x - mean instead.
+    The mean is sum / n, bitwise what values.mean() returns, and the sums
+    are taken about 0.  When sumsq - sum * mean cancels more than three
+    digits (values nearly constant), the standard error is recomputed from
+    the sums about the mean instead.
     """
     x = np.asarray(values, dtype=float).ravel()
     n = x.size
     if n < 2:
         raise InvalidParameterError(f"mean_se needs at least 2 values, got {n}")
-    total = float(x.sum())
+    total, sumsq = shifted_sums(x)
     mean = total / n
-    sumsq = float(np.dot(x, x))
-    dev = sumsq - total * mean
-    if dev < 1e-3 * sumsq:
-        y = x - mean
-        dev = float(np.dot(y, y))
-    return mean, math.sqrt(dev / (n - 1) / n)
+    if sumsq - total * mean < 1e-3 * sumsq:
+        return mean, mean_se_of_sums(n, mean, *shifted_sums(x, mean))[1]
+    return mean_se_of_sums(n, 0.0, total, sumsq)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +234,15 @@ class RngStream:
             raise InvalidParameterError("stream_index must be a non-negative integer")
         seq = np.random.SeedSequence(entropy=self.base_seed, spawn_key=(self.stream_index,))
         self.gen = np.random.Generator(np.random.PCG64(seq))
+
+    def ahead(self, outputs: int) -> np.random.Generator:
+        """A new generator `outputs` PCG64 outputs (doubles of random())
+        past this stream.  It advances a copy of the bit generator: the
+        stream it was built from never moves."""
+        check_int("outputs", outputs, 0)
+        bits = np.random.PCG64(0)
+        bits.state = self.gen.bit_generator.state
+        return np.random.Generator(bits.advance(outputs))
 
     def random(self, size=None):
         return self.gen.random(size)

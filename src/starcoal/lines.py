@@ -317,10 +317,16 @@ def _line_ensemble(
     while active.size:
         count = state[active]
         rate = 0.5 * theta * count + (count >= 2)
-        landed = clock[active] + rng.gen.exponential(size=active.size) / rate
+        # In place and one copy at a time: at size 1e6 every temporary is 8 MB.
+        landed = rng.gen.exponential(size=active.size)
+        landed /= rate
+        landed += clock[active]
         alive = landed <= t
         if not alive.all():
-            active, count, rate, landed = active[alive], count[alive], rate[alive], landed[alive]
+            active = active[alive]
+            count = count[alive]
+            rate = rate[alive]
+            landed = landed[alive]
         clock[active] = landed
         # From i >= 2 lines the total rate is 1 + i theta/2, and the collapse
         # has rate 1: it wins with probability 1/rate.

@@ -301,6 +301,15 @@ def stationary_sample(params: TwoTypeParams, rng: RngStream, size=None):
     return np.where(rng.gen.random(size) < params.p, base + eta, base)
 
 
+def _alternating_gap(p: float, m: int) -> float:
+    """(1 - p)^m - (-p)^m; for even m as (1 - 2p) sum_k (1 - p)^k p^(m-1-k),
+    which, unlike the difference, does not cancel as p nears 1/2."""
+    q = 1.0 - p
+    if m % 2:
+        return q**m + p**m
+    return (1.0 - 2.0 * p) * sum(q**k * p ** (m - 1 - k) for k in range(m))
+
+
 def transition_moment(params: TwoTypeParams, n: int, x: float, t: float) -> float:
     """E_x[(xi(t) - p)^n] in closed form.
 
@@ -316,16 +325,15 @@ def transition_moment(params: TwoTypeParams, n: int, x: float, t: float) -> floa
         return 1.0
     theta, p = params.theta, params.p
     a = 2.0 / theta
-    q = 1.0 - p
     dx = x - p
-    decay_n = math.exp(-(1.0 + 0.5 * n * theta) * t)
-    main = decay_n * dx**n
-    stat = (a / (n + a)) * (p * q**n + (-1.0) ** n * q * p**n) * (1.0 - decay_n)
+    rate_n = (1.0 + 0.5 * n * theta) * t
+    main = math.exp(-rate_n) * dx**n
+    stat = (a / (n + a)) * p * (1.0 - p) * _alternating_gap(p, n - 1) * -math.expm1(-rate_n)
     cross = (
         dx
         * math.exp(-0.5 * theta * t)
         * (a / (n - 1.0 + a))
-        * (q**n - (-1.0) ** n * p**n)
+        * _alternating_gap(p, n)
         * -math.expm1(-(1.0 + 0.5 * (n - 1) * theta) * t)
     )
     return main + stat + cross
@@ -341,12 +349,11 @@ def stationary_moment(params: TwoTypeParams, n: int) -> tuple[float, float]:
     check_int("n", n, 0)
     theta, p = params.theta, params.p
     a = 2.0 / theta
-    q = 1.0 - p
 
     def central(k: int) -> float:
         if k == 0:
             return 1.0
-        return (a / (k + a)) * (p * q**k + (-1.0) ** k * q * p**k)
+        return (a / (k + a)) * p * (1.0 - p) * _alternating_gap(p, k - 1)
 
     raw = math.fsum(math.comb(n, k) * p ** (n - k) * central(k) for k in range(n + 1))
     return central(n), raw
@@ -361,29 +368,33 @@ def sample_transition(params: TwoTypeParams, x: float, t: float, rng: RngStream,
     q1(t - tau; x), and return p_{11}(tau) or p_{21}(tau).
 
     Args:
-        size: None for a scalar, else an ensemble shape; the vector path
-            consumes exactly three aligned uniform blocks so results are
-            reproducible under resizing of downstream code.
+        size: None for a scalar, else an ensemble shape.  A call draws three
+            consecutive blocks of exactly prod(size) doubles from rng,
+            u_atom, u_tau and u_type, each double one PCG64 output, so the
+            k-th of a run of equal-size calls starts 3 k prod(size) outputs
+            past the first; the transition-moments suite relies on this.
     """
     check_real("x", x, 0.0, 1.0)
     check_real("t", t, 0.0, math.inf, open_lo=True, open_hi=True)
     check_size("size", size)
-    theta, p = params.theta, params.p
-    eh = math.exp(-0.5 * theta * t)
-    atom = p + (x - p) * eh
-    atom_mass = math.exp(-t)
-    scalar = size is None
-    shape = () if scalar else size
+    shape = () if size is None else size
     u_atom = rng.gen.random(shape)
     u_tau = rng.gen.random(shape)
     u_type = rng.gen.random(shape)
+    out = _transition_from_uniforms(params, x, t, u_atom, u_tau, u_type)
+    return float(out) if size is None else out
+
+
+def _transition_from_uniforms(params: TwoTypeParams, x: float, t: float, u_atom, u_tau, u_type):
+    """The transition draws sample_transition makes from its three uniform blocks."""
+    theta, p = params.theta, params.p
+    atom = p + (x - p) * math.exp(-0.5 * theta * t)
     tau = truncated_exponential_inverse_cdf(u_tau, t)
     decay = np.exp(-0.5 * theta * tau)
     q1_back = p + (x - p) * np.exp(-0.5 * theta * (t - tau))
     upper = p + (1.0 - p) * decay
     lower = p * (1.0 - decay)
-    out = np.where(u_atom < atom_mass, atom, np.where(u_type < q1_back, upper, lower))
-    return float(out) if scalar else out
+    return np.where(u_atom < math.exp(-t), atom, np.where(u_type < q1_back, upper, lower))
 
 
 def _jump_path(step, x: float, horizon: float, rng: RngStream) -> PathRecord:

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from starcoal.core import InvalidParameterError, RngStream, TwoTypeParams
@@ -319,3 +321,18 @@ def test_line_dist_validation():
         LineDist(n=2, theta=1.0, t=0.5, probs=(0.7, -0.1, 0.4))
     with pytest.raises(InvalidParameterError):
         LineDist(n=2, theta=1.0, t=0.5, probs=(0.5, 0.2, 0.2))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=300)
+@given(n=st.integers(1, 60), theta=_log_uniform(1e-3, 1e2), t=_log_uniform(1e-6, 1e2))
+def test_line_laws_are_distributions_and_agree(n, theta, t):
+    direct = an_distribution(n, theta, t).probs
+    spectral = an_distribution_spectral(n, theta, t).probs
+    for probs in (direct, spectral):
+        assert min(probs) >= 0.0
+        assert abs(math.fsum(probs) - 1.0) <= 1e-12
+    assert max(abs(a - b) for a, b in zip(direct, spectral)) <= 1e-10

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import kstest
 
@@ -159,6 +161,56 @@ def test_transition_moment_oracles():
         transition_moment(PAR_A, -1, 0.7, 1.0)
     with pytest.raises(InvalidParameterError):
         transition_moment(PAR_A, 2, 0.5, math.nan)
+
+
+def _mp_transition_moment(theta, p, n, x, t):
+    """The three terms of transition_moment at 50 digits, and the sum of their sizes."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        theta, p, x, t = (mpmath.mpf(v) for v in (theta, p, x, t))
+        a, q, dx = 2 / theta, 1 - p, x - p
+        decay_n = mpmath.exp(-(1 + n * theta / 2) * t)
+        main = decay_n * dx**n
+        stat = a / (n + a) * (p * q**n + (-1) ** n * q * p**n) * (1 - decay_n)
+        cross = (
+            dx
+            * mpmath.exp(-theta * t / 2)
+            * a / (n - 1 + a)
+            * (q**n - (-1) ** n * p**n)
+            * (1 - mpmath.exp(-(1 + (n - 1) * theta / 2) * t))
+        )
+        return float(main + stat + cross), float(abs(main) + abs(stat) + abs(cross))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=300)
+@given(
+    n=st.integers(1, 8),
+    theta=_log_uniform(1e-15, 1e4),
+    p=st.floats(1e-6, 1.0 - 1e-6),
+    x=st.floats(0.0, 1.0),
+    t=_log_uniform(1e-8, 1e3),
+)
+def test_transition_moment_against_mpmath(n, theta, p, x, t):
+    # Held to 1e-12 of the size of its terms: the float exponentials alone
+    # carry a relative error of |exponent| ulps, up to about 745 of them.
+    want, scale = _mp_transition_moment(theta, p, n, x, t)
+    got = transition_moment(TwoTypeParams(theta, p), n, x, t)
+    assert abs(got - want) <= 1e-12 * scale + 1e-300
+
+
+@pytest.mark.parametrize("p", [0.5 - 1e-9, 0.5 + 3e-7, 0.4999])
+def test_transition_moment_near_half(p):
+    # (1-p)^n - p^n cancels as p nears 1/2; the closed form must not.
+    for n in range(1, 9):
+        for x, t in ((0.3, 5.0), (p, 1e-6), (0.9, 0.2)):
+            want, scale = _mp_transition_moment(1.5, p, n, x, t)
+            got = transition_moment(TwoTypeParams(1.5, p), n, x, t)
+            assert abs(got - want) <= 1e-12 * scale, (n, x, t)
+
 
 
 def test_transition_moments_match_density_integration():

@@ -3,12 +3,20 @@
 The individual identities behind each suite are exercised in the module
 tests; here we only make sure the registry, the pass/fail bookkeeping,
 and the stable report rendering behave, using the cheap deterministic
-suites plus one small Monte Carlo suite run twice.
+suites plus one small Monte Carlo suite run twice, and that the threaded
+transition-moments suite draws exactly what a sequential run would.
 """
 
+import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 import pytest
 
-from starcoal.core import InvalidParameterError
+from starcoal import verification
+from starcoal.core import InvalidParameterError, RngStream
+from starcoal.twotype import TwoTypeParams, sample_transition
 from starcoal.verification import (
     SUITE_NAMES,
     CheckResult,
@@ -85,3 +93,72 @@ def test_report_rendering():
     assert lines[2].startswith("FAIL")
     assert lines[3] == "2 of 3 checks passed"
     assert report.endswith("\n")
+
+
+def test_blocked_cell_draws_equal_sequential_sampler():
+    # A run of equal-size sample_transition calls on one stream, in the
+    # transition-moments grid order; a block of 3000 does not divide 10,000.
+    size, block = 10_000, 3_000
+    grid = [
+        (TwoTypeParams(theta, p), x, t)
+        for theta in (0.5, 1.0, 2.0, 5.0)
+        for p in (0.1, 0.5, 0.9)
+        for t in (0.1, 1.0, 10.0)
+        for x in (0.0, 0.3, 1.0)
+    ]
+    shared = RngStream(11, 300)
+    sequential = [sample_transition(par, x, t, shared, size=size) for par, x, t in grid]
+    rng = RngStream(11, 300)
+    for k in (0, len(grid) // 2, len(grid) - 1):
+        par, x, t = grid[k]
+        blocks = list(verification._cell_draws(par, x, t, rng, size, k, block))
+        assert [b.size for b in blocks] == [3000, 3000, 3000, 1000]
+        assert np.array_equal(np.concatenate(blocks), sequential[k])
+
+    # Every cell at once from more threads than CPUs, switching often, all
+    # reading ahead of the one shared stream.
+    def cell(k):
+        par, x, t = grid[k]
+        return np.concatenate(list(verification._cell_draws(par, x, t, rng, size, k, block)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(cell, k) for k in range(len(grid))]
+            drawn = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(d, s) for d, s in zip(drawn, sequential))
+    # Reading ahead never moved the stream.
+    assert rng.gen.random() == RngStream(11, 300).gen.random()
+
+
+def test_transition_moments_independent_of_thread_count(monkeypatch):
+    monkeypatch.setattr(verification, "_workers", lambda tasks: 1)
+    one = run_suites(["transition-moments"], seed=3)
+    monkeypatch.setattr(verification, "_workers", lambda tasks: 2)
+    two = run_suites(["transition-moments"], seed=3)
+    assert one == two
+    theta, p, t, x, n = one[0].where
+    assert (theta, p, t, x, n) in {
+        (theta_, p_, t_, x_, n_)
+        for theta_ in (0.5, 1.0, 2.0, 5.0)
+        for p_ in (0.1, 0.5, 0.9)
+        for t_ in (0.1, 1.0, 10.0)
+        for x_ in (0.0, 0.3, 1.0)
+        for n_ in range(1, 5)
+    }
+
+
+def test_where_names_worst_point_and_is_not_printed(monkeypatch):
+    # A stand-in duality check whose gap peaks at theta = 2, n = 3.
+    def fake_duality_check(par, n, x, t, n_mc, rng):
+        return 0.0, 1.0 if (par.theta, n) == (2.0, 3) else 0.5, 1.0
+
+    monkeypatch.setattr(verification, "duality_check", fake_duality_check)
+    [result] = run_suites(["moment-duality"], seed=0)
+    assert result.where == (2.0, 0.5, 0.7, 0.5, 3)
+    assert result.observed == 1.0
+    plain = dataclasses.replace(result, where=None)
+    assert format_report([result]) == format_report([plain])
