@@ -327,10 +327,11 @@ _WG_HALF[1::2] = (
 _GK_X = np.concatenate([-_GK_HALF, _GK_HALF[-2::-1]])
 _GK_WK = np.concatenate([_WK_HALF, _WK_HALF[-2::-1]])
 _GK_WKG = _GK_WK - np.concatenate([_WG_HALF, _WG_HALF[-2::-1]])
+_GRADE = 8.0 ** np.arange(-18, 0)  # quad_offset's first panel edges, in steps
 
 
 def _offset_panels(f_off, width: float, lo: np.ndarray, half: np.ndarray):
-    """Kronrod values, |Kronrod - Gauss| and node values of g on each panel.
+    """Kronrod values, |Kronrod - Gauss| and node values of g, one row per integrand.
 
     g(s) = f_off(delta) * delta at delta = width * e^{-s}, one f_off call for
     every node of every panel; a non-finite g raises.
@@ -343,14 +344,15 @@ def _offset_panels(f_off, width: float, lo: np.ndarray, half: np.ndarray):
         raise InvalidParameterError(
             f"offset integrand over width {width!r} must accept a float ndarray: {exc}"
         ) from exc
+    g = g.reshape(-1, *off.shape)
     bad = ~np.isfinite(g)
     if bad.any():
-        msg = f"offset integrand over width {width!r} is not finite at offset {float(off[bad][0])!r}"
+        msg = f"offset integrand over width {width!r} is not finite at offset {float(off[bad.any(0)][0])!r}"
         raise QuadratureError(msg, math.nan, math.inf)
     return half * (g @ _GK_WK), np.abs(half * (g @ _GK_WKG)), g
 
 
-def quad_offset(f_off, width: float, spec: QuadSpec | None = None) -> float:
+def quad_offset(f_off, width: float, spec: QuadSpec | None = None) -> float | tuple[float, ...]:
     """Integrate f_off(delta) for delta in (0, width], delta measured from 0.
 
     The offset parametrization is the accurate way to integrate a density
@@ -365,7 +367,9 @@ def quad_offset(f_off, width: float, spec: QuadSpec | None = None) -> float:
     a panel is taken as |Kronrod - Gauss|; while their sum exceeds half the
     tolerance, the panels that carry the excess are bisected and evaluated
     again.  The mass below the floor is bounded from the decay of |g|
-    across the deepest panel, not added.
+    across the deepest panel, not added.  An f_off that stacks m > 1
+    integrands on a leading axis gets m values from shared nodes, a panel
+    being bisected while any of them misses its own tolerance.
 
     Raises:
         QuadratureError: the panels miss the tolerance within
@@ -384,46 +388,45 @@ def quad_offset(f_off, width: float, spec: QuadSpec | None = None) -> float:
     # of offsets near width: a density that piles up at the far end of the
     # piece, like a w^(a-1) for large a, holds its mass within 1/a of s = 0,
     # where panels of width 3 would place no node.
-    edges = np.concatenate([[0.0], step * 8.0 ** np.arange(-18, 0), step * np.arange(1, count + 1)])
-    lo, half = edges[:-1], 0.5 * np.diff(edges)
+    edges = np.concatenate([[0.0], step * _GRADE, step * np.arange(1, count + 1)])
+    lo, half = edges[:-1], 0.5 * (edges[1:] - edges[:-1])
     kron, err, g = _offset_panels(f_off, width, lo, half)
-    # |g| ~ e^{-k s} across the deepest panel bounds the mass below the
-    # floor by |g(s_end)| / k.
-    inner, outer = abs(float(g[-1, 0])), abs(float(g[-1, -1]))
-    if outer == 0.0:
-        rate, tail = math.inf, 0.0
-    else:
-        span = 2.0 * float(half[-1] * _GK_X[-1])
-        rate = (math.log(inner) - math.log(outer)) / span if inner > 0.0 else -math.inf
-        tail = outer / rate if rate > 0.0 else math.inf
+    span = 2.0 * float(half[-1] * _GK_X[-1])
     budget = spec.max_subdivisions
     while True:
-        value = math.fsum(kron.tolist())
-        tol = max(spec.abs_tol, spec.rel_tol * abs(value))
-        excess = float(err.sum()) - 0.5 * tol
-        if excess <= 0.0:
+        values = [math.fsum(row) for row in kron.tolist()]
+        tols = [max(spec.abs_tol, spec.rel_tol * abs(v)) for v in values]
+        picks = []
+        for row, tol in zip(err, tols):
+            excess = float(row.sum()) - 0.5 * tol
+            if excess > 0.0:
+                # Bisect the fewest panels, largest errors first, that carry the excess.
+                order = np.argsort(row)[::-1]
+                picks.append(order[: int(np.searchsorted(np.cumsum(row[order]), excess)) + 1])
+        if not picks:
             break
-        # Bisect the fewest panels, largest errors first, that carry the excess.
-        order = np.argsort(err)[::-1]
-        pick = order[: int(np.searchsorted(np.cumsum(err[order]), excess)) + 1]
+        pick = picks[0] if len(picks) == 1 else np.unique(np.concatenate(picks))
         budget -= pick.size
         if budget < 0:
             msg = f"offset quadrature over width {width!r} did not converge within {spec.max_subdivisions} bisections"
-            raise QuadratureError(msg, value, float(err.sum()))
+            raise QuadratureError(msg, values[0], float(err[0].sum()))
         keep = np.ones(lo.size, dtype=bool)
         keep[pick] = False
         sub = 0.5 * half[pick]
         new_lo, new_half = np.concatenate([lo[pick], lo[pick] + 2.0 * sub]), np.concatenate([sub, sub])
         new_kron, new_err, _ = _offset_panels(f_off, width, new_lo, new_half)
         lo, half = np.concatenate([lo[keep], new_lo]), np.concatenate([half[keep], new_half])
-        kron, err = np.concatenate([kron[keep], new_kron]), np.concatenate([err[keep], new_err])
-    if tail > 0.5 * tol:
-        msg = (
-            f"offset integral over width {width!r} leaves mass below the floor {floor!r}: "
-            f"|g| decays with fitted exponent {rate!r}, tail bound {tail!r}"
-        )
-        raise QuadratureError(msg, value, tail)
-    return value
+        kron, err = np.concatenate([kron[:, keep], new_kron], 1), np.concatenate([err[:, keep], new_err], 1)
+    for gi, value, tol in zip(g, values, tols):
+        # |g| ~ e^{-k s} across the deepest first-pass panel bounds the mass
+        # below the floor by |g(s_end)| / k.
+        inner, outer = abs(float(gi[-1, 0])), abs(float(gi[-1, -1]))
+        rate = (math.log(inner) - math.log(outer)) / span if min(inner, outer) > 0.0 else -math.inf
+        tail = outer / rate if rate > 0.0 else math.inf if outer else 0.0
+        if tail > 0.5 * tol:
+            msg = f"offset integral over width {width!r} leaves mass below the floor {floor!r}"
+            raise QuadratureError(f"{msg}: |g| decays with fitted exponent {rate!r}, tail bound {tail!r}", value, tail)
+    return values[0] if len(values) == 1 else tuple(values)
 
 
 def quad(
@@ -612,9 +615,10 @@ class MixedLaw:
         total = [loc * m for loc, m in self.atoms]
         for pc in self.pieces:
             # x = anchor -/+ offset, so the moment splits into the piece
-            # mass times the anchor plus a signed pure-offset moment.
-            mass = quad_offset(pc.offset_density, pc.offset_width, spec)
-            sway = quad_offset(lambda d, pc=pc: d * pc.offset_density(d), pc.offset_width, spec)
+            # mass times the anchor plus a signed pure-offset moment, both
+            # from one pass over shared nodes.
+            both = lambda d, f=pc.offset_density: np.stack([np.ones_like(d), d]) * f(d)
+            mass, sway = quad_offset(both, pc.offset_width, spec)
             if pc.offset_side == "lower":
                 total.append(pc.lower * mass + sway)
             else:

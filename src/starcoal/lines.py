@@ -13,6 +13,7 @@ each rate ratio 1 + m theta/2 and each time factor is an integer ratio.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -101,21 +102,25 @@ def an_distribution(n: int, theta: float, t: float) -> LineDist:
     d = [D + m * T for m in range(n)]
     L = math.prod(d)
     shift = a * n + b
-    apow = [A**k for k in range(n + 1)]
-    cpow = [((1 << a) - A) ** k for k in range(n + 1)]  # (1 - p)^k 2^{ak}
-    probs = [0.0, 0.0] + [
-        math.comb(n, j) * apow[j] * cpow[n - j] * B / (1 << shift) for j in range(2, n + 1)
-    ]
-    pf = A << (shift - a)  # p(t); every term here is over 2^shift
-    s1 = s0 = 0
-    for k in range(1, n + 1):
+    C = (1 << a) - A  # (1 - p(t)) 2^a
+    # C(n,j) A^j C^{n-j} for j = n down to 1, by one exact small division a step.
+    surv = [A**n]
+    for j in range(n, 1, -1):
+        surv.append(surv[-1] * j * C // ((n - j + 1) * A) if A else 0)
+    probs = [0.0, 0.0] + [s * B / (1 << shift) for s in reversed(surv[:-1])]
+    # With w_k = (-1)^{k+1} C(n,k) L / d[k-1] and e^{-t} p^k = B A^k 2^{a(n-k)}
+    # over 2^shift, the resolvent sums need W = sum w_k and, by Horner in A,
+    # h1 = sum w_k A^{k-1} 2^{a(n-k)} and h2, the same with weights (k-1) w_k.
+    W = h1 = h2 = 0
+    for k in range(n, 0, -1):
         w = (-1) ** (k + 1) * math.comb(n, k) * (L // d[k - 1])
-        tail = B * apow[k] << (a * (n - k))  # e^{-t} p^k
-        s1 += w * D * (pf - tail)
-        s0 += w * (D * pf + (k - 1) * T * tail)
+        W += w
+        h1 = h1 * A + (w << (a * (n - k)))
+        h2 = h2 * A + ((k - 1) * w << (a * (n - k)))
+    pfw = A * W << (shift - a)  # p(t) W, over 2^shift
     den = L << shift
-    probs[1] = (n * A * cpow[n - 1] * B * L + s1) / den
-    probs[0] = (den - s0) / den
+    probs[1] = (surv[-1] * B * L + D * (pfw - B * A * h1)) / den
+    probs[0] = (den - D * pfw - T * B * A * h2) / den
     return LineDist(n=n, theta=theta, t=t, probs=tuple(probs))
 
 
@@ -174,9 +179,11 @@ def _spectral_pairs(n: int, theta: float):
     def rows():
         yield [(1, 1), (-1, 1)] + [(-T, d[k]) for k in range(2, n + 1)]
         yield [(0, 1)] + [(1, 1)] * n
+        col = list(range(n + 1))  # C(k, j) for k = 0..n, one Pascal step per j
         for j in range(2, n + 1):
+            col = [0] * j + list(itertools.accumulate(col[j - 1 : n]))
             yield [(0, 1)] * j + [
-                (sign[j] * math.comb(k, j) * d[k - 1], (k - 1) * d[k]) for k in range(j, n + 1)
+                (sign[j] * col[k] * d[k - 1], (k - 1) * d[k]) for k in range(j, n + 1)
             ]
 
     return q, rows(), L
@@ -371,15 +378,13 @@ def duality_check(
         for k in range(n + 1)
     )
     state, coal_before = _line_ensemble(n, params.theta, t, n_mc, rng)[:2]
-    values = np.empty(n_mc)
-    no_coal = coal_before == 0
-    values[no_coal] = x ** state[no_coal].astype(float) * p ** (n - state[no_coal]).astype(float)
-    merged = ~no_coal
-    exponent = (n - coal_before[merged]).astype(float)
-    values[merged] = np.where(
-        state[merged] == 1, x * p**exponent, p ** (exponent + 1.0)
-    )
-    rhs, rhs_se = mean_se(values)
+    # A path's value depends only on (coal_before, state): read it from a table.
+    s = np.arange(n + 1)
+    table = np.empty((n + 1, n + 1))
+    table[0] = x ** s.astype(float) * p ** (n - s).astype(float)
+    exponent = (n - s[1:, None]).astype(float)
+    table[1:] = np.where(s == 1, x * p**exponent, p ** (exponent + 1.0))
+    rhs, rhs_se = mean_se(table[coal_before, state])
     return lhs, rhs, rhs_se
 
 

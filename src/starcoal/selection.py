@@ -825,7 +825,7 @@ def selection_duality_check(
     swapped = _jump_endpoints(lambda f, w: _flow_array(drift, f, w), 1.0 - x, t, n_mc, rng)
     lhs_vals = (1.0 - swapped) ** n
     counts = asg_count_ensemble(n, beta, t, n_mc, rng)
-    rhs_vals = np.power(float(x), counts.astype(float))
+    rhs_vals = np.power(float(x), np.arange(counts.max() + 1, dtype=float))[counts]
     lhs, lhs_se = mean_se(lhs_vals)
     rhs, rhs_se = mean_se(rhs_vals)
     return lhs, rhs, (lhs_se, rhs_se)

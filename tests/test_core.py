@@ -8,6 +8,7 @@ from scipy import integrate
 
 from starcoal.core import (
     InvalidParameterError,
+    QuadratureError,
     MixedLaw,
     Piece,
     QuadSpec,
@@ -21,6 +22,9 @@ from starcoal.core import (
     sample_truncated_exponential,
     truncated_exponential_inverse_cdf,
 )
+from starcoal.selection import mutation_selection_drift
+from starcoal.selection import stationary_law as selection_stationary_law
+from starcoal.twotype import stationary_law, transition_law
 
 
 def test_two_type_params_validation():
@@ -217,6 +221,60 @@ def test_quadrature_mass_prefers_offset_route():
     # Independent integrator on the same absolute-coordinate density.
     ref, _ = integrate.quad(piece.density, 0.0, 1.0, points=[1.0])
     assert ref == pytest.approx(1.0, abs=1e-6)
+
+
+def _two_pass_mean(law):
+    """MixedLaw.mean as separate quad_offset passes for the mass and the
+    offset moment of each piece."""
+    total = [loc * m for loc, m in law.atoms]
+    for pc in law.pieces:
+        mass = quad_offset(pc.offset_density, pc.offset_width)
+        sway = quad_offset(lambda d: d * pc.offset_density(d), pc.offset_width)
+        total.append(pc.lower * mass + sway if pc.offset_side == "lower" else pc.upper * mass - sway)
+    return math.fsum(total)
+
+
+def _mean_or_raise(compute):
+    try:
+        return compute()
+    except QuadratureError:
+        return None
+
+
+def test_one_pass_mean_matches_two_passes():
+    # Every law at the fixed points of tests/test_quadrature.py, those that
+    # raise included: both routes must raise there.
+    two = lambda theta, p: TwoTypeParams(theta, p)
+    laws = [stationary_law(two(theta, 0.3)) for theta in (200.0, 20.0, 0.5, 1e-5, 1600.0, 3.0)]
+    laws += [stationary_law(two(theta, p)) for theta, p in ((0.8, 0.35), (2.0, 0.5), (5.0, 0.4))]
+    laws += [
+        transition_law(two(theta, 0.5), x, t)
+        for theta, x, t in ((400.0, 0.3, 100.0), (400.0, 0.9, 3.0), (10.0, 0.3, 1.0), (1.5, 0.9, 0.05))
+    ]
+    laws += [transition_law(two(theta, 0.3), 0.9, 1.0) for theta in (1e-15, 1e-10, 1e-6)]
+    laws += [
+        transition_law(two(theta, p), x, t)
+        for theta, p, x, t in ((0.5, 0.3, 0.9, 0.7), (2.0, 0.5, 0.2, 2.0), (5.0, 0.6, 0.0, 0.3))
+    ]
+    laws += [
+        selection_stationary_law(mutation_selection_drift(theta, p, beta))
+        for theta, beta, p in ((0.01, 0.01, 1e-4), (0.01, 0.1, 1e-4), (1.0, 2.0, 0.4), (1.0, 2.0, 0.5), (0.5, 4.0, 0.3))
+    ]
+    answered = 0
+    for law in laws:
+        one, want = _mean_or_raise(law.mean), _mean_or_raise(lambda: _two_pass_mean(law))
+        assert (one is None) == (want is None)
+        if want is not None:
+            answered += 1
+            assert abs(one - want) <= 1e-15 + 1e-15 * abs(want), (one, want)
+    assert answered >= 18
+
+
+def test_quad_offset_stacked_integrands():
+    # Two integrands on shared nodes: each value meets its own tolerance.
+    mass, moment = quad_offset(lambda d: np.stack([0.5 * d**-0.5, 0.5 * d**0.5]), 1.0)
+    assert mass == pytest.approx(1.0, abs=1e-10)
+    assert moment == pytest.approx(1.0 / 3.0, abs=1e-10)
 
 
 def test_quad_spec_validation():

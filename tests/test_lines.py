@@ -15,9 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from starcoal.core import InvalidParameterError, RngStream, TwoTypeParams
+import starcoal.lines as lines
+from starcoal.core import InvalidParameterError, RngStream, TwoTypeParams, mean_se
 from starcoal.lines import (
     LineDist,
+    _dyadic,
+    _line_ensemble,
     absorption_time_ensemble,
     an_distribution,
     an_distribution_spectral,
@@ -109,6 +112,34 @@ def _an_fractions(n: int, theta: float, t: float) -> list[Fraction]:
     return probs
 
 
+def _an_integers(n: int, theta: float, t: float) -> tuple[float, ...]:
+    """The integer an_distribution before its Horner form: the powers of
+    A and 2^a - A, and two products of n-digit integers per step of k."""
+    A, a = _dyadic(math.exp(-0.5 * theta * t))
+    B, b = _dyadic(math.exp(-t))
+    T, c = _dyadic(theta)
+    D = 1 << (c + 1)
+    d = [D + m * T for m in range(n)]
+    L = math.prod(d)
+    shift = a * n + b
+    apow = [A**k for k in range(n + 1)]
+    cpow = [((1 << a) - A) ** k for k in range(n + 1)]
+    probs = [0.0, 0.0] + [
+        math.comb(n, j) * apow[j] * cpow[n - j] * B / (1 << shift) for j in range(2, n + 1)
+    ]
+    pf = A << (shift - a)
+    s1 = s0 = 0
+    for k in range(1, n + 1):
+        w = (-1) ** (k + 1) * math.comb(n, k) * (L // d[k - 1])
+        tail = B * apow[k] << (a * (n - k))
+        s1 += w * D * (pf - tail)
+        s0 += w * (D * pf + (k - 1) * T * tail)
+    den = L << shift
+    probs[1] = (n * A * cpow[n - 1] * B * L + s1) / den
+    probs[0] = (den - s0) / den
+    return tuple(probs)
+
+
 def _spectral_fractions(n: int, theta: float) -> tuple[list[Fraction], list[list[Fraction]]]:
     half = Fraction(theta) / 2
     q: list[Fraction] = [Fraction(0)] * (n + 1)
@@ -186,6 +217,30 @@ def test_integer_routes_equal_rational_oracles_at_n200():
     assert an_distribution_spectral(n, theta, t).probs == direct
     assert mean_absorption_time(n, theta) == _mean_absorption_fraction(n, theta)
     _assert_coeffs_equal(n, theta, *_spectral_fractions(n, theta))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=80)
+@given(n=st.integers(1, 200), theta=_log_uniform(1e-3, 1e2), t=_log_uniform(1e-6, 1e2))
+def test_line_laws_equal_integer_oracle(n, theta, t):
+    # Both routes round the same exact rational once, so the spectral route
+    # is held to the direct oracle as well.
+    want = _an_integers(n, theta, t)
+    assert an_distribution(n, theta, t).probs == want
+    assert an_distribution_spectral(n, theta, t).probs == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 200])
+def test_line_laws_equal_integer_oracle_at_the_ends(n):
+    # theta t = 1500 makes e^{-theta t/2} underflow to 0 (A = 0); at t = 0
+    # it is 1 (2^a - A = 0).
+    for theta, t in ((1.5, 1000.0), (1e-3, 1.5e6), (2.5, 0.0)):
+        want = _an_integers(n, theta, t)
+        assert an_distribution(n, theta, t).probs == want
+        assert an_distribution_spectral(n, theta, t).probs == want
 
 
 def test_spectral_coeffs_shape():
@@ -301,6 +356,26 @@ def test_duality_check_consistency():
         duality_check(par, 3, 0.6, 1.0, 1, RngStream(0))
 
 
+@pytest.mark.parametrize(
+    "theta, p, x, t, n",
+    [(1.0, 0.3, 0.6, 1.0, 3), (2.0, 0.5, 0.0, 0.5, 1), (5.0, 0.8, 1.0, 2.0, 4), (0.3, 0.1, 0.7, 3.0, 9)],
+)
+def test_duality_table_equals_masked_expressions(monkeypatch, theta, p, x, t, n):
+    # The per-path values as masked expressions over the whole ensemble
+    # computed them before the (coal_before, state) table.
+    state, coal_before = _line_ensemble(n, theta, t, 50_000, RngStream(27))[:2]
+    want = np.empty(state.size)
+    no_coal = coal_before == 0
+    want[no_coal] = x ** state[no_coal].astype(float) * p ** (n - state[no_coal]).astype(float)
+    merged = ~no_coal
+    exponent = (n - coal_before[merged]).astype(float)
+    want[merged] = np.where(state[merged] == 1, x * p**exponent, p ** (exponent + 1.0))
+    seen = []
+    monkeypatch.setattr(lines, "mean_se", lambda v: seen.append(v) or mean_se(v))
+    duality_check(TwoTypeParams(theta, p), n, x, t, 50_000, RngStream(27))
+    assert np.array_equal(seen[0], want)
+
+
 def test_stationary_moment_via_coalescent():
     par = TwoTypeParams(theta=1.2, p=0.4)
     # Every n = 1 trajectory scores exactly p, so the spread is pure
@@ -321,10 +396,6 @@ def test_line_dist_validation():
         LineDist(n=2, theta=1.0, t=0.5, probs=(0.7, -0.1, 0.4))
     with pytest.raises(InvalidParameterError):
         LineDist(n=2, theta=1.0, t=0.5, probs=(0.5, 0.2, 0.2))
-
-
-def _log_uniform(lo, hi):
-    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
 @settings(max_examples=300)

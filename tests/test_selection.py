@@ -27,6 +27,7 @@ from starcoal.core import (
     SimulationAbortError,
     StarcoalError,
     TwoTypeParams,
+    mean_se,
 )
 from starcoal.selection import (
     DriftSpec,
@@ -448,6 +449,17 @@ def test_asg_count_ensemble_matches_event_simulation():
             p1 * (1.0 - p1) / counts.size + p2 * (1.0 - p2) / direct.size
         )
         assert abs(p1 - p2) < 4.0 * se, f"P(B <= {level}): {p1:.4f} vs {p2:.4f}"
+
+
+def test_selection_duality_power_table(monkeypatch):
+    # rhs values read from a table of x^k equal np.power over the counts.
+    counts, seen = [], []
+    real_counts = selection.asg_count_ensemble
+    monkeypatch.setattr(selection, "asg_count_ensemble", lambda *a: counts.append(real_counts(*a)) or counts[-1])
+    monkeypatch.setattr(selection, "mean_se", lambda v: seen.append(v) or mean_se(v))
+    for x in (0.0, 0.37, 1.0):
+        selection_duality_check(3, x, 0.8, 1.5, 20_000, RngStream(74))
+        assert np.array_equal(seen[-1], np.power(x, counts[-1].astype(float)))
 
 
 def test_selection_duality_check():

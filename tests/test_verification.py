@@ -9,6 +9,7 @@ transition-moments suite draws exactly what a sequential run would.
 
 import dataclasses
 import sys
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -149,6 +150,29 @@ def test_transition_moments_independent_of_thread_count(monkeypatch):
         for x_ in (0.0, 0.3, 1.0)
         for n_ in range(1, 5)
     }
+
+
+def test_where_in_line_spectral_and_absorption_time(monkeypatch):
+    # Stand-ins whose gaps peak at n = 7, theta = 2, t = 1 and at n = 10,
+    # theta = 5.
+    spectral, exact = verification.an_distribution_spectral, verification.mean_absorption_time
+
+    def fake_spectral(n, theta, t):
+        probs = spectral(n, theta, t).probs
+        if (n, theta, t) == (7, 2.0, 1.0):
+            probs = (probs[0] + 1e-3,) + probs[1:]
+        return types.SimpleNamespace(probs=probs)
+
+    def fake_exact(n, theta):
+        return exact(n, theta) + (1.0 if (n, theta) == (10, 5.0) else 0.0)
+
+    monkeypatch.setattr(verification, "an_distribution_spectral", fake_spectral)
+    monkeypatch.setattr(verification, "mean_absorption_time", fake_exact)
+    gap = run_suites(["line-spectral"], seed=0)[0]
+    assert gap.where == (7, 2.0, 1.0)
+    assert gap.observed == pytest.approx(1e-3, rel=1e-9)
+    z = run_suites(["absorption-time"], seed=0)[1]
+    assert z.where == (10, 5.0)
 
 
 def test_where_names_worst_point_and_is_not_printed(monkeypatch):
