@@ -7,7 +7,7 @@ laws, moments, spectral expansions, backward line counts and selection
 variants available in closed form.  Modules:
 
     core       parameter bundles, mixed atom/density laws, RNG streams,
-               quadrature with endpoint-singularity handling
+               one offset quadrature rule for endpoint singularities
     twotype    two-type transition and stationary laws, moments, samplers
     eigen      eigenpolynomials of the generator and dual pairings
     lines      backward line counting, spectral form, moment duality
@@ -32,9 +32,7 @@ from .core import (
     StarcoalError,
     TwoTypeParams,
     exp_decay_window,
-    quad,
     replacement_decay_integral,
-    sample_truncated_exponential,
     truncated_exponential_inverse_cdf,
 )
 from .eigen import (

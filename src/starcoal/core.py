@@ -7,10 +7,13 @@ streams for reproducible Monte Carlo, the ensemble mean and standard error,
 and quadrature.
 
 Quadrature contract: every integral either meets its QuadSpec tolerance or
-raises QuadratureError.  Smooth integrands go to QUADPACK, which calls them
-on floats.  The power-law endpoint singularities these laws produce go to
-quad_offset, one vectorized Gauss-Kronrod rule in the log of the distance
-from the endpoint, which calls its integrand on float ndarrays.
+raises QuadratureError.  There is one integrator, quad_offset: a vectorized
+Gauss-Kronrod rule in the log of the distance from one end of the
+interval, which calls its integrand on float ndarrays.  It resolves the
+power-law endpoint singularities and boundary layers these laws produce,
+and integrates smooth integrands as well.  Importing this module loads
+numpy but no scipy; MixedLaw.sample imports scipy's root finder on first
+use.
 
 Concurrency model: all evaluators are pure functions of their arguments, and
 samplers mutate only the RngStream passed to them.  Parallel Monte Carlo is
@@ -27,8 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
-import scipy.optimize
 
 __all__ = [
     "StarcoalError",
@@ -42,12 +43,10 @@ __all__ = [
     "TwoTypeParams",
     "RngStream",
     "QuadSpec",
-    "quad",
     "quad_offset",
     "Piece",
     "MixedLaw",
     "truncated_exponential_inverse_cdf",
-    "sample_truncated_exponential",
     "replacement_decay_integral",
     "exp_decay_window",
     "check_real",
@@ -263,8 +262,7 @@ class RngStream:
 class QuadSpec:
     """Tolerances and subdivision budget for adaptive quadrature.
 
-    max_subdivisions caps QUADPACK's interval count on the plain route and
-    the number of panel bisections in quad_offset.
+    max_subdivisions caps the number of panel bisections in quad_offset.
     """
 
     abs_tol: float = 1e-11
@@ -275,28 +273,6 @@ class QuadSpec:
         check_real("abs_tol", self.abs_tol, 0.0, math.inf, open_lo=True, open_hi=True)
         check_real("rel_tol", self.rel_tol, 0.0, math.inf, open_lo=True, open_hi=True)
         check_int("max_subdivisions", self.max_subdivisions, 8)
-
-
-def _quad_smooth(f, a: float, b: float, spec: QuadSpec):
-    """Gauss-Kronrod integration of f on [a, b] with failure detection."""
-    out = scipy.integrate.quad(
-        f,
-        a,
-        b,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
-        full_output=1,
-    )
-    value, abserr = out[0], out[1]
-    if len(out) > 3:
-        # QUADPACK attached a warning message; accept only if the reported
-        # error is still comfortably inside tolerance.
-        tol = max(spec.abs_tol, spec.rel_tol * abs(value))
-        if abserr > 8.0 * tol:
-            msg = f"{str(out[3]).splitlines()[0].rstrip('.')} on [{a!r}, {b!r}]"
-            raise QuadratureError(msg, value, abserr)
-    return value, abserr
 
 
 # The 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk21): the
@@ -429,42 +405,6 @@ def quad_offset(f_off, width: float, spec: QuadSpec | None = None) -> float | tu
     return values[0] if len(values) == 1 else tuple(values)
 
 
-def quad(
-    f: Callable,
-    lower: float,
-    upper: float,
-    spec: QuadSpec | None = None,
-    *,
-    singular_lower: bool = False,
-) -> float:
-    """Adaptively integrate f over (lower, upper) to spec's tolerance, or raise.
-
-    Args:
-        f: integrand, evaluated only strictly inside the interval.  The
-            plain route calls it on floats; the singular_lower route calls
-            it on float ndarrays.
-        lower, upper: finite interval endpoints with lower <= upper.
-        spec: tolerances; defaults to QuadSpec().
-        singular_lower: f may blow up like an integrable power law or
-            carry a steep boundary layer at lower, which must then be 0;
-            the integral goes to quad_offset instead of one QUADPACK pass.
-
-    Raises:
-        QuadratureError: the requested tolerance could not be met.
-    """
-    spec = spec or QuadSpec()
-    check_real("lower", lower, -math.inf, math.inf, open_lo=True, open_hi=True)
-    check_real("upper", upper, lower, math.inf, open_hi=True)
-    if upper == lower:
-        return 0.0
-    if singular_lower:
-        if lower != 0.0:
-            raise InvalidParameterError(f"singular_lower needs lower == 0.0, got {lower!r}")
-        return quad_offset(f, upper, spec)
-    value, _ = _quad_smooth(f, lower, upper, spec)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Stable exponential windows
 # ---------------------------------------------------------------------------
@@ -513,13 +453,6 @@ def truncated_exponential_inverse_cdf(u, t: float):
     return -np.log1p(np.asarray(u) * np.expm1(-t))
 
 
-def sample_truncated_exponential(t: float, rng: RngStream, size=None):
-    """Draw from a rate-1 exponential conditioned to lie in (0, t)."""
-    u = rng.gen.random(size)
-    out = truncated_exponential_inverse_cdf(u, t)
-    return float(out) if size is None else out
-
-
 # ---------------------------------------------------------------------------
 # Mixed laws
 # ---------------------------------------------------------------------------
@@ -542,8 +475,7 @@ class Piece:
     mass is the density's exact integral, supplied in closed form by the
     constructors so normalization stays a testable property rather than
     something enforced by rescaling.  cdf is the absolute accumulated mass
-    on [lower, x]; inverse_cdf, when present, maps a piece-normalized
-    uniform to a point.
+    on [lower, x].
     """
 
     lower: float
@@ -553,7 +485,6 @@ class Piece:
     offset_density: Callable[[np.ndarray], np.ndarray]
     offset_side: str
     offset_width: float
-    inverse_cdf: Callable[[float], float] | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.lower < self.upper <= 1.0):
@@ -650,10 +581,10 @@ class MixedLaw:
         return self._sample_piece(self.pieces[-1], rng) if self.pieces else self.atoms[-1][0]
 
     def _sample_piece(self, pc: Piece, rng: RngStream) -> float:
-        v = rng.gen.random()
-        if pc.inverse_cdf is not None:
-            return pc.inverse_cdf(v)
-        target = v * pc.mass
+        """Invert the piece cdf at a uniform share of its mass by root finding."""
+        from scipy.optimize import brentq
+
+        target = rng.gen.random() * pc.mass
         fn = lambda x: pc.cdf(x) - target
         lo = np.nextafter(pc.lower, pc.upper)
         hi = np.nextafter(pc.upper, pc.lower)
@@ -661,4 +592,4 @@ class MixedLaw:
             return float(lo)
         if fn(hi) <= 0.0:
             return float(hi)
-        return float(scipy.optimize.brentq(fn, lo, hi, xtol=1e-14, rtol=8.9e-16))
+        return float(brentq(fn, lo, hi, xtol=1e-14, rtol=8.9e-16))

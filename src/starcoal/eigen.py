@@ -21,7 +21,7 @@ from .core import (
     TwoTypeParams,
     check_int,
     check_real,
-    quad,
+    quad_offset,
 )
 
 __all__ = [
@@ -250,7 +250,7 @@ def pv_expectation_g_q1_numeric(
             acc = acc * eta + c
         return a * eta ** (a - 1.0) * acc
 
-    return quad(integrand, 0.0, 1.0, spec, singular_lower=True)
+    return quad_offset(integrand, 1.0, spec)
 
 
 def stationary_expectation(params: TwoTypeParams, g: PolyRep) -> float:

@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, pdtrc, xlogy
 
 from .core import InvalidParameterError, RngStream, replacement_decay_integral
 from .core import check_int, check_real, check_size
@@ -249,19 +248,20 @@ def markov_line_kernel(mm: MutationMatrix, theta: float, t: float) -> np.ndarray
 
     Poisson-weighted powers of M with the weight tail kept below 1e-14;
     the weights are the Poisson pmf in log form, exp(k log lam - lam -
-    log k!), and the tail is scipy's Poisson survival function pdtrc, so
-    large theta t is safe.
+    log k!), and the tail beyond kmax > lam is held below 1e-14 by the
+    Chernoff bound exp(-lam + kmax (1 + log(lam / kmax))), so large
+    theta t is safe.
     """
     check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
     check_real("t", t, 0.0, math.inf, open_hi=True)
     lam = 0.5 * theta * t
     if lam == 0.0:
         return np.eye(mm.d)
+    log_lam = math.log(lam)
     kmax = max(20, int(lam + 12.0 * math.sqrt(lam) + 30.0))
-    while pdtrc(kmax, lam) > 1e-14:
+    while -lam + kmax * (1.0 + log_lam - math.log(kmax)) > math.log(1e-14):
         kmax *= 2
-    ks = np.arange(kmax + 1)
-    weights = np.exp(xlogy(ks, lam) - gammaln(ks + 1) - lam)
+    weights = [math.exp(k * log_lam - math.lgamma(k + 1) - lam) for k in range(kmax + 1)]
     out = np.zeros((mm.d, mm.d))
     power = np.eye(mm.d)
     for k in range(kmax + 1):

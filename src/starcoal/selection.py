@@ -38,7 +38,7 @@ from .core import (
     check_real,
     check_size,
     mean_se,
-    quad,
+    quad_offset,
 )
 from .twotype import PathRecord, TwoTypeParams, _jump_endpoints, _jump_path
 from .twotype import stationary_law as _neutral_stationary_law
@@ -312,8 +312,8 @@ def _skeleton_series(drift: DriftSpec) -> tuple[float, float]:
 
 def _skeleton_quadrature(drift: DriftSpec, spec: QuadSpec | None = None) -> tuple[float, float]:
     """Exp(1)-averaged endpoint flows as integrals over u = e^{-t}."""
-    p11 = quad(lambda u: _flow_array(drift, 1.0, -np.log(u)), 0.0, 1.0, spec, singular_lower=True)
-    p21 = quad(lambda u: _flow_array(drift, 0.0, -np.log(u)), 0.0, 1.0, spec, singular_lower=True)
+    p11 = quad_offset(lambda u: _flow_array(drift, 1.0, -np.log(u)), 1.0, spec)
+    p21 = quad_offset(lambda u: _flow_array(drift, 0.0, -np.log(u)), 1.0, spec)
     return p11, p21
 
 
@@ -482,11 +482,10 @@ def stationary_law(drift: DriftSpec) -> MixedLaw:
     """Stationary law as a MixedLaw, for the kinds with closed inverse flows.
 
     Neutral drift reuses the two-type law.  Mutation with selection splits
-    at the interior equilibrium r1: branch masses (pi2, pi1), exact cdfs
+    at the interior equilibrium r1: branch masses (pi2, pi1) and exact cdfs
     from the inverse flow (the factor e^{-t(xi)} is the decay term of the
-    density), and quantile functions that push an Exp(1) age through the
-    endpoint flows.  Each branch writes its density once, in the offset
-    from r1, since the absolute coordinate cannot resolve the factor
+    density).  Each branch writes its density once, in the offset from r1,
+    since the absolute coordinate cannot resolve the factor
     |xi - r1|^{1/g - 1} within an ulp of the root.  Custom drifts have no
     closed inverse and are served pointwise by stationary_density instead.
     """
@@ -515,18 +514,12 @@ def stationary_law(drift: DriftSpec) -> MixedLaw:
     def cdf_lo(z: float) -> float:
         return pi2 * (1.0 - ((r1 - z) * (-r2) / ((z - r2) * r1)) ** expo)
 
-    def inv_lo(v: float) -> float:
-        return flow(drift, 0.0, -math.log1p(-v))
-
     def dens_up_off(d: float) -> float:
         fwd = gap + d
         return pi1 * (d * (1.0 - r2) / (fwd * (1.0 - r1))) ** expo / (half_beta * d * fwd)
 
     def cdf_up(z: float) -> float:
         return pi1 * ((z - r1) * (1.0 - r2) / ((z - r2) * (1.0 - r1))) ** expo
-
-    def inv_up(v: float) -> float:
-        return flow(drift, 1.0, -math.log(v) if v > 0.0 else math.inf)
 
     return MixedLaw(
         atoms=(),
@@ -536,7 +529,6 @@ def stationary_law(drift: DriftSpec) -> MixedLaw:
                 upper=r1,
                 mass=pi2,
                 cdf=cdf_lo,
-                inverse_cdf=inv_lo,
                 offset_density=dens_lo_off,
                 offset_side="upper",
                 offset_width=r1,
@@ -546,7 +538,6 @@ def stationary_law(drift: DriftSpec) -> MixedLaw:
                 upper=1.0,
                 mass=pi1,
                 cdf=cdf_up,
-                inverse_cdf=inv_up,
                 offset_density=dens_up_off,
                 offset_side="lower",
                 offset_width=1.0 - r1,
@@ -581,16 +572,14 @@ def fixation_prob(beta: float, x: float, fixed_type: int) -> float:
     """Absorption probability under pure selection, no mutation.
 
     The frequency argument is the initial frequency of the queried type.
-    Type 1 (favoured): P1(x) = (2/beta) x int_0^1 z^{2/beta-1} dz /
-    (1 - (1-x)(1-z)); type 2 takes the complement form.  P1(x) + P2(1-x)
-    is identically 1.
-
-    Both sides of beta = 2 integrate the substituted form u = z^a, a = 2/beta:
-    x int_0^1 du / (x + (1-x) u^{1/a}), bounded by 1/x.  For a < 1 it is
-    smooth, with a layer of width about a below u = 1, and needs one plain
-    Gauss-Kronrod pass.  For a >= 1 the root u^{1/a} is singular at u = 0,
-    which gets the log-offset treatment; the layer sits at u ~ e^{-a}, so
-    weak selection (a huge) degrades gracefully to P1 = x.
+    With a = 2/beta, u = z^a and r = u^{1/a}, type 1 (favoured) fixes with
+    P1(x) = a x int_0^1 z^{a-1} dz / (1 - (1-x)(1-z)) = x int_0^1 du /
+    (x + (1-x) r) and type 2 with P2(y) = a y int_0^1 z^a dz /
+    (1 - y(1-z)) = y int_0^1 r du / (1 - y + y r).  These are two separate
+    integrals, so P1(x) + P2(1-x) = 1 holds only to quadrature accuracy.
+    For a >= 1 the root r is singular at u = 0, where the offsets start.
+    For a < 1 the layer of width about a below u = 1 is resolved by
+    offsets d from u = 1, with r = exp(log1p(-d) / a).
     """
     check_real("beta", beta, 0.0, math.inf, open_lo=True, open_hi=True)
     check_real("x", x, 0.0, 1.0)
@@ -602,13 +591,15 @@ def fixation_prob(beta: float, x: float, fixed_type: int) -> float:
         return 1.0
     a = 2.0 / beta
     inv_a = 1.0 / a
-    # the type-2 probability is 1 - (weighted integral with x and 1-x
-    # swapped), so both cases reduce to one kernel evaluation
-    w = 1.0 - x if fixed_type == 1 else x
-    integral = quad(lambda u: 1.0 / (1.0 - w + w * u**inv_a), 0.0, 1.0, singular_lower=a >= 1.0)
-    if fixed_type == 1:
-        return x * integral
-    return 1.0 - (1.0 - x) * integral
+    # x enters the denominator as itself: 1 - (1 - x) would carry the
+    # rounding of 1 - x, relative 1e-16 / x, wherever r is near 0.
+    lead, tail = (x, 1.0 - x) if fixed_type == 1 else (1.0 - x, x)
+
+    def kernel(d):
+        r = d**inv_a if a >= 1.0 else np.exp(inv_a * np.log1p(-d))
+        return (1.0 if fixed_type == 1 else r) / (lead + tail * r)
+
+    return x * quad_offset(kernel, 1.0)
 
 
 @dataclass(frozen=True)

@@ -244,14 +244,12 @@ def stationary_law(params: TwoTypeParams) -> MixedLaw:
     """
     theta, p, q = params.theta, params.p, 1.0 - params.p
     a = 2.0 / theta
-    half = 0.5 * theta
     pieces = (
         Piece(
             lower=p,
             upper=1.0,
             mass=p,
             cdf=lambda xi, _p=p, _a=a: _p * ((xi - _p) / (1.0 - _p)) ** _a,
-            inverse_cdf=lambda u, _p=p, _h=half: _p + (1.0 - _p) * u**_h,
             offset_density=lambda d: _branch_density(p, 0.0, 0.0, d / q, (q - d) / q, a, q),
             offset_side="lower",
             offset_width=q,
@@ -261,7 +259,6 @@ def stationary_law(params: TwoTypeParams) -> MixedLaw:
             upper=p,
             mass=q,
             cdf=lambda xi, _p=p, _a=a: (1.0 - _p) * (1.0 - (1.0 - xi / _p) ** _a),
-            inverse_cdf=lambda u, _p=p, _h=half: _p * (1.0 - (1.0 - u) ** _h),
             offset_density=lambda d: _branch_density(q, 0.0, 0.0, d / p, (p - d) / p, a, p),
             offset_side="upper",
             offset_width=p,
@@ -296,9 +293,14 @@ def stationary_sample(params: TwoTypeParams, rng: RngStream, size=None):
         eta = rng.gen.random() ** (0.5 * params.theta)
         base = params.p * (1.0 - eta)
         return base + eta if rng.gen.random() < params.p else base
-    eta = rng.gen.random(size) ** (0.5 * params.theta)
-    base = params.p * (1.0 - eta)
-    return np.where(rng.gen.random(size) < params.p, base + eta, base)
+    # Built in place: eta, the result and one block of uniforms are the
+    # only sample-sized arrays alive at once.
+    eta = rng.gen.random(size)
+    eta **= 0.5 * params.theta
+    out = 1.0 - eta
+    out *= params.p
+    np.add(out, eta, out=out, where=rng.gen.random(size) < params.p)
+    return out
 
 
 def _alternating_gap(p: float, m: int) -> float:
@@ -473,6 +475,13 @@ def path_endpoint_ensemble(
     return _jump_endpoints(lambda f, w: p + (f - p) * np.exp(decay * w), x, t, n_paths, rng)
 
 
+def _component_branch(weight, eh, shift, w, gap, u, k: int, theta_t: float, log_poisson: float):
+    """One branch of replacement_component_density, 2k (weight + shift eh / w)
+    u^(k-1) e^{log_poisson} / (theta t gap), gap = |xi - p|, at floats or
+    float ndarrays of w, gap and u."""
+    return (2.0 * k * (weight + shift * eh / w) / (theta_t * gap)) * u ** (k - 1) * math.exp(log_poisson)
+
+
 def replacement_component_density(
     params: TwoTypeParams, x: float, t: float, k: int, xi: float
 ) -> float:
@@ -493,11 +502,9 @@ def replacement_component_density(
     if xi > p + (1.0 - p) * eh and xi <= 1.0:
         w = (xi - p) / (1.0 - p)
         u = 1.0 + 2.0 * math.log(w) / (theta * t)
-        r1 = p + (x - p) * eh / w
-        return (2.0 * k * r1 / (theta * t * (xi - p))) * u ** (k - 1) * math.exp(log_poisson)
+        return _component_branch(p, eh, x - p, w, xi - p, u, k, theta * t, log_poisson)
     if 0.0 <= xi < p * -math.expm1(-0.5 * theta * t):
         v = 1.0 - xi / p
         u = 1.0 + 2.0 * math.log(v) / (theta * t)
-        r2 = 1.0 - p - (x - p) * eh / v
-        return (2.0 * k * r2 / (theta * t * (p - xi))) * u ** (k - 1) * math.exp(log_poisson)
+        return _component_branch(1.0 - p, eh, p - x, v, p - xi, u, k, theta * t, log_poisson)
     return 0.0

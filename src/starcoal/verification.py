@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import InvalidParameterError, RngStream, mean_se, mean_se_of_sums, quad, shifted_sums
+from .core import InvalidParameterError, RngStream, mean_se, mean_se_of_sums, quad_offset, shifted_sums
 from .eigen import (
     PolyRep,
     eigen_poly,
@@ -72,6 +72,7 @@ from .selection import stationary_density as selection_stationary_density
 from .selection import stationary_law as selection_stationary_law
 from .twotype import (
     TwoTypeParams,
+    _component_branch,
     _transition_from_uniforms,
     line_kernel,
     replacement_component_density,
@@ -361,8 +362,7 @@ def _suite_moment_duality(seed: int) -> list[CheckResult]:
 def _suite_replacement_parts(seed: int) -> list[CheckResult]:
     """Replacement-count components: pointwise sum and Poisson masses."""
     p, x = 0.3, 0.7
-    sum_dev = 0.0
-    mass_dev = 0.0
+    sums, masses = [], []
     for theta in (0.5, 2.0, 5.0):
         par = TwoTypeParams(theta=theta, p=p)
         for t in (0.5, 2.0):
@@ -375,17 +375,28 @@ def _suite_replacement_parts(seed: int) -> list[CheckResult]:
                 total = math.fsum(
                     replacement_component_density(par, x, t, k, xi) for k in range(1, 51)
                 )
-                sum_dev = max(sum_dev, abs(total - transition_density_eval(par, x, t, xi)))
+                sums.append((abs(total - transition_density_eval(par, x, t, xi)), (theta, t, xi)))
+            # Each branch integrated in the offset d from its gap edge, where
+            # w = eh + d / scale: edge + d would round back onto the edge.
+            upper, lower = (p, x - p, 1.0 - p, 1.0 - edge), (1.0 - p, p - x, p, top)
             for k in range(1, 11):
-                def f_k(xi: float, _k=k) -> float:
-                    return replacement_component_density(par, x, t, _k, xi)
+                log_poisson = k * math.log(t) - t - math.lgamma(k + 1.0)
+                mass = 0.0
+                for weight, shift, scale, width in (upper, lower):
+                    def f_k(d):
+                        u = 2.0 / (theta * t) * np.log1p(d / (scale * eh))
+                        w, gap = eh + d / scale, scale * eh + d
+                        return _component_branch(weight, eh, shift, w, gap, u, k, theta * t, log_poisson)
 
-                mass = quad(f_k, 0.0, top) + quad(f_k, edge, 1.0)
-                want = math.exp(k * math.log(t) - t - math.lgamma(k + 1.0))
-                mass_dev = max(mass_dev, abs(mass - want))
+                    mass += quad_offset(f_k, width)
+                masses.append((abs(mass - math.exp(log_poisson)), (theta, t, k)))
+    sum_dev, sum_where = max(sums, key=lambda g: g[0])
+    mass_dev, mass_where = max(masses, key=lambda g: g[0])
     return [
-        CheckResult("replacement-parts", "max |sum of 50 components - density|", sum_dev, 1e-8),
-        CheckResult("replacement-parts", "max |component mass - Poisson weight|, k <= 10", mass_dev, 1e-8),
+        CheckResult("replacement-parts", "max |sum of 50 components - density|", sum_dev, 1e-8, where=sum_where),
+        CheckResult(
+            "replacement-parts", "max |component mass - Poisson weight|, k <= 10", mass_dev, 1e-8, where=mass_where
+        ),
     ]
 
 
@@ -500,12 +511,11 @@ def _suite_selection(seed: int) -> list[CheckResult]:
     ln2_dev = abs(fixation_prob(2.0, 0.5, 1) - math.log(2.0))
     # fixed_type names whose initial frequency x is; the complementary
     # event starts the other type at 1 - x.
-    comp_dev = 0.0
-    for beta in (0.5, 2.0, 5.0):
-        for x in (0.1, 0.5, 0.9):
-            comp_dev = max(
-                comp_dev, abs(fixation_prob(beta, x, 1) + fixation_prob(beta, 1.0 - x, 2) - 1.0)
-            )
+    comp_dev, comp_where = max(
+        ((abs(fixation_prob(beta, x, 1) + fixation_prob(beta, 1.0 - x, 2) - 1.0), (beta, x))
+         for beta in (0.5, 2.0, 5.0) for x in (0.1, 0.5, 0.9)),
+        key=lambda g: g[0],
+    )
 
     weak = mutation_selection_drift(1.0, 0.3, 1e-6)
     neutral = neutral_drift(1.0, 0.3)
@@ -527,7 +537,7 @@ def _suite_selection(seed: int) -> list[CheckResult]:
         CheckResult("selection", "max |law density - direct density|", point_dev, 1e-12),
         CheckResult("selection", "max |custom-drift density - closed form|", custom_dev, 1e-8),
         CheckResult("selection", "|fixation(1/2, beta=2) - ln 2|", ln2_dev, 1e-8),
-        CheckResult("selection", "max |P_fix(1) + P_fix(2) - 1|", comp_dev, 1e-10),
+        CheckResult("selection", "max |P_fix(1) + P_fix(2) - 1|", comp_dev, 1e-10, where=comp_where),
         CheckResult("selection", "max neutral-limit gap at beta = 1e-6", limit_dev, 1e-4),
     ]
 

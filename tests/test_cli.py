@@ -364,6 +364,16 @@ def test_simulate_fv_rejects_infinite_time():
     assert proc.stderr.startswith("error: ")
 
 
+def test_import_loads_no_scipy():
+    # scipy is imported on first use only, so the package and its command
+    # line start on numpy alone.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    code = "import sys, starcoal, starcoal.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_out_file_matches_stdout(capsys, tmp_path):
     argv = ["eigen", "--theta", "1.7", "--p", "0.25", "--n", "5"]
     rc, stdout_text, _ = run_cli(capsys, argv)

@@ -16,10 +16,8 @@ from starcoal.core import (
     TwoTypeParams,
     exp_decay_window,
     mean_se,
-    quad,
     quad_offset,
     replacement_decay_integral,
-    sample_truncated_exponential,
     truncated_exponential_inverse_cdf,
 )
 from starcoal.selection import mutation_selection_drift
@@ -52,22 +50,15 @@ def test_rng_stream_reproducible_and_sharded():
 
 
 def test_quad_smooth_and_singular():
-    assert quad(math.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, abs=1e-12)
-    # Integrable blow-ups at a lower end of 0 go to quad_offset, which hands
-    # the integrand float ndarrays.
-    assert quad(lambda z: z**-0.5, 0.0, 1.0, singular_lower=True) == pytest.approx(
-        2.0, abs=1e-10
-    )
-    assert quad(lambda z: -np.log(z), 0.0, 1.0, singular_lower=True) == pytest.approx(
-        1.0, abs=1e-10
-    )
+    # One rule integrates smooth integrands and integrable blow-ups at the
+    # offset origin alike, handing the integrand float ndarrays.
+    assert quad_offset(np.exp, 1.0) == pytest.approx(math.e - 1.0, abs=1e-12)
+    assert quad_offset(lambda z: z**-0.5, 1.0) == pytest.approx(2.0, abs=1e-10)
+    assert quad_offset(lambda z: -np.log(z), 1.0) == pytest.approx(1.0, abs=1e-10)
     # Upper blow-ups are written as offsets from the upper end.
     assert quad_offset(lambda d: 0.8 * d**-0.2, 1.0) == pytest.approx(1.0, abs=1e-10)
-    assert quad_offset(lambda d: d**-0.5, 1.0) == pytest.approx(2.0, abs=1e-10)
     with pytest.raises(InvalidParameterError):
-        quad(math.exp, 1.0, 0.0)
-    with pytest.raises(InvalidParameterError):
-        quad(lambda z: z**-0.5, 0.5, 1.0, singular_lower=True)
+        quad_offset(np.exp, -1.0)
 
 
 def test_quad_offset_power_law():
@@ -128,17 +119,6 @@ def test_truncated_exponential_round_trip():
         truncated_exponential_inverse_cdf(0.5, 0.0)
 
 
-def test_sample_truncated_exponential_matches_cdf():
-    rng = RngStream(7, 0)
-    t = 1.7
-    draws = sample_truncated_exponential(t, rng, size=20_000)
-    assert float(draws.max()) < t
-    from scipy.stats import kstest
-
-    norm = -math.expm1(-t)
-    assert kstest(draws, lambda s: -np.expm1(-s) / norm).pvalue > 0.01
-
-
 def _toy_law() -> MixedLaw:
     piece = Piece(
         lower=0.0,
@@ -148,7 +128,6 @@ def _toy_law() -> MixedLaw:
         offset_density=lambda d: np.full_like(d, 1.5),
         offset_side="lower",
         offset_width=0.5,
-        inverse_cdf=lambda v: 0.5 * v,
     )
     return MixedLaw(atoms=((0.5, 0.25),), pieces=(piece,))
 

