@@ -184,6 +184,18 @@ def roots(theta: float, beta: float, p: float) -> RootPair:
     return RootPair(theta=theta, beta=beta, p=p, r1=r1, r2=r2)
 
 
+def _flow_trajectory(sol, drift: DriftSpec, chi0: float, t: float) -> np.ndarray:
+    """The frequency row of a solve_ivp solution for the flow from chi0 run
+    to time t, or DomainEscapeError naming chi0, t and the drift kind."""
+    inputs = f"chi0 = {chi0!r}, t = {t!r}, {drift.kind} drift"
+    if not sol.success:
+        raise DomainEscapeError(f"flow integration failed ({inputs}): {sol.message}")
+    traj = sol.y[0]
+    if np.any(traj < -1e-9) or np.any(traj > 1.0 + 1e-9):
+        raise DomainEscapeError(f"custom drift pushed the flow outside [0, 1] ({inputs})")
+    return traj
+
+
 def _ode_flow(drift: DriftSpec, chi0: float, t: float) -> float:
     from scipy.integrate import solve_ivp
 
@@ -199,11 +211,7 @@ def _ode_flow(drift: DriftSpec, chi0: float, t: float) -> float:
         atol=1e-13,
         max_step=max_step,
     )
-    if not sol.success:
-        raise DomainEscapeError(f"flow integration failed: {sol.message}")
-    traj = sol.y[0]
-    if np.any(traj < -1e-9) or np.any(traj > 1.0 + 1e-9):
-        raise DomainEscapeError("custom drift pushed the flow outside [0, 1]")
+    traj = _flow_trajectory(sol, drift, chi0, t)
     return min(1.0, max(0.0, float(traj[-1])))
 
 
@@ -340,11 +348,7 @@ def _skeleton_ode(drift: DriftSpec) -> tuple[float, float]:
             atol=1e-13,
             max_step=min(1.0, 1.0 / max(drift.lipschitz, 1e-12)),
         )
-        if not sol.success:
-            raise DomainEscapeError(f"flow integration failed: {sol.message}")
-        traj = sol.y[0]
-        if np.any(traj < -1e-9) or np.any(traj > 1.0 + 1e-9):
-            raise DomainEscapeError("custom drift pushed the flow outside [0, 1]")
+        traj = _flow_trajectory(sol, drift, chi0, horizon)
         out.append(float(sol.y[1][-1]) + math.exp(-horizon) * float(traj[-1]))
     return out[0], out[1]
 

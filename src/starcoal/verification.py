@@ -18,11 +18,14 @@ seed either passes forever or fails forever.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -129,18 +132,27 @@ _THETA_GRID = (0.5, 1.0, 2.0, 5.0)
 _P_GRID = (0.1, 0.5, 0.9)
 
 
+def _worst(gaps) -> tuple[float, tuple]:
+    """The (residual, grid point) pair with the largest residual, the
+    first such pair on ties."""
+    return max(gaps, key=lambda g: g[0])
+
+
 def _suite_transition_mass(seed: int) -> list[CheckResult]:
     """Total transition mass (atom plus both density pieces) equals 1."""
-    worst = 0.0
+    gaps = []
     for theta in _THETA_GRID:
         for p in _P_GRID:
             par = TwoTypeParams(theta=theta, p=p)
             for t in (0.1, 1.0, 10.0):
                 for x in (0.0, 0.3, 1.0):
                     law = transition_law(par, x, t)
-                    worst = max(worst, abs(law.quadrature_mass() - 1.0))
+                    gaps.append((abs(law.quadrature_mass() - 1.0), (theta, p, t, x)))
+    worst, where = _worst(gaps)
     return [
-        CheckResult("transition-mass", "max |quadrature mass - 1| over parameter grid", worst, 1e-10)
+        CheckResult(
+            "transition-mass", "max |quadrature mass - 1| over parameter grid", worst, 1e-10, where=where
+        )
     ]
 
 
@@ -192,22 +204,23 @@ def _cell_draws(par: TwoTypeParams, x: float, t: float, rng: RngStream, size: in
         yield _transition_from_uniforms(par, x, t, *(g.random(m) for g in gens))
 
 
-def _suite_transition_moments(seed: int) -> list[CheckResult]:
+_MOMENT_CELLS = tuple(itertools.product(_THETA_GRID, _P_GRID, (0.1, 1.0, 10.0), (0.0, 0.3, 1.0)))
+
+
+def _suite_transition_moments(seed: int, pool) -> Callable[[], list[CheckResult]]:
     """Analytic transition moments against ensemble averages, n <= 4.
 
-    Cell k of the grid draws, in blocks, exactly what the k-th of a run of
-    sample_transition calls of 1e6 draws would, so the cells run on a
-    thread pool whose size does not change the result.  Sums are taken
-    about each power's mean over the first block.
+    Submits one task per grid cell to pool and returns the function that
+    collects them into the check.  Cell k draws, in blocks, exactly what
+    the k-th of a run of sample_transition calls of 1e6 draws would, so
+    neither the pool size nor what runs beside the cells changes the
+    result.  Sums are taken about each power's mean over the first block.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     rng = RngStream(seed, _STREAM["transition-moments"])
     n_mc = 1_000_000
-    cells = list(itertools.product(_THETA_GRID, _P_GRID, (0.1, 1.0, 10.0), (0.0, 0.3, 1.0)))
 
     def gaps(k: int) -> list[tuple[float, tuple]]:
-        theta, p, t, x = cells[k]
+        theta, p, t, x = _MOMENT_CELLS[k]
         par = TwoTypeParams(theta=theta, p=p)
         shifts, sums = [], np.zeros((4, 2))
         for draws in _cell_draws(par, x, t, rng, n_mc, k):
@@ -225,19 +238,22 @@ def _suite_transition_moments(seed: int) -> list[CheckResult]:
             out.append((abs(mean - transition_moment(par, n, x, t)) / se, (theta, p, t, x, n)))
         return out
 
-    with ThreadPoolExecutor(_workers(len(cells))) as pool:
-        results = [g for cell in pool.map(gaps, range(len(cells))) for g in cell]
-    worst, where = max(results, key=lambda g: g[0])
-    return [
-        CheckResult(
-            "transition-moments", "max |mc - analytic| in SE units, n <= 4", worst, 4.0, where=where
-        )
-    ]
+    futures = [pool.submit(gaps, k) for k in range(len(_MOMENT_CELLS))]
+
+    def collect() -> list[CheckResult]:
+        worst, where = _worst(g for f in futures for g in f.result())
+        return [
+            CheckResult(
+                "transition-moments", "max |mc - analytic| in SE units, n <= 4", worst, 4.0, where=where
+            )
+        ]
+
+    return collect
 
 
 def _suite_eigen_equation(seed: int) -> list[CheckResult]:
     """Generator applied to an eigenpolynomial is -eigenvalue times it."""
-    worst = 0.0
+    gaps = []
     for theta in _THETA_GRID:
         for p in _P_GRID:
             par = TwoTypeParams(theta=theta, p=p)
@@ -248,17 +264,18 @@ def _suite_eigen_equation(seed: int) -> list[CheckResult]:
                 res = max(
                     abs(h.coefficient(k) + lam * g.coefficient(k)) for k in range(14)
                 )
-                worst = max(worst, res)
+                gaps.append((res, (theta, p, n)))
+    worst, where = _worst(gaps)
     return [
-        CheckResult("eigen-equation", "max coefficient residual, n <= 12", worst, 1e-12)
+        CheckResult("eigen-equation", "max coefficient residual, n <= 12", worst, 1e-12, where=where)
     ]
 
 
 def _suite_expansion(seed: int) -> list[CheckResult]:
     """Spectral expansion of E[g(xi_t)] against the binomial moment route."""
     gen = RngStream(seed, _STREAM["expansion"])
-    worst = 0.0
-    for _ in range(20):
+    gaps = []
+    for i in range(20):
         coeffs = tuple(float(c) for c in gen.uniform(-1.0, 1.0, size=9))
         g = PolyRep(0.0, coeffs)
         for theta, p in ((0.5, 0.3), (2.0, 0.7)):
@@ -270,19 +287,18 @@ def _suite_expansion(seed: int) -> list[CheckResult]:
                         centered[k] * transition_moment(par, k, x, t) for k in range(9)
                     )
                     via = expansion_expectation(par, g, x, t)
-                    worst = max(worst, abs(via - direct))
+                    gaps.append((abs(via - direct), (i, theta, p, x, t)))
+    worst, where = _worst(gaps)
     return [
         CheckResult(
-            "expansion", "max |spectral - moment route|, 20 random degree-8 g", worst, 1e-10
+            "expansion", "max |spectral - moment route|, 20 random degree-8 g", worst, 1e-10, where=where
         )
     ]
 
 
 def _suite_pairing(seed: int) -> list[CheckResult]:
     """Biorthogonality of the eigenpolynomials under both pairings."""
-    pair_dev = 0.0
-    pv_dev = 0.0
-    pv_split = 0.0
+    pairs, pvs, splits = [], [], []
     for theta in _THETA_GRID:
         for p in _P_GRID:
             par = TwoTypeParams(theta=theta, p=p)
@@ -290,15 +306,16 @@ def _suite_pairing(seed: int) -> list[CheckResult]:
                 gm = eigen_poly(par, m)
                 for n in range(2, 13):
                     want = 1.0 if n == m else 0.0
-                    pair_dev = max(pair_dev, abs(hyper_pairing(gm, n) - want))
+                    pairs.append((abs(hyper_pairing(gm, n) - want), (theta, p, m, n)))
                 want = 1.0 if m == 1 else 0.0
                 exact = pv_expectation_g_q1(par, gm)
-                pv_dev = max(pv_dev, abs(exact - want))
-                pv_split = max(pv_split, abs(pv_expectation_g_q1_numeric(par, gm) - exact))
+                pvs.append((abs(exact - want), (theta, p, m)))
+                splits.append((abs(pv_expectation_g_q1_numeric(par, gm) - exact), (theta, p, m)))
+    (pair_dev, pair_where), (pv_dev, pv_where), (pv_split, split_where) = map(_worst, (pairs, pvs, splits))
     return [
-        CheckResult("pairing", "max |<P_m, dual_n> - delta_mn|, m, n <= 12", pair_dev, 1e-12),
-        CheckResult("pairing", "max |principal-value pairing - delta_m1|", pv_dev, 1e-12),
-        CheckResult("pairing", "max |numeric pv route - exact pv route|", pv_split, 1e-10),
+        CheckResult("pairing", "max |<P_m, dual_n> - delta_mn|, m, n <= 12", pair_dev, 1e-12, where=pair_where),
+        CheckResult("pairing", "max |principal-value pairing - delta_m1|", pv_dev, 1e-12, where=pv_where),
+        CheckResult("pairing", "max |numeric pv route - exact pv route|", pv_split, 1e-10, where=split_where),
     ]
 
 
@@ -311,7 +328,7 @@ def _suite_line_spectral(seed: int) -> list[CheckResult]:
                 direct = an_distribution(n, theta, t).probs
                 spectral = an_distribution_spectral(n, theta, t).probs
                 gaps.append((max(abs(a - b) for a, b in zip(direct, spectral)), (n, theta, t)))
-    worst, where = max(gaps, key=lambda g: g[0])
+    worst, where = _worst(gaps)
     zero_dev = 0.0
     for theta in (0.5, 2.0, 5.0):
         for n in range(1, 21):
@@ -335,7 +352,7 @@ def _suite_absorption_time(seed: int) -> list[CheckResult]:
         for theta in (1.0, 2.0, 5.0):
             mean, se = mean_se(absorption_time_ensemble(n, theta, size, rng))
             gaps.append((abs(mean - mean_absorption_time(n, theta)) / se, (n, theta)))
-    worst, where = max(gaps, key=lambda g: g[0])
+    worst, where = _worst(gaps)
     return [
         CheckResult("absorption-time", "|mean(2, theta=2) - 4/3|", exact_dev, 0.0),
         CheckResult("absorption-time", "max |mc - exact| in SE units, 1e5 paths", worst, 3.0, where=where),
@@ -351,7 +368,7 @@ def _suite_moment_duality(seed: int) -> list[CheckResult]:
         for n in range(1, 5):
             lhs, rhs, se = duality_check(par, n, x, t, 1_000_000, rng)
             gaps.append((abs(lhs - rhs) / se, (theta, p, x, t, n)))
-    worst, where = max(gaps, key=lambda g: g[0])
+    worst, where = _worst(gaps)
     return [
         CheckResult(
             "moment-duality", "max |analytic - mc| in SE units, n <= 4, 1e6 paths", worst, 4.0, where=where
@@ -390,8 +407,8 @@ def _suite_replacement_parts(seed: int) -> list[CheckResult]:
 
                     mass += quad_offset(f_k, width)
                 masses.append((abs(mass - math.exp(log_poisson)), (theta, t, k)))
-    sum_dev, sum_where = max(sums, key=lambda g: g[0])
-    mass_dev, mass_where = max(masses, key=lambda g: g[0])
+    sum_dev, sum_where = _worst(sums)
+    mass_dev, mass_where = _worst(masses)
     return [
         CheckResult("replacement-parts", "max |sum of 50 components - density|", sum_dev, 1e-8, where=sum_where),
         CheckResult(
@@ -511,10 +528,9 @@ def _suite_selection(seed: int) -> list[CheckResult]:
     ln2_dev = abs(fixation_prob(2.0, 0.5, 1) - math.log(2.0))
     # fixed_type names whose initial frequency x is; the complementary
     # event starts the other type at 1 - x.
-    comp_dev, comp_where = max(
-        ((abs(fixation_prob(beta, x, 1) + fixation_prob(beta, 1.0 - x, 2) - 1.0), (beta, x))
-         for beta in (0.5, 2.0, 5.0) for x in (0.1, 0.5, 0.9)),
-        key=lambda g: g[0],
+    comp_dev, comp_where = _worst(
+        (abs(fixation_prob(beta, x, 1) + fixation_prob(beta, 1.0 - x, 2) - 1.0), (beta, x))
+        for beta in (0.5, 2.0, 5.0) for x in (0.1, 0.5, 0.9)
     )
 
     weak = mutation_selection_drift(1.0, 0.3, 1e-6)
@@ -581,6 +597,7 @@ def _suite_asg(seed: int) -> list[CheckResult]:
     ]
 
 
+# transition-moments alone takes (seed, pool) and returns its collector; see run_suites.
 _SUITES = (
     ("transition-mass", _suite_transition_mass),
     ("uniform-stationary", _suite_uniform_stationary),
@@ -601,7 +618,15 @@ SUITE_NAMES = tuple(name for name, _ in _SUITES)
 
 
 def run_suites(names=None, seed: int = 0) -> list[CheckResult]:
-    """Run the requested suites in registry order.
+    """Run the requested suites and return their checks in registry order.
+
+    When transition-moments is requested, its grid cells go to a thread
+    pool first; the calling thread then runs the other requested suites in
+    registry order while the cells draw, and collects the cells last.  No
+    other suite leaves the calling thread.  Each suite draws only from its
+    own substream of seed, so neither the pool size nor the choice of
+    suites changes any result.  Freed heap goes back to the OS before the
+    results are returned.
 
     Args:
         names: iterable of suite names, or None / "all" for every suite.
@@ -612,7 +637,11 @@ def run_suites(names=None, seed: int = 0) -> list[CheckResult]:
 
     Raises:
         InvalidParameterError: an unknown suite name was requested.
+        Whatever a suite or a transition-moments cell raises, once the
+        cells not yet started are cancelled and the running ones finish.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if names is None or names == "all":
         wanted = set(SUITE_NAMES)
     else:
@@ -620,11 +649,31 @@ def run_suites(names=None, seed: int = 0) -> list[CheckResult]:
         unknown = wanted.difference(SUITE_NAMES)
         if unknown:
             raise InvalidParameterError(f"unknown suite names: {sorted(unknown)}")
-    results: list[CheckResult] = []
-    for name, fn in _SUITES:
-        if name in wanted:
-            results.extend(fn(seed))
-    return results
+    pool = ThreadPoolExecutor(_workers(len(_MOMENT_CELLS))) if "transition-moments" in wanted else None
+    try:
+        collect = dict(_SUITES)["transition-moments"](seed, pool) if pool is not None else None
+        done = {name: fn(seed) for name, fn in _SUITES if name in wanted and name != "transition-moments"}
+        if collect is not None:
+            done["transition-moments"] = collect()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    _release_freed_heap()
+    return [r for name, _ in _SUITES if name in done for r in done[name]]
+
+
+def _release_freed_heap() -> None:
+    """Return the C heap's free pages to the OS, where glibc's malloc_trim exists.
+
+    Once an 8 MB array (1e6 draws) has been freed, glibc serves smaller
+    arrays from its heap and trims the heap only when 16 MB lie free at its
+    top, so the asg suite's 1.6 MB temporaries would stay resident, about
+    14 MB, after the battery.
+    """
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None) if sys.platform == "linux" else None
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+        trim(0)
 
 
 def format_report(results) -> str:

@@ -248,9 +248,13 @@ def test_stationary_density_rejects_non_monotone_custom():
 
 
 def test_flow_escape_detection():
+    # Both ODE routes name the start, the time and the drift kind: the flow
+    # at its own t, the stationary skeleton at its horizon of 45.
     sinking = custom_drift(lambda y: -1.0, 0.1)
-    with pytest.raises(DomainEscapeError):
+    with pytest.raises(DomainEscapeError, match=r"\(chi0 = 0\.5, t = 5\.0, custom drift\)"):
         flow(sinking, 0.5, 5.0)
+    with pytest.raises(DomainEscapeError, match=r"\(chi0 = 1\.0, t = 45\.0, custom drift\)"):
+        skeleton_matrix(sinking)
 
 
 def test_stationary_law_structure():

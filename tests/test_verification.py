@@ -2,14 +2,19 @@
 
 The individual identities behind each suite are exercised in the module
 tests; here we only make sure the registry, the pass/fail bookkeeping,
-and the stable report rendering behave, using the cheap deterministic
-suites plus one small Monte Carlo suite run twice, and that the threaded
-transition-moments suite draws exactly what a sequential run would.
+the stable report rendering and the worst-point `where` fields behave,
+using the cheap deterministic suites plus one small Monte Carlo suite run
+twice.  The transition-moments cells run on a thread pool while the
+calling thread runs the other suites: these tests check that the cells
+draw exactly what a sequential run would, that the results keep registry
+order and do not depend on the pool size, and that an error in a suite
+or a cell propagates and leaves no pool thread behind.
 """
 
 import dataclasses
 import math
 import sys
+import threading
 import types
 from concurrent.futures import ThreadPoolExecutor
 
@@ -17,7 +22,7 @@ import numpy as np
 import pytest
 
 from starcoal import verification
-from starcoal.core import InvalidParameterError, RngStream
+from starcoal.core import InvalidParameterError, RngStream, StarcoalError
 from starcoal.twotype import TwoTypeParams, sample_transition
 from starcoal.verification import (
     SUITE_NAMES,
@@ -58,11 +63,21 @@ def test_check_result_pass_logic():
 
 
 def test_deterministic_suites_pass():
-    results = run_suites(["eigen-equation", "line-spectral"], seed=0)
-    assert results
-    assert {r.suite for r in results} == {"eigen-equation", "line-spectral"}
+    suites = ["transition-mass", "eigen-equation", "expansion", "pairing", "line-spectral"]
+    results = run_suites(suites, seed=0)
+    assert [r.suite for r in results] == suites[:3] + ["pairing"] * 3 + ["line-spectral"] * 2
     for r in results:
         assert r.passed, f"{r.suite}/{r.name}: {r.observed} vs {r.bound}"
+    # Every residual check names its worst grid point; the t = 0 line-spectral
+    # check, an exact identity, does not.
+    mass, eigen, expansion, pair, pv, split = (r.where for r in results[:6])
+    assert mass[:2] in {(theta, p) for theta in (0.5, 1.0, 2.0, 5.0) for p in (0.1, 0.5, 0.9)}
+    assert mass[2] in (0.1, 1.0, 10.0) and mass[3] in (0.0, 0.3, 1.0)
+    assert len(eigen) == 3 and eigen[2] in range(13)
+    assert expansion[0] in range(20) and expansion[1:3] in {(0.5, 0.3), (2.0, 0.7)}
+    assert pair[2] in range(1, 13) and pair[3] in range(2, 13)
+    assert len(pv) == len(split) == 3
+    assert results[6].where is not None and results[7].where is None
 
 
 def test_monte_carlo_suite_repeatable():
@@ -136,12 +151,15 @@ def test_blocked_cell_draws_equal_sequential_sampler():
     assert rng.gen.random() == RngStream(11, 300).gen.random()
 
 
-def test_transition_moments_independent_of_thread_count(monkeypatch):
+def test_results_independent_of_pool_size_and_in_registry_order(monkeypatch):
+    # absorption-time runs on the calling thread while the cells draw.
     monkeypatch.setattr(verification, "_workers", lambda tasks: 1)
-    one = run_suites(["transition-moments"], seed=3)
+    one = run_suites(["absorption-time", "transition-moments"], seed=3)
     monkeypatch.setattr(verification, "_workers", lambda tasks: 2)
-    two = run_suites(["transition-moments"], seed=3)
+    two = run_suites(["transition-moments", "absorption-time"], seed=3)
     assert one == two
+    assert [r.suite for r in one] == ["transition-moments", "absorption-time", "absorption-time"]
+    assert one[1:] == run_suites(["absorption-time"], seed=3)
     theta, p, t, x, n = one[0].where
     assert (theta, p, t, x, n) in {
         (theta_, p_, t_, x_, n_)
@@ -151,6 +169,25 @@ def test_transition_moments_independent_of_thread_count(monkeypatch):
         for x_ in (0.0, 0.3, 1.0)
         for n_ in range(1, 5)
     }
+
+
+def _raise(*args):
+    raise StarcoalError("planted failure")
+
+
+@pytest.mark.parametrize("where", ["suite", "cell"])
+def test_error_propagates_and_pool_shuts_down(monkeypatch, where):
+    # A cheap suite on the calling thread, or every transition-moments cell,
+    # raises; run_suites re-raises it and leaves no pool thread running.
+    if where == "suite":
+        suites = tuple((name, _raise if name == "eigen-equation" else fn) for name, fn in verification._SUITES)
+        monkeypatch.setattr(verification, "_SUITES", suites)
+    else:
+        monkeypatch.setattr(verification, "_transition_from_uniforms", _raise)
+    before = threading.active_count()
+    with pytest.raises(StarcoalError, match="planted failure"):
+        run_suites(["transition-moments", "eigen-equation"], seed=0)
+    assert threading.active_count() == before
 
 
 def test_where_in_line_spectral_and_absorption_time(monkeypatch):
