@@ -11,7 +11,10 @@ raises QuadratureError.  There is one integrator, quad_offset: a vectorized
 Gauss-Kronrod rule in the log of the distance from one end of the
 interval, which calls its integrand on float ndarrays.  It resolves the
 power-law endpoint singularities and boundary layers these laws produce,
-and integrates smooth integrands as well.  Importing this module loads
+and integrates smooth integrands as well.  It marches outward in that log
+until a tail bound fitted to the integrand's decay falls below 2^-70 of
+the value, or down to offsets of 1e-250 times the width, where the bound
+must stay within half the tolerance.  Importing this module loads
 numpy but no scipy; MixedLaw.sample imports scipy's root finder on first
 use.
 
@@ -304,6 +307,11 @@ _GK_X = np.concatenate([-_GK_HALF, _GK_HALF[-2::-1]])
 _GK_WK = np.concatenate([_WK_HALF, _WK_HALF[-2::-1]])
 _GK_WKG = _GK_WK - np.concatenate([_WG_HALF, _WG_HALF[-2::-1]])
 _GRADE = 8.0 ** np.arange(-18, 0)  # quad_offset's first panel edges, in steps
+_EDGES = np.concatenate([[0.0], _GRADE, np.arange(1.0, 193.0)])  # all, to the deepest floor (192 steps)
+# quad_offset's first pass, to s = 18 steps (about 54), and the share of
+# its value below which a fitted tail stops the march.  Passes add panels
+# in fours, OpenBLAS's gemv row block, so each sums as in one full pass.
+_PROBE, _TAIL_SHARE = _GRADE.size + 18, 2.0**-70
 
 
 def _offset_panels(f_off, width: float, lo: np.ndarray, half: np.ndarray):
@@ -328,6 +336,25 @@ def _offset_panels(f_off, width: float, lo: np.ndarray, half: np.ndarray):
     return half * (g @ _GK_WK), np.abs(half * (g @ _GK_WKG)), g
 
 
+def _tail_fit(nodes: list[float], span: float, value: float) -> tuple[float, float, float]:
+    """Fit |g| ~ e^{-k s} across one panel from g at its 21 nodes, the outermost span apart.
+
+    Returns k, the bound |g(s_end)| / k on the mass beyond the panel, and
+    how much further in s that bound falls below _TAIL_SHARE of |value|: 0
+    if it is below already, inf if |g| does not decay or strays from the fit
+    by over a factor 2 at the middle node, as it does near a root.
+    """
+    inner, mid, outer = abs(nodes[0]), abs(nodes[10]), abs(nodes[-1])
+    rate = (math.log(inner) - math.log(outer)) / span if min(inner, outer) > 0.0 else -math.inf
+    tail = outer / rate if rate > 0.0 else math.inf if outer else 0.0
+    share = _TAIL_SHARE * abs(value)
+    if mid > 2.0 * math.sqrt(inner) * math.sqrt(outer):
+        return rate, tail, math.inf
+    if tail <= share:
+        return rate, tail, 0.0
+    return rate, tail, math.log(tail / share) / rate if rate > 0.0 and share > 0.0 else math.inf
+
+
 def quad_offset(f_off, width: float, spec: QuadSpec | None = None) -> float | tuple[float, ...]:
     """Integrate f_off(delta) for delta in (0, width], delta measured from 0.
 
@@ -337,13 +364,16 @@ def quad_offset(f_off, width: float, spec: QuadSpec | None = None) -> float | tu
     resolved far below one ulp of the endpoint's absolute position.  The
     substitution delta = width * e^{-s} turns a power law d^(k-1) into
     g(s) = f_off(delta) delta ~ e^{-k s}, which 21-point Gauss-Kronrod panels
-    of width about 3, graded geometrically toward s = 0, integrate over s
-    in [0, depth], down to the floor delta = 1e-250 * width.  f_off
-    receives every node of a pass at once as a float ndarray.  The error of
-    a panel is taken as |Kronrod - Gauss|; while their sum exceeds half the
-    tolerance, the panels that carry the excess are bisected and evaluated
-    again.  The mass below the floor is bounded from the decay of |g|
-    across the deepest panel, not added.  An f_off that stacks m > 1
+    of width about 3, graded geometrically toward s = 0, integrate.  The
+    panels march outward in s.  The first pass reaches s of about 54, and
+    the mass beyond the deepest panel is bounded by fitting |g| ~ e^{-k s}
+    across it.  Where that bound exceeds 2^-70 of the value, the next pass
+    goes straight to the depth the fit says is enough, at most the floor
+    delta = 1e-250 * width; there the bound is not added but must stay
+    within half the tolerance.  f_off receives every node of a pass at once
+    as a float ndarray.  The error of a panel is taken as |Kronrod - Gauss|;
+    while their sum exceeds half the tolerance, the panels that carry the
+    excess are bisected and evaluated again.  An f_off that stacks m > 1
     integrands on a leading axis gets m values from shared nodes, a panel
     being bisected while any of them misses its own tolerance.
 
@@ -359,15 +389,27 @@ def quad_offset(f_off, width: float, spec: QuadSpec | None = None) -> float | tu
     floor = max(64.0 * 5e-324, width * 1e-250)
     depth = max(math.log(width / floor), 3.0)
     count = math.ceil(depth / 3.0)
-    step = depth / count
     # The first panel is graded toward s = 0, down to the float resolution
     # of offsets near width: a density that piles up at the far end of the
     # piece, like a w^(a-1) for large a, holds its mass within 1/a of s = 0,
     # where panels of width 3 would place no node.
-    edges = np.concatenate([[0.0], step * _GRADE, step * np.arange(1, count + 1)])
-    lo, half = edges[:-1], 0.5 * (edges[1:] - edges[:-1])
+    edges = depth / count * _EDGES[: _GRADE.size + count + 1]
+    halves = 0.5 * (edges[1:] - edges[:-1])
+    # March outward in s from the first _PROBE panels, on to the depth where
+    # every row's fitted tail falls below its share, at most to the floor.
+    end = min(_PROBE, halves.size)
+    lo, half = edges[:end], halves[:end]
     kron, err, g = _offset_panels(f_off, width, lo, half)
-    span = 2.0 * float(half[-1] * _GK_X[-1])
+    while True:
+        span = 2.0 * float(half[-1] * _GK_X[-1])
+        fits = [_tail_fit(gi[-1].tolist(), span, math.fsum(row)) for gi, row in zip(g, kron.tolist())]
+        more = max(fit[2] for fit in fits)
+        if end == halves.size or not more:
+            break
+        new = min(halves.size, end + 4 * math.ceil((int(np.searchsorted(edges, edges[end] + more)) - end) / 4))
+        new_kron, new_err, g = _offset_panels(f_off, width, edges[end:new], halves[end:new])
+        lo, half, end = edges[:new], halves[:new], new
+        kron, err = np.concatenate([kron, new_kron], 1), np.concatenate([err, new_err], 1)
     budget = spec.max_subdivisions
     while True:
         values = [math.fsum(row) for row in kron.tolist()]
@@ -393,12 +435,7 @@ def quad_offset(f_off, width: float, spec: QuadSpec | None = None) -> float | tu
         new_kron, new_err, _ = _offset_panels(f_off, width, new_lo, new_half)
         lo, half = np.concatenate([lo[keep], new_lo]), np.concatenate([half[keep], new_half])
         kron, err = np.concatenate([kron[:, keep], new_kron], 1), np.concatenate([err[:, keep], new_err], 1)
-    for gi, value, tol in zip(g, values, tols):
-        # |g| ~ e^{-k s} across the deepest first-pass panel bounds the mass
-        # below the floor by |g(s_end)| / k.
-        inner, outer = abs(float(gi[-1, 0])), abs(float(gi[-1, -1]))
-        rate = (math.log(inner) - math.log(outer)) / span if min(inner, outer) > 0.0 else -math.inf
-        tail = outer / rate if rate > 0.0 else math.inf if outer else 0.0
+    for (rate, tail, _), value, tol in zip(fits, values, tols):
         if tail > 0.5 * tol:
             msg = f"offset integral over width {width!r} leaves mass below the floor {floor!r}"
             raise QuadratureError(f"{msg}: |g| decays with fitted exponent {rate!r}, tail bound {tail!r}", value, tail)

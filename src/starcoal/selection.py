@@ -657,9 +657,7 @@ def asg_simulate(
         else:
             state += 1
             if state >= ASG_STATE_CAP:
-                raise SimulationAbortError(
-                    f"branching dual exceeded {ASG_STATE_CAP} lines"
-                )
+                raise _state_cap_abort(n, beta)
             events.append((clock, "branch", state))
     return AsgPath(
         initial_state=n,
@@ -745,15 +743,22 @@ def asg_stationary_gf(beta: float, y: float) -> float:
     return acc + term
 
 
-def _yule_total(pe: np.ndarray, start: int, rng: RngStream) -> np.ndarray:
-    """Line count after pure branching: sum of start geometrics."""
+def _state_cap_abort(n: int, beta: float) -> SimulationAbortError:
+    """The abort of a dual run from n lines at beta that reached the cap."""
+    msg = f"branching dual from n = {n} at beta = {beta!r} exceeded ASG_STATE_CAP = {ASG_STATE_CAP} lines"
+    return SimulationAbortError(msg)
+
+
+def _yule_total(pe: np.ndarray, start: int, rng: RngStream, n: int, beta: float) -> np.ndarray:
+    """Line count after pure branching: sum of start geometrics.  n and
+    beta, the ensemble's, name it if a count reaches ASG_STATE_CAP."""
     if pe.size == 0:
         return np.zeros(0, dtype=np.int64)
     out = np.zeros(pe.size, dtype=np.int64)
     for _ in range(start):
         out += rng.gen.geometric(pe)
     if np.any(out >= ASG_STATE_CAP):
-        raise SimulationAbortError(f"branching dual exceeded {ASG_STATE_CAP} lines")
+        raise _state_cap_abort(n, beta)
     return out
 
 
@@ -778,7 +783,7 @@ def asg_count_ensemble(n: int, beta: float, t: float, size: int, rng: RngStream)
         collapse = rng.gen.exponential(size=size)
         finish = collapse >= remaining
         pe = np.exp(-0.5 * beta * remaining[finish])
-        out[finish] = _yule_total(pe, n, rng)
+        out[finish] = _yule_total(pe, n, rng, n, beta)
         done |= finish
         remaining[~finish] -= collapse[~finish]
     while not done.all():
@@ -793,7 +798,7 @@ def asg_count_ensemble(n: int, beta: float, t: float, size: int, rng: RngStream)
         finish = collapse >= remaining[grow]
         fin_idx = grow[finish]
         pe = np.exp(-0.5 * beta * remaining[fin_idx])
-        out[fin_idx] = _yule_total(pe, 2, rng)
+        out[fin_idx] = _yule_total(pe, 2, rng, n, beta)
         done[fin_idx] = True
         remaining[grow[~finish]] -= collapse[~finish]
     return out

@@ -164,7 +164,7 @@ def _suite_uniform_stationary(seed: int) -> list[CheckResult]:
 
     par = TwoTypeParams(theta=2.0, p=0.5)
     grid = [0.01 + 0.02 * k for k in range(50)]
-    dens_dev = max(abs(stationary_density_eval(par, xi) - 1.0) for xi in grid)
+    dens_dev, dens_where = _worst((abs(stationary_density_eval(par, xi) - 1.0), (2.0, 0.5, xi)) for xi in grid)
     rng = RngStream(seed, _STREAM["uniform-stationary"])
     draws = stationary_sample(par, rng, size=1_000_000)
     # kstest(draws, "uniform").pvalue from scipy's own D+ and D- expressions, in
@@ -178,8 +178,8 @@ def _suite_uniform_stationary(seed: int) -> list[CheckResult]:
         dminus = max(dminus, float(np.max(x - k / n)))
     pval = float(np.clip(kstwo.sf(dplus if dplus > dminus else dminus, n), 0.0, 1.0))
     return [
-        CheckResult("uniform-stationary", "max |density - 1| on 50-point grid", dens_dev, 1e-12),
-        CheckResult("uniform-stationary", "KS p-value, 1e6 draws vs uniform", pval, 0.01, "ge"),
+        CheckResult("uniform-stationary", "max |density - 1| on 50-point grid", dens_dev, 1e-12, where=dens_where),
+        CheckResult("uniform-stationary", "KS p-value, 1e6 draws vs uniform", pval, 0.01, "ge", where=(2.0, 0.5, n)),
     ]
 
 
@@ -329,16 +329,15 @@ def _suite_line_spectral(seed: int) -> list[CheckResult]:
                 spectral = an_distribution_spectral(n, theta, t).probs
                 gaps.append((max(abs(a - b) for a, b in zip(direct, spectral)), (n, theta, t)))
     worst, where = _worst(gaps)
-    zero_dev = 0.0
-    for theta in (0.5, 2.0, 5.0):
-        for n in range(1, 21):
-            for dist in (an_distribution(n, theta, 0.0), an_distribution_spectral(n, theta, 0.0)):
-                for j, q in enumerate(dist.probs):
-                    want = 1.0 if j == n else 0.0
-                    zero_dev = max(zero_dev, abs(q - want))
+    zero_dev, zero_where = _worst(
+        (max(abs(q - (1.0 if j == n else 0.0)) for j, q in enumerate(law(n, theta, 0.0).probs)), (n, theta, route))
+        for theta in (0.5, 2.0, 5.0)
+        for n in range(1, 21)
+        for route, law in (("direct", an_distribution), ("spectral", an_distribution_spectral))
+    )
     return [
         CheckResult("line-spectral", "max |direct - spectral|, n <= 20", worst, 1e-10, where=where),
-        CheckResult("line-spectral", "t = 0 mass at the start count, both routes", zero_dev, 0.0),
+        CheckResult("line-spectral", "t = 0 mass at the start count, both routes", zero_dev, 0.0, where=zero_where),
     ]
 
 
@@ -354,7 +353,7 @@ def _suite_absorption_time(seed: int) -> list[CheckResult]:
             gaps.append((abs(mean - mean_absorption_time(n, theta)) / se, (n, theta)))
     worst, where = _worst(gaps)
     return [
-        CheckResult("absorption-time", "|mean(2, theta=2) - 4/3|", exact_dev, 0.0),
+        CheckResult("absorption-time", "|mean(2, theta=2) - 4/3|", exact_dev, 0.0, where=(2, 2.0)),
         CheckResult("absorption-time", "max |mc - exact| in SE units, 1e5 paths", worst, 3.0, where=where),
     ]
 
@@ -419,70 +418,74 @@ def _suite_replacement_parts(seed: int) -> list[CheckResult]:
 
 def _suite_multitype(seed: int) -> list[CheckResult]:
     """Two-type embedding, Markov mutation kernel, sampling identity."""
-    embed_dev = 0.0
+    # The line kernels are compared at t = 0.7, where = (theta, p); the
+    # laws at where = (theta, p, x, t).
+    embeds = []
     for theta in (0.5, 2.0, 5.0):
         for p in (0.3, 0.5):
             par = TwoTypeParams(theta=theta, p=p)
             mp = MultiParams(theta=theta, p_vec=(p, 1.0 - p))
             kdev = np.max(np.abs(pim_line_kernel(mp, 0.7) - line_kernel(par, 0.7).as_matrix()))
-            embed_dev = max(embed_dev, float(kdev))
+            embeds.append((float(kdev), (theta, p)))
             for x in (0.2, 0.7):
                 for t in (0.5, 2.0):
                     law = transition_law(par, x, t)
                     slaw = pim_transition_law(mp, (x, 1.0 - x), t)
                     (atom_pos, atom_mass), = law.atoms
-                    embed_dev = max(embed_dev, abs(slaw.atom_mass - atom_mass))
-                    embed_dev = max(embed_dev, abs(slaw.atom_point[0] - atom_pos))
-                    embed_dev = max(embed_dev, abs(slaw.atom_point[1] - (1.0 - atom_pos)))
                     upper = next(pc for pc in law.pieces if pc.upper == 1.0)
                     lower = next(pc for pc in law.pieces if pc.lower == 0.0)
                     r0, r1 = slaw.regions
-                    embed_dev = max(embed_dev, abs(r0.lower - upper.lower))
-                    embed_dev = max(embed_dev, abs(r0.mass - upper.mass))
-                    embed_dev = max(embed_dev, abs((1.0 - r1.lower) - lower.upper))
-                    embed_dev = max(embed_dev, abs(r1.mass - lower.mass))
+                    gaps = [
+                        abs(slaw.atom_mass - atom_mass),
+                        abs(slaw.atom_point[0] - atom_pos),
+                        abs(slaw.atom_point[1] - (1.0 - atom_pos)),
+                        abs(r0.lower - upper.lower),
+                        abs(r0.mass - upper.mass),
+                        abs((1.0 - r1.lower) - lower.upper),
+                        abs(r1.mass - lower.mass),
+                    ]
                     for f in (0.2, 0.5, 0.8):
                         xi = r0.lower + (1.0 - r0.lower) * f
-                        embed_dev = max(
-                            embed_dev, abs(r0.density(xi) - transition_density_eval(par, x, t, xi))
-                        )
+                        gaps.append(abs(r0.density(xi) - transition_density_eval(par, x, t, xi)))
                         xi2 = r1.lower + (1.0 - r1.lower) * f
-                        embed_dev = max(
-                            embed_dev,
-                            abs(r1.density(xi2) - transition_density_eval(par, x, t, 1.0 - xi2)),
-                        )
+                        gaps.append(abs(r1.density(xi2) - transition_density_eval(par, x, t, 1.0 - xi2)))
+                    embeds.append((max(gaps), (theta, p, x, t)))
+    embed_dev, embed_where = _worst(embeds)
     swap = MutationMatrix(matrix=((0.0, 1.0), (1.0, 0.0)))
-    swap_dev = 0.0
+    swaps = []
     for theta in (0.5, 2.0):
         for t in (0.3, 1.0, 3.0):
             e = math.exp(-theta * t)
             want = np.array([[1.0 + e, 1.0 - e], [1.0 - e, 1.0 + e]]) / 2.0
             got = markov_line_kernel(swap, theta, t)
-            swap_dev = max(swap_dev, float(np.max(np.abs(got - want))))
-    samp_dev = 0.0
-    for n in range(1, 21):
-        want = float(Fraction(1, n + 1))
-        for j in range(n + 1):
-            samp_dev = max(samp_dev, abs(infinite_sampling_prob(n, j, 2.0) - want))
+            swaps.append((float(np.max(np.abs(got - want))), (theta, t)))
+    swap_dev, swap_where = _worst(swaps)
+    samp_dev, samp_where = _worst(
+        (abs(infinite_sampling_prob(n, j, 2.0) - float(Fraction(1, n + 1))), (n, j))
+        for n in range(1, 21)
+        for j in range(n + 1)
+    )
     return [
-        CheckResult("multitype", "max two-type embedding mismatch, d = 2", embed_dev, 1e-12),
-        CheckResult("multitype", "max |swap kernel - closed form|", swap_dev, 1e-12),
-        CheckResult("multitype", "theta = 2 sampling probs vs 1/(n+1), n <= 20", samp_dev, 0.0),
+        CheckResult("multitype", "max two-type embedding mismatch, d = 2", embed_dev, 1e-12, where=embed_where),
+        CheckResult("multitype", "max |swap kernel - closed form|", swap_dev, 1e-12, where=swap_where),
+        CheckResult("multitype", "theta = 2 sampling probs vs 1/(n+1), n <= 20", samp_dev, 0.0, where=samp_where),
     ]
 
 
 def _suite_selection(seed: int) -> list[CheckResult]:
     """Drift roots, skeleton routes, stationary law, fixation identities."""
-    root_dev = 0.0
+    # where is (theta, beta, p), with xi added for pointwise densities.
+    root_gaps = []
     for theta in _THETA_GRID:
         for beta in (0.5, 2.0, 5.0):
             for p in _P_GRID:
                 rp = roots(theta, beta, p)
                 phi = theta / beta
                 for r in (rp.r1, rp.r2):
-                    root_dev = max(root_dev, abs(r * r - (1.0 - phi) * r - p * phi))
+                    root_gaps.append((abs(r * r - (1.0 - phi) * r - p * phi), (theta, beta, p)))
+    root_dev, root_where = _worst(root_gaps)
 
-    skel_dev = 0.0
+    skel_gaps = []
     points = [(1.0, 2.0, 0.5)]
     for theta in (0.5, 1.0, 2.0):
         for beta in (1.0, 2.0, 4.0):
@@ -497,31 +500,29 @@ def _suite_selection(seed: int) -> list[CheckResult]:
         drift = mutation_selection_drift(theta, p, beta)
         s_mu, s_nu = _skeleton_series(drift)
         q_mu, q_nu = _skeleton_quadrature(drift)
-        skel_dev = max(skel_dev, abs(s_mu - q_mu), abs(s_nu - q_nu))
+        skel_gaps.append((max(abs(s_mu - q_mu), abs(s_nu - q_nu)), (theta, beta, p)))
+    skel_dev, skel_where = _worst(skel_gaps)
 
-    mass_dev = 0.0
-    mean_dev = 0.0
-    point_dev = 0.0
+    masses, means, points = [], [], []
     for theta, beta, p in ((1.0, 2.0, 0.5), (0.5, 4.0, 0.3), (2.0, 1.0, 0.7)):
         drift = mutation_selection_drift(theta, p, beta)
         law = selection_stationary_law(drift)
         pi1, _ = replacement_stationary(drift)
-        mass_dev = max(mass_dev, abs(law.quadrature_mass() - 1.0))
-        mean_dev = max(mean_dev, abs(law.mean() - pi1))
+        masses.append((abs(law.quadrature_mass() - 1.0), (theta, beta, p)))
+        means.append((abs(law.mean() - pi1), (theta, beta, p)))
         r1 = roots(theta, beta, p).r1
         # The law's density is its offset form about r1; stationary_density
         # writes the same branch in the absolute coordinate.
         for f in (0.2, 0.6, 0.9):
             for xi in (r1 * f, r1 + (1.0 - r1) * f):
                 pc = next(q for q in law.pieces if q.lower < xi < q.upper)
-                point_dev = max(
-                    point_dev, abs(pc.density(xi) - selection_stationary_density(drift, xi))
-                )
+                points.append((abs(pc.density(xi) - selection_stationary_density(drift, xi)), (theta, beta, p, xi)))
+    (mass_dev, mass_where), (mean_dev, mean_where), (point_dev, point_where) = map(_worst, (masses, means, points))
 
     named = mutation_selection_drift(1.0, 0.5, 2.0)
     bespoke = custom_drift(lambda y: 0.5 * (0.5 - y) + y * (1.0 - y), 2.0)
-    custom_dev = max(
-        abs(selection_stationary_density(bespoke, xi) - selection_stationary_density(named, xi))
+    custom_dev, custom_where = _worst(
+        (abs(selection_stationary_density(bespoke, xi) - selection_stationary_density(named, xi)), (1.0, 2.0, 0.5, xi))
         for xi in (0.1, 0.35, 0.6, 0.9)
     )
 
@@ -533,28 +534,28 @@ def _suite_selection(seed: int) -> list[CheckResult]:
         for beta in (0.5, 2.0, 5.0) for x in (0.1, 0.5, 0.9)
     )
 
+    # The neutral limit names the skeleton, a flow by (x0, t) or a density by xi.
     weak = mutation_selection_drift(1.0, 0.3, 1e-6)
     neutral = neutral_drift(1.0, 0.3)
-    limit_dev = float(np.max(np.abs(skeleton_matrix(weak) - skeleton_matrix(neutral))))
+    limits = [(float(np.max(np.abs(skeleton_matrix(weak) - skeleton_matrix(neutral)))), ("skeleton",))]
     for x0 in (0.0, 0.6, 1.0):
         for t in (0.5, 2.0, 10.0):
-            limit_dev = max(limit_dev, abs(flow(weak, x0, t) - flow(neutral, x0, t)))
+            limits.append((abs(flow(weak, x0, t) - flow(neutral, x0, t)), ("flow", x0, t)))
     for xi in (0.1, 0.5, 0.7, 0.9):
-        limit_dev = max(
-            limit_dev,
-            abs(selection_stationary_density(weak, xi) - selection_stationary_density(neutral, xi)),
-        )
+        gap = abs(selection_stationary_density(weak, xi) - selection_stationary_density(neutral, xi))
+        limits.append((gap, ("density", xi)))
+    limit_dev, limit_where = _worst(limits)
 
     return [
-        CheckResult("selection", "max drift-quadratic residual at both roots", root_dev, 1e-12),
-        CheckResult("selection", "max |series skeleton - quadrature skeleton|", skel_dev, 1e-8),
-        CheckResult("selection", "max |stationary mass - 1|", mass_dev, 1e-8),
-        CheckResult("selection", "max |stationary mean - replacement weight|", mean_dev, 1e-8),
-        CheckResult("selection", "max |law density - direct density|", point_dev, 1e-12),
-        CheckResult("selection", "max |custom-drift density - closed form|", custom_dev, 1e-8),
-        CheckResult("selection", "|fixation(1/2, beta=2) - ln 2|", ln2_dev, 1e-8),
+        CheckResult("selection", "max drift-quadratic residual at both roots", root_dev, 1e-12, where=root_where),
+        CheckResult("selection", "max |series skeleton - quadrature skeleton|", skel_dev, 1e-8, where=skel_where),
+        CheckResult("selection", "max |stationary mass - 1|", mass_dev, 1e-8, where=mass_where),
+        CheckResult("selection", "max |stationary mean - replacement weight|", mean_dev, 1e-8, where=mean_where),
+        CheckResult("selection", "max |law density - direct density|", point_dev, 1e-12, where=point_where),
+        CheckResult("selection", "max |custom-drift density - closed form|", custom_dev, 1e-8, where=custom_where),
+        CheckResult("selection", "|fixation(1/2, beta=2) - ln 2|", ln2_dev, 1e-8, where=(2.0, 0.5)),
         CheckResult("selection", "max |P_fix(1) + P_fix(2) - 1|", comp_dev, 1e-10, where=comp_where),
-        CheckResult("selection", "max neutral-limit gap at beta = 1e-6", limit_dev, 1e-4),
+        CheckResult("selection", "max neutral-limit gap at beta = 1e-6", limit_dev, 1e-4, where=limit_where),
     ]
 
 
@@ -562,38 +563,41 @@ def _suite_asg(seed: int) -> list[CheckResult]:
     """Branching-graph clocks, stationary line counts, selection duality."""
     from scipy.stats import kstest
 
+    # The Monte Carlo checks name (n, beta, sample size), the duality
+    # check (n, x, t, beta, sample size).
     rng = RngStream(seed, _STREAM["asg"])
     size = 40_000
-    mean_z = 0.0
-    ks_min = 1.0
+    means, pvals = [], []
     for n in (2, 10):
         for beta in (0.5, 2.0):
             times = ua_time_ensemble(n, beta, size, rng)
             mean, se = mean_se(times)
-            mean_z = max(mean_z, abs(mean - 1.0) / se)
-            ks_min = min(ks_min, float(kstest(times, "expon").pvalue))
+            means.append((abs(mean - 1.0) / se, (n, beta, size)))
+            pvals.append((float(kstest(times, "expon").pvalue), (n, beta, size)))
+    mean_z, mean_where = _worst(means)
+    ks_min, ks_where = min(pvals, key=lambda g: g[0])
 
-    pi_dev = 0.0
-    for i in range(1, 21):
-        pi_dev = max(pi_dev, abs(asg_stationary(2.0, i) - float(Fraction(1, i * (i + 1)))))
+    pi_dev, pi_where = _worst(
+        (abs(asg_stationary(2.0, i) - float(Fraction(1, i * (i + 1)))), (2.0, i)) for i in range(1, 21)
+    )
+    gf_dev, gf_where = _worst(
+        (abs(asg_stationary_gf(beta, k / 10.0) - fixation_prob(beta, k / 10.0, 2)), (beta, k / 10.0))
+        for beta in (0.5, 2.0, 7.0)
+        for k in range(1, 10)
+    )
 
-    gf_dev = 0.0
-    for beta in (0.5, 2.0, 7.0):
-        for k in range(1, 10):
-            y = k / 10.0
-            gf_dev = max(gf_dev, abs(asg_stationary_gf(beta, y) - fixation_prob(beta, y, 2)))
-
-    dual_z = 0.0
+    duals = []
     for n, x, t, beta in ((2, 0.5, 1.0, 2.0), (3, 0.3, 0.5, 0.5)):
         lhs, rhs, (se_l, se_r) = selection_duality_check(n, x, t, beta, 200_000, rng)
-        dual_z = max(dual_z, abs(lhs - rhs) / (se_l + se_r))
+        duals.append((abs(lhs - rhs) / (se_l + se_r), (n, x, t, beta, 200_000)))
+    dual_z, dual_where = _worst(duals)
 
     return [
-        CheckResult("asg", "max |mean collapse time - 1| in SE units", mean_z, 3.0),
-        CheckResult("asg", "min KS p-value vs unit exponential", ks_min, 0.01, "ge"),
-        CheckResult("asg", "beta = 2 stationary counts vs 1/(i(i+1)), i <= 20", pi_dev, 0.0),
-        CheckResult("asg", "max |stationary gf - loss probability|", gf_dev, 1e-8),
-        CheckResult("asg", "max |forward mc - branching mc| in joint SE units", dual_z, 4.0),
+        CheckResult("asg", "max |mean collapse time - 1| in SE units", mean_z, 3.0, where=mean_where),
+        CheckResult("asg", "min KS p-value vs unit exponential", ks_min, 0.01, "ge", where=ks_where),
+        CheckResult("asg", "beta = 2 stationary counts vs 1/(i(i+1)), i <= 20", pi_dev, 0.0, where=pi_where),
+        CheckResult("asg", "max |stationary gf - loss probability|", gf_dev, 1e-8, where=gf_where),
+        CheckResult("asg", "max |forward mc - branching mc| in joint SE units", dual_z, 4.0, where=dual_where),
     ]
 
 
@@ -629,7 +633,8 @@ def run_suites(names=None, seed: int = 0) -> list[CheckResult]:
     results are returned.
 
     Args:
-        names: iterable of suite names, or None / "all" for every suite.
+        names: one suite name, an iterable of them, or None / "all" for
+            every suite.
         seed: base seed; each Monte Carlo suite uses its own substream.
 
     Returns:
@@ -645,7 +650,7 @@ def run_suites(names=None, seed: int = 0) -> list[CheckResult]:
     if names is None or names == "all":
         wanted = set(SUITE_NAMES)
     else:
-        wanted = set(names)
+        wanted = {names} if isinstance(names, str) else set(names)
         unknown = wanted.difference(SUITE_NAMES)
         if unknown:
             raise InvalidParameterError(f"unknown suite names: {sorted(unknown)}")

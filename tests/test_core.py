@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from starcoal import core
 from starcoal.core import (
     InvalidParameterError,
     QuadratureError,
@@ -75,6 +76,56 @@ def test_quad_offset_boundary_layer():
     eps = 1e-12
     got = quad_offset(lambda d: np.exp(-d / eps) / eps, 0.5)
     assert got == pytest.approx(1.0, rel=1e-9)
+
+
+def test_quad_offset_closed_forms_where_the_march_stops():
+    # Power laws, whose fitted tails are exact, stop wherever their tail
+    # falls below its share; the slowest run almost to the floor.
+    for k in (0.05, 0.1, 0.5, 1.0, 2.0, 4.0):
+        for width in (1.0, 0.3):
+            got = quad_offset(lambda d, _k=k: d ** (_k - 1.0), width)
+            assert got == pytest.approx(width**k / k, rel=1e-12, abs=0.0)
+    for width in (0.1, 1.0, 3.0):
+        assert quad_offset(lambda d: np.exp(-d), width) == pytest.approx(-math.expm1(-width), rel=1e-12, abs=0.0)
+
+
+def _probe_outer_node(width: float) -> float:
+    """s = log(width / offset) of the outermost node of the first pass."""
+    depth = math.log(width / (width * 1e-250))
+    step = depth / math.ceil(depth / 3.0)
+    lo, hi = step * core._EDGES[core._PROBE - 1], step * core._EDGES[core._PROBE]
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * float(core._GK_X[-1])
+
+
+@pytest.mark.parametrize("shift", [0.0, -1.5, 0.2])
+def test_quad_offset_root_in_the_deepest_probe_panel(shift):
+    # g(s) = e^{-s/10} (s - s0) decays slowly and changes sign at s0: at the
+    # first pass's outermost node (where |g| is small by accident), at its
+    # middle node, or just past the panel.  The tail beyond the first pass
+    # holds about 1e-3 of the integral, and the value must still meet its
+    # tolerance.
+    width, rate = 1.0, 0.1
+    s0 = _probe_outer_node(width) + shift
+
+    def f_off(d):
+        s = np.log(width / d)
+        return np.exp(-rate * s) * (s - s0) / d
+
+    want = 1.0 / rate**2 - s0 / rate
+    assert quad_offset(f_off, width) == pytest.approx(want, rel=2e-11, abs=0.0)
+
+
+def test_quad_offset_stops_a_bounded_integrand_early():
+    # A bounded integrand has g ~ e^{-s}: its tail is certified after the
+    # first pass, which used to run all 210 panels (4,410 nodes).
+    nodes = []
+
+    def counting(d):
+        nodes.append(d.size)
+        return 1.0 + d
+
+    assert quad_offset(counting, 1.0) == pytest.approx(1.5, rel=1e-14)
+    assert sum(nodes) <= 800
 
 
 def test_exp_decay_window_branches_agree():

@@ -499,6 +499,16 @@ def test_state_cap_aborts(monkeypatch):
         asg_simulate(11, 50.0, RngStream(75, 0))
 
 
+def test_state_cap_abort_names_inputs(monkeypatch):
+    # Both raise sites name the start count, beta and the cap: the path
+    # simulator, and the Yule phases of the count ensemble.
+    monkeypatch.setattr(selection, "ASG_STATE_CAP", 12)
+    with pytest.raises(SimulationAbortError, match=r"n = 11 at beta = 50\.0 exceeded ASG_STATE_CAP = 12 lines"):
+        asg_simulate(11, 50.0, RngStream(75, 0))
+    with pytest.raises(SimulationAbortError, match=r"n = 3 at beta = 4\.0 exceeded ASG_STATE_CAP = 12 lines"):
+        asg_count_ensemble(3, 4.0, 2.0, 200, RngStream(77, 0))
+
+
 def test_ua_residual_stitching(monkeypatch):
     # With the threshold two states above the start, half the beta = 2
     # replicates finish on the Exp(1) residual; the stitched clock must

@@ -4,7 +4,8 @@ The individual identities behind each suite are exercised in the module
 tests; here we only make sure the registry, the pass/fail bookkeeping,
 the stable report rendering and the worst-point `where` fields behave,
 using the cheap deterministic suites plus one small Monte Carlo suite run
-twice.  The transition-moments cells run on a thread pool while the
+twice; one full battery at seed 42 checks that every check sets `where`.
+The transition-moments cells run on a thread pool while the
 calling thread runs the other suites: these tests check that the cells
 draw exactly what a sequential run would, that the results keep registry
 order and do not depend on the pool size, and that an error in a suite
@@ -69,7 +70,7 @@ def test_deterministic_suites_pass():
     for r in results:
         assert r.passed, f"{r.suite}/{r.name}: {r.observed} vs {r.bound}"
     # Every residual check names its worst grid point; the t = 0 line-spectral
-    # check, an exact identity, does not.
+    # check, an exact identity with every gap 0, names the first.
     mass, eigen, expansion, pair, pv, split = (r.where for r in results[:6])
     assert mass[:2] in {(theta, p) for theta in (0.5, 1.0, 2.0, 5.0) for p in (0.1, 0.5, 0.9)}
     assert mass[2] in (0.1, 1.0, 10.0) and mass[3] in (0.0, 0.3, 1.0)
@@ -77,7 +78,7 @@ def test_deterministic_suites_pass():
     assert expansion[0] in range(20) and expansion[1:3] in {(0.5, 0.3), (2.0, 0.7)}
     assert pair[2] in range(1, 13) and pair[3] in range(2, 13)
     assert len(pv) == len(split) == 3
-    assert results[6].where is not None and results[7].where is None
+    assert results[6].where is not None and results[7].where == (1, 0.5, "direct")
 
 
 def test_monte_carlo_suite_repeatable():
@@ -94,6 +95,19 @@ def test_monte_carlo_suite_repeatable():
 def test_unknown_suite_rejected():
     with pytest.raises(InvalidParameterError):
         run_suites(["no-such-suite"], seed=0)
+
+
+def test_one_suite_name_as_a_string():
+    # A str is one suite name, not an iterable of one-letter names.
+    assert run_suites("multitype", seed=0) == run_suites(["multitype"], seed=0)
+    with pytest.raises(InvalidParameterError, match="no-such-suite"):
+        run_suites("no-such-suite", seed=0)
+
+
+def test_every_check_names_where():
+    results = run_suites("all", seed=42)
+    assert len(results) == 33
+    assert [(r.suite, r.name) for r in results if r.where is None] == []
 
 
 def test_report_rendering():
