@@ -55,10 +55,9 @@ class PolyRep:
     def __post_init__(self):
         if not self.coeffs:
             raise InvalidParameterError("PolyRep needs at least one coefficient")
-        if not all(math.isfinite(c) for c in self.coeffs):
-            raise InvalidParameterError("PolyRep coefficients must be finite")
-        if not math.isfinite(self.shift):
-            raise InvalidParameterError("PolyRep shift must be finite")
+        for k, c in enumerate(self.coeffs):
+            check_real(f"coeffs[{k}]", c, -math.inf, math.inf, open_lo=True, open_hi=True)
+        check_real("shift", self.shift, -math.inf, math.inf, open_lo=True, open_hi=True)
 
     @property
     def degree(self) -> int:

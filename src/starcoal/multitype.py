@@ -54,8 +54,8 @@ class MultiParams:
         check_real("theta", self.theta, 0.0, math.inf, open_lo=True, open_hi=True)
         if len(self.p_vec) < 2:
             raise InvalidParameterError("p_vec needs at least two types")
-        if any(not (0.0 < q < 1.0) for q in self.p_vec):
-            raise InvalidParameterError("every type probability must lie strictly in (0, 1)")
+        for i, q in enumerate(self.p_vec):
+            check_real(f"p_vec[{i}]", q, 0.0, 1.0, open_lo=True, open_hi=True)
         if abs(math.fsum(self.p_vec) - 1.0) > 1e-12:
             raise InvalidParameterError("type probabilities must sum to 1")
 
@@ -92,9 +92,13 @@ class MutationMatrix:
 
 
 def load_mutation_matrix(path) -> MutationMatrix:
-    """Read a whitespace-separated numeric grid and validate it."""
-    m = np.loadtxt(path, dtype=float, ndmin=2)
-    return MutationMatrix(matrix=m)
+    """Read a whitespace-separated numeric grid and validate it.  A file
+    that cannot be read, parsed or accepted raises InvalidParameterError
+    naming the path."""
+    try:
+        return MutationMatrix(matrix=np.loadtxt(path, dtype=float, ndmin=2))
+    except (OSError, ValueError) as exc:
+        raise InvalidParameterError(f"mutation matrix file {str(path)!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -309,8 +313,10 @@ def infinite_sampling_prob(n: int, j: int, theta: float) -> float:
     Exact rational value of (n!/j!) (2/theta)_(j) / (1 + 2/theta)_(n) where
     (y)_(k) is the rising factorial; at theta = 2 every j gives 1/(n + 1).
     """
-    if n < 1 or not 0 <= j <= n:
-        raise InvalidParameterError(f"need n >= 1 and 0 <= j <= n, got n={n!r}, j={j!r}")
+    check_int("n", n, 1)
+    check_int("j", j, 0)
+    if j > n:
+        raise InvalidParameterError(f"need j <= n, got n={n!r}, j={j!r}")
     check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
     a = Fraction(2) / Fraction(theta)
     num = Fraction(math.factorial(n), math.factorial(j))
@@ -345,6 +351,8 @@ def num_types_dist(n: int, k: int, theta: float) -> float:
     (B = 0, also k = n types) is excluded here; summing over k therefore
     gives 1 - eta_moment(0, n, theta).
     """
-    if n < 1 or not 1 <= k <= n:
-        raise InvalidParameterError(f"need n >= 1 and 1 <= k <= n, got n={n!r}, k={k!r}")
+    check_int("n", n, 1)
+    check_int("k", k, 1)
+    if k > n:
+        raise InvalidParameterError(f"need k <= n, got n={n!r}, k={k!r}")
     return math.comb(n, k - 1) * eta_moment(n - k + 1, k - 1, theta)

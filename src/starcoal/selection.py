@@ -40,7 +40,7 @@ from .core import (
     mean_se,
     quad_offset,
 )
-from .twotype import PathRecord, TwoTypeParams, _jump_endpoints, _jump_path
+from .twotype import PathRecord, TwoTypeParams, _jump_endpoints, _jump_path, stationary_density_eval
 from .twotype import stationary_law as _neutral_stationary_law
 
 __all__ = [
@@ -438,19 +438,13 @@ def stationary_density(drift: DriftSpec, xi: float) -> float:
     t_i(xi) is the flow time from endpoint i to xi; a branch contributes
     only where its orbit passes, above the equilibrium for the flow from 1
     and below it for the flow from 0.  The equilibrium itself has measure
-    zero and returns 0.  Neutral drift reproduces the two-type stationary
-    density exactly.
+    zero and returns 0.  Neutral drift is the two-type stationary density,
+    evaluated by twotype.stationary_density_eval.
     """
     check_real("xi", xi, 0.0, 1.0)
-    pi1, pi2 = replacement_stationary(drift)
     if drift.kind == "neutral":
-        theta, p = drift.theta, drift.p
-        a = 2.0 / theta
-        if xi > p:
-            return pi1 * a * ((xi - p) / (1.0 - p)) ** (a - 1.0) / (1.0 - p)
-        if xi < p:
-            return pi2 * a * (1.0 - xi / p) ** (a - 1.0) / p
-        return 0.0
+        return 0.0 if xi == drift.p else stationary_density_eval(TwoTypeParams(drift.theta, drift.p), xi)
+    pi1, pi2 = replacement_stationary(drift)
     if drift.kind == "mutation_selection":
         rp = roots(drift.theta, drift.beta, drift.p)
         speed = 0.5 * drift.beta * abs(xi - rp.r1) * (xi - rp.r2)

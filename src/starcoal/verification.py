@@ -4,11 +4,14 @@ Every check here compares two routes to the same quantity that share as
 little code as possible: closed forms against adaptive quadrature, exact
 rational spectral sums against direct evaluation, Monte Carlo ensembles
 against analytic moments.  Checks are grouped into named suites so the
-command line can run one at a time; ``run_suites`` executes a selection
-and returns structured results, ``format_report`` renders them as stable
-text with the bound printed next to each residual.  The report contains
-no timings or other run-dependent noise, so two runs with the same seed
-produce byte-identical output.
+command line can run one at a time.  A suite returns its checks as data,
+each a (name, gaps, bound) or (name, gaps, bound, "ge") tuple whose gaps
+list the (residual, where) pair of every point it compared;
+``run_suites`` executes a selection and turns every such tuple into a
+``CheckResult`` through one function, and ``format_report`` renders them
+as stable text with the bound printed next to each residual.  The report
+contains no timings or other run-dependent noise, so two runs with the
+same seed produce byte-identical output.
 
 Monte Carlo suites draw from fixed per-suite substreams of the given
 seed.  Their bounds are z-score limits (3 or 4 standard errors), wide
@@ -95,8 +98,8 @@ class CheckResult:
 
     direction "le" means the check passes when observed <= bound (the
     usual residual case); "ge" is for quantities that must stay large,
-    such as Kolmogorov-Smirnov p-values.  where, when set, is the grid
-    point of the worst residual; the report does not print it.
+    such as Kolmogorov-Smirnov p-values.  where is the parameter point of
+    the worst residual; the report does not print it.
     """
 
     suite: str
@@ -132,13 +135,14 @@ _THETA_GRID = (0.5, 1.0, 2.0, 5.0)
 _P_GRID = (0.1, 0.5, 0.9)
 
 
-def _worst(gaps) -> tuple[float, tuple]:
-    """The (residual, grid point) pair with the largest residual, the
-    first such pair on ties."""
-    return max(gaps, key=lambda g: g[0])
+def _check_result(suite: str, name: str, gaps, bound: float, direction: str = "le") -> CheckResult:
+    """The check from its (residual, where) pairs: the largest residual for
+    "le", the smallest for "ge", the first such pair on ties."""
+    observed, where = (max if direction == "le" else min)(gaps, key=lambda g: g[0])
+    return CheckResult(suite, name, observed, bound, direction, where)
 
 
-def _suite_transition_mass(seed: int) -> list[CheckResult]:
+def _suite_transition_mass(seed: int) -> list[tuple]:
     """Total transition mass (atom plus both density pieces) equals 1."""
     gaps = []
     for theta in _THETA_GRID:
@@ -148,15 +152,10 @@ def _suite_transition_mass(seed: int) -> list[CheckResult]:
                 for x in (0.0, 0.3, 1.0):
                     law = transition_law(par, x, t)
                     gaps.append((abs(law.quadrature_mass() - 1.0), (theta, p, t, x)))
-    worst, where = _worst(gaps)
-    return [
-        CheckResult(
-            "transition-mass", "max |quadrature mass - 1| over parameter grid", worst, 1e-10, where=where
-        )
-    ]
+    return [("max |quadrature mass - 1| over parameter grid", gaps, 1e-10)]
 
 
-def _suite_uniform_stationary(seed: int) -> list[CheckResult]:
+def _suite_uniform_stationary(seed: int) -> list[tuple]:
     """At theta = 2, p = 1/2 the stationary law is uniform on (0, 1)."""
     # scipy.stats costs about 20 MB of memory, so only the two suites that
     # use it import it.
@@ -164,7 +163,7 @@ def _suite_uniform_stationary(seed: int) -> list[CheckResult]:
 
     par = TwoTypeParams(theta=2.0, p=0.5)
     grid = [0.01 + 0.02 * k for k in range(50)]
-    dens_dev, dens_where = _worst((abs(stationary_density_eval(par, xi) - 1.0), (2.0, 0.5, xi)) for xi in grid)
+    dens = [(abs(stationary_density_eval(par, xi) - 1.0), (2.0, 0.5, xi)) for xi in grid]
     rng = RngStream(seed, _STREAM["uniform-stationary"])
     draws = stationary_sample(par, rng, size=1_000_000)
     # kstest(draws, "uniform").pvalue from scipy's own D+ and D- expressions, in
@@ -178,8 +177,8 @@ def _suite_uniform_stationary(seed: int) -> list[CheckResult]:
         dminus = max(dminus, float(np.max(x - k / n)))
     pval = float(np.clip(kstwo.sf(dplus if dplus > dminus else dminus, n), 0.0, 1.0))
     return [
-        CheckResult("uniform-stationary", "max |density - 1| on 50-point grid", dens_dev, 1e-12, where=dens_where),
-        CheckResult("uniform-stationary", "KS p-value, 1e6 draws vs uniform", pval, 0.01, "ge", where=(2.0, 0.5, n)),
+        ("max |density - 1| on 50-point grid", dens, 1e-12),
+        ("KS p-value, 1e6 draws vs uniform", [(pval, (2.0, 0.5, n))], 0.01, "ge"),
     ]
 
 
@@ -207,7 +206,7 @@ def _cell_draws(par: TwoTypeParams, x: float, t: float, rng: RngStream, size: in
 _MOMENT_CELLS = tuple(itertools.product(_THETA_GRID, _P_GRID, (0.1, 1.0, 10.0), (0.0, 0.3, 1.0)))
 
 
-def _suite_transition_moments(seed: int, pool) -> Callable[[], list[CheckResult]]:
+def _suite_transition_moments(seed: int, pool) -> Callable[[], list[tuple]]:
     """Analytic transition moments against ensemble averages, n <= 4.
 
     Submits one task per grid cell to pool and returns the function that
@@ -240,18 +239,13 @@ def _suite_transition_moments(seed: int, pool) -> Callable[[], list[CheckResult]
 
     futures = [pool.submit(gaps, k) for k in range(len(_MOMENT_CELLS))]
 
-    def collect() -> list[CheckResult]:
-        worst, where = _worst(g for f in futures for g in f.result())
-        return [
-            CheckResult(
-                "transition-moments", "max |mc - analytic| in SE units, n <= 4", worst, 4.0, where=where
-            )
-        ]
+    def collect() -> list[tuple]:
+        return [("max |mc - analytic| in SE units, n <= 4", [g for f in futures for g in f.result()], 4.0)]
 
     return collect
 
 
-def _suite_eigen_equation(seed: int) -> list[CheckResult]:
+def _suite_eigen_equation(seed: int) -> list[tuple]:
     """Generator applied to an eigenpolynomial is -eigenvalue times it."""
     gaps = []
     for theta in _THETA_GRID:
@@ -265,13 +259,10 @@ def _suite_eigen_equation(seed: int) -> list[CheckResult]:
                     abs(h.coefficient(k) + lam * g.coefficient(k)) for k in range(14)
                 )
                 gaps.append((res, (theta, p, n)))
-    worst, where = _worst(gaps)
-    return [
-        CheckResult("eigen-equation", "max coefficient residual, n <= 12", worst, 1e-12, where=where)
-    ]
+    return [("max coefficient residual, n <= 12", gaps, 1e-12)]
 
 
-def _suite_expansion(seed: int) -> list[CheckResult]:
+def _suite_expansion(seed: int) -> list[tuple]:
     """Spectral expansion of E[g(xi_t)] against the binomial moment route."""
     gen = RngStream(seed, _STREAM["expansion"])
     gaps = []
@@ -288,15 +279,10 @@ def _suite_expansion(seed: int) -> list[CheckResult]:
                     )
                     via = expansion_expectation(par, g, x, t)
                     gaps.append((abs(via - direct), (i, theta, p, x, t)))
-    worst, where = _worst(gaps)
-    return [
-        CheckResult(
-            "expansion", "max |spectral - moment route|, 20 random degree-8 g", worst, 1e-10, where=where
-        )
-    ]
+    return [("max |spectral - moment route|, 20 random degree-8 g", gaps, 1e-10)]
 
 
-def _suite_pairing(seed: int) -> list[CheckResult]:
+def _suite_pairing(seed: int) -> list[tuple]:
     """Biorthogonality of the eigenpolynomials under both pairings."""
     pairs, pvs, splits = [], [], []
     for theta in _THETA_GRID:
@@ -311,15 +297,14 @@ def _suite_pairing(seed: int) -> list[CheckResult]:
                 exact = pv_expectation_g_q1(par, gm)
                 pvs.append((abs(exact - want), (theta, p, m)))
                 splits.append((abs(pv_expectation_g_q1_numeric(par, gm) - exact), (theta, p, m)))
-    (pair_dev, pair_where), (pv_dev, pv_where), (pv_split, split_where) = map(_worst, (pairs, pvs, splits))
     return [
-        CheckResult("pairing", "max |<P_m, dual_n> - delta_mn|, m, n <= 12", pair_dev, 1e-12, where=pair_where),
-        CheckResult("pairing", "max |principal-value pairing - delta_m1|", pv_dev, 1e-12, where=pv_where),
-        CheckResult("pairing", "max |numeric pv route - exact pv route|", pv_split, 1e-10, where=split_where),
+        ("max |<P_m, dual_n> - delta_mn|, m, n <= 12", pairs, 1e-12),
+        ("max |principal-value pairing - delta_m1|", pvs, 1e-12),
+        ("max |numeric pv route - exact pv route|", splits, 1e-10),
     ]
 
 
-def _suite_line_spectral(seed: int) -> list[CheckResult]:
+def _suite_line_spectral(seed: int) -> list[tuple]:
     """Line-count law: direct survival sums against the spectral route."""
     gaps = []
     for theta in (0.5, 2.0, 5.0):
@@ -328,22 +313,21 @@ def _suite_line_spectral(seed: int) -> list[CheckResult]:
                 direct = an_distribution(n, theta, t).probs
                 spectral = an_distribution_spectral(n, theta, t).probs
                 gaps.append((max(abs(a - b) for a, b in zip(direct, spectral)), (n, theta, t)))
-    worst, where = _worst(gaps)
-    zero_dev, zero_where = _worst(
+    zeros = [
         (max(abs(q - (1.0 if j == n else 0.0)) for j, q in enumerate(law(n, theta, 0.0).probs)), (n, theta, route))
         for theta in (0.5, 2.0, 5.0)
         for n in range(1, 21)
         for route, law in (("direct", an_distribution), ("spectral", an_distribution_spectral))
-    )
+    ]
     return [
-        CheckResult("line-spectral", "max |direct - spectral|, n <= 20", worst, 1e-10, where=where),
-        CheckResult("line-spectral", "t = 0 mass at the start count, both routes", zero_dev, 0.0, where=zero_where),
+        ("max |direct - spectral|, n <= 20", gaps, 1e-10),
+        ("t = 0 mass at the start count, both routes", zeros, 0.0),
     ]
 
 
-def _suite_absorption_time(seed: int) -> list[CheckResult]:
+def _suite_absorption_time(seed: int) -> list[tuple]:
     """Mean time to full resolution: closed form and simulation."""
-    exact_dev = abs(mean_absorption_time(2, 2.0) - 4.0 / 3.0)
+    exact = [(abs(mean_absorption_time(2, 2.0) - 4.0 / 3.0), (2, 2.0))]
     rng = RngStream(seed, _STREAM["absorption-time"])
     size = 100_000
     gaps = []
@@ -351,14 +335,13 @@ def _suite_absorption_time(seed: int) -> list[CheckResult]:
         for theta in (1.0, 2.0, 5.0):
             mean, se = mean_se(absorption_time_ensemble(n, theta, size, rng))
             gaps.append((abs(mean - mean_absorption_time(n, theta)) / se, (n, theta)))
-    worst, where = _worst(gaps)
     return [
-        CheckResult("absorption-time", "|mean(2, theta=2) - 4/3|", exact_dev, 0.0, where=(2, 2.0)),
-        CheckResult("absorption-time", "max |mc - exact| in SE units, 1e5 paths", worst, 3.0, where=where),
+        ("|mean(2, theta=2) - 4/3|", exact, 0.0),
+        ("max |mc - exact| in SE units, 1e5 paths", gaps, 3.0),
     ]
 
 
-def _suite_moment_duality(seed: int) -> list[CheckResult]:
+def _suite_moment_duality(seed: int) -> list[tuple]:
     """Forward moments against the backward line-count estimator."""
     rng = RngStream(seed, _STREAM["moment-duality"])
     gaps = []
@@ -367,15 +350,10 @@ def _suite_moment_duality(seed: int) -> list[CheckResult]:
         for n in range(1, 5):
             lhs, rhs, se = duality_check(par, n, x, t, 1_000_000, rng)
             gaps.append((abs(lhs - rhs) / se, (theta, p, x, t, n)))
-    worst, where = _worst(gaps)
-    return [
-        CheckResult(
-            "moment-duality", "max |analytic - mc| in SE units, n <= 4, 1e6 paths", worst, 4.0, where=where
-        )
-    ]
+    return [("max |analytic - mc| in SE units, n <= 4, 1e6 paths", gaps, 4.0)]
 
 
-def _suite_replacement_parts(seed: int) -> list[CheckResult]:
+def _suite_replacement_parts(seed: int) -> list[tuple]:
     """Replacement-count components: pointwise sum and Poisson masses."""
     p, x = 0.3, 0.7
     sums, masses = [], []
@@ -406,17 +384,13 @@ def _suite_replacement_parts(seed: int) -> list[CheckResult]:
 
                     mass += quad_offset(f_k, width)
                 masses.append((abs(mass - math.exp(log_poisson)), (theta, t, k)))
-    sum_dev, sum_where = _worst(sums)
-    mass_dev, mass_where = _worst(masses)
     return [
-        CheckResult("replacement-parts", "max |sum of 50 components - density|", sum_dev, 1e-8, where=sum_where),
-        CheckResult(
-            "replacement-parts", "max |component mass - Poisson weight|, k <= 10", mass_dev, 1e-8, where=mass_where
-        ),
+        ("max |sum of 50 components - density|", sums, 1e-8),
+        ("max |component mass - Poisson weight|, k <= 10", masses, 1e-8),
     ]
 
 
-def _suite_multitype(seed: int) -> list[CheckResult]:
+def _suite_multitype(seed: int) -> list[tuple]:
     """Two-type embedding, Markov mutation kernel, sampling identity."""
     # The line kernels are compared at t = 0.7, where = (theta, p); the
     # laws at where = (theta, p, x, t).
@@ -450,7 +424,6 @@ def _suite_multitype(seed: int) -> list[CheckResult]:
                         xi2 = r1.lower + (1.0 - r1.lower) * f
                         gaps.append(abs(r1.density(xi2) - transition_density_eval(par, x, t, 1.0 - xi2)))
                     embeds.append((max(gaps), (theta, p, x, t)))
-    embed_dev, embed_where = _worst(embeds)
     swap = MutationMatrix(matrix=((0.0, 1.0), (1.0, 0.0)))
     swaps = []
     for theta in (0.5, 2.0):
@@ -459,20 +432,19 @@ def _suite_multitype(seed: int) -> list[CheckResult]:
             want = np.array([[1.0 + e, 1.0 - e], [1.0 - e, 1.0 + e]]) / 2.0
             got = markov_line_kernel(swap, theta, t)
             swaps.append((float(np.max(np.abs(got - want))), (theta, t)))
-    swap_dev, swap_where = _worst(swaps)
-    samp_dev, samp_where = _worst(
+    samples = [
         (abs(infinite_sampling_prob(n, j, 2.0) - float(Fraction(1, n + 1))), (n, j))
         for n in range(1, 21)
         for j in range(n + 1)
-    )
+    ]
     return [
-        CheckResult("multitype", "max two-type embedding mismatch, d = 2", embed_dev, 1e-12, where=embed_where),
-        CheckResult("multitype", "max |swap kernel - closed form|", swap_dev, 1e-12, where=swap_where),
-        CheckResult("multitype", "theta = 2 sampling probs vs 1/(n+1), n <= 20", samp_dev, 0.0, where=samp_where),
+        ("max two-type embedding mismatch, d = 2", embeds, 1e-12),
+        ("max |swap kernel - closed form|", swaps, 1e-12),
+        ("theta = 2 sampling probs vs 1/(n+1), n <= 20", samples, 0.0),
     ]
 
 
-def _suite_selection(seed: int) -> list[CheckResult]:
+def _suite_selection(seed: int) -> list[tuple]:
     """Drift roots, skeleton routes, stationary law, fixation identities."""
     # where is (theta, beta, p), with xi added for pointwise densities.
     root_gaps = []
@@ -483,7 +455,6 @@ def _suite_selection(seed: int) -> list[CheckResult]:
                 phi = theta / beta
                 for r in (rp.r1, rp.r2):
                     root_gaps.append((abs(r * r - (1.0 - phi) * r - p * phi), (theta, beta, p)))
-    root_dev, root_where = _worst(root_gaps)
 
     skel_gaps = []
     points = [(1.0, 2.0, 0.5)]
@@ -501,9 +472,8 @@ def _suite_selection(seed: int) -> list[CheckResult]:
         s_mu, s_nu = _skeleton_series(drift)
         q_mu, q_nu = _skeleton_quadrature(drift)
         skel_gaps.append((max(abs(s_mu - q_mu), abs(s_nu - q_nu)), (theta, beta, p)))
-    skel_dev, skel_where = _worst(skel_gaps)
 
-    masses, means, points = [], [], []
+    masses, means, densities = [], [], []
     for theta, beta, p in ((1.0, 2.0, 0.5), (0.5, 4.0, 0.3), (2.0, 1.0, 0.7)):
         drift = mutation_selection_drift(theta, p, beta)
         law = selection_stationary_law(drift)
@@ -516,23 +486,22 @@ def _suite_selection(seed: int) -> list[CheckResult]:
         for f in (0.2, 0.6, 0.9):
             for xi in (r1 * f, r1 + (1.0 - r1) * f):
                 pc = next(q for q in law.pieces if q.lower < xi < q.upper)
-                points.append((abs(pc.density(xi) - selection_stationary_density(drift, xi)), (theta, beta, p, xi)))
-    (mass_dev, mass_where), (mean_dev, mean_where), (point_dev, point_where) = map(_worst, (masses, means, points))
+                densities.append((abs(pc.density(xi) - selection_stationary_density(drift, xi)), (theta, beta, p, xi)))
 
     named = mutation_selection_drift(1.0, 0.5, 2.0)
     bespoke = custom_drift(lambda y: 0.5 * (0.5 - y) + y * (1.0 - y), 2.0)
-    custom_dev, custom_where = _worst(
+    customs = [
         (abs(selection_stationary_density(bespoke, xi) - selection_stationary_density(named, xi)), (1.0, 2.0, 0.5, xi))
         for xi in (0.1, 0.35, 0.6, 0.9)
-    )
+    ]
 
-    ln2_dev = abs(fixation_prob(2.0, 0.5, 1) - math.log(2.0))
+    ln2 = [(abs(fixation_prob(2.0, 0.5, 1) - math.log(2.0)), (2.0, 0.5))]
     # fixed_type names whose initial frequency x is; the complementary
     # event starts the other type at 1 - x.
-    comp_dev, comp_where = _worst(
+    comps = [
         (abs(fixation_prob(beta, x, 1) + fixation_prob(beta, 1.0 - x, 2) - 1.0), (beta, x))
         for beta in (0.5, 2.0, 5.0) for x in (0.1, 0.5, 0.9)
-    )
+    ]
 
     # The neutral limit names the skeleton, a flow by (x0, t) or a density by xi.
     weak = mutation_selection_drift(1.0, 0.3, 1e-6)
@@ -544,22 +513,21 @@ def _suite_selection(seed: int) -> list[CheckResult]:
     for xi in (0.1, 0.5, 0.7, 0.9):
         gap = abs(selection_stationary_density(weak, xi) - selection_stationary_density(neutral, xi))
         limits.append((gap, ("density", xi)))
-    limit_dev, limit_where = _worst(limits)
 
     return [
-        CheckResult("selection", "max drift-quadratic residual at both roots", root_dev, 1e-12, where=root_where),
-        CheckResult("selection", "max |series skeleton - quadrature skeleton|", skel_dev, 1e-8, where=skel_where),
-        CheckResult("selection", "max |stationary mass - 1|", mass_dev, 1e-8, where=mass_where),
-        CheckResult("selection", "max |stationary mean - replacement weight|", mean_dev, 1e-8, where=mean_where),
-        CheckResult("selection", "max |law density - direct density|", point_dev, 1e-12, where=point_where),
-        CheckResult("selection", "max |custom-drift density - closed form|", custom_dev, 1e-8, where=custom_where),
-        CheckResult("selection", "|fixation(1/2, beta=2) - ln 2|", ln2_dev, 1e-8, where=(2.0, 0.5)),
-        CheckResult("selection", "max |P_fix(1) + P_fix(2) - 1|", comp_dev, 1e-10, where=comp_where),
-        CheckResult("selection", "max neutral-limit gap at beta = 1e-6", limit_dev, 1e-4, where=limit_where),
+        ("max drift-quadratic residual at both roots", root_gaps, 1e-12),
+        ("max |series skeleton - quadrature skeleton|", skel_gaps, 1e-8),
+        ("max |stationary mass - 1|", masses, 1e-8),
+        ("max |stationary mean - replacement weight|", means, 1e-8),
+        ("max |law density - direct density|", densities, 1e-12),
+        ("max |custom-drift density - closed form|", customs, 1e-8),
+        ("|fixation(1/2, beta=2) - ln 2|", ln2, 1e-8),
+        ("max |P_fix(1) + P_fix(2) - 1|", comps, 1e-10),
+        ("max neutral-limit gap at beta = 1e-6", limits, 1e-4),
     ]
 
 
-def _suite_asg(seed: int) -> list[CheckResult]:
+def _suite_asg(seed: int) -> list[tuple]:
     """Branching-graph clocks, stationary line counts, selection duality."""
     from scipy.stats import kstest
 
@@ -574,34 +542,30 @@ def _suite_asg(seed: int) -> list[CheckResult]:
             mean, se = mean_se(times)
             means.append((abs(mean - 1.0) / se, (n, beta, size)))
             pvals.append((float(kstest(times, "expon").pvalue), (n, beta, size)))
-    mean_z, mean_where = _worst(means)
-    ks_min, ks_where = min(pvals, key=lambda g: g[0])
 
-    pi_dev, pi_where = _worst(
-        (abs(asg_stationary(2.0, i) - float(Fraction(1, i * (i + 1)))), (2.0, i)) for i in range(1, 21)
-    )
-    gf_dev, gf_where = _worst(
+    counts = [(abs(asg_stationary(2.0, i) - float(Fraction(1, i * (i + 1)))), (2.0, i)) for i in range(1, 21)]
+    gfs = [
         (abs(asg_stationary_gf(beta, k / 10.0) - fixation_prob(beta, k / 10.0, 2)), (beta, k / 10.0))
         for beta in (0.5, 2.0, 7.0)
         for k in range(1, 10)
-    )
+    ]
 
     duals = []
     for n, x, t, beta in ((2, 0.5, 1.0, 2.0), (3, 0.3, 0.5, 0.5)):
         lhs, rhs, (se_l, se_r) = selection_duality_check(n, x, t, beta, 200_000, rng)
         duals.append((abs(lhs - rhs) / (se_l + se_r), (n, x, t, beta, 200_000)))
-    dual_z, dual_where = _worst(duals)
 
     return [
-        CheckResult("asg", "max |mean collapse time - 1| in SE units", mean_z, 3.0, where=mean_where),
-        CheckResult("asg", "min KS p-value vs unit exponential", ks_min, 0.01, "ge", where=ks_where),
-        CheckResult("asg", "beta = 2 stationary counts vs 1/(i(i+1)), i <= 20", pi_dev, 0.0, where=pi_where),
-        CheckResult("asg", "max |stationary gf - loss probability|", gf_dev, 1e-8, where=gf_where),
-        CheckResult("asg", "max |forward mc - branching mc| in joint SE units", dual_z, 4.0, where=dual_where),
+        ("max |mean collapse time - 1| in SE units", means, 3.0),
+        ("min KS p-value vs unit exponential", pvals, 0.01, "ge"),
+        ("beta = 2 stationary counts vs 1/(i(i+1)), i <= 20", counts, 0.0),
+        ("max |stationary gf - loss probability|", gfs, 1e-8),
+        ("max |forward mc - branching mc| in joint SE units", duals, 4.0),
     ]
 
 
-# transition-moments alone takes (seed, pool) and returns its collector; see run_suites.
+# Each suite returns its checks as (name, gaps, bound[, "ge"]) tuples; transition-moments
+# alone takes (seed, pool) and returns a collector of them; see run_suites.
 _SUITES = (
     ("transition-mass", _suite_transition_mass),
     ("uniform-stationary", _suite_uniform_stationary),
@@ -664,7 +628,7 @@ def run_suites(names=None, seed: int = 0) -> list[CheckResult]:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     _release_freed_heap()
-    return [r for name, _ in _SUITES if name in done for r in done[name]]
+    return [_check_result(name, *check) for name, _ in _SUITES if name in done for check in done[name]]
 
 
 def _release_freed_heap() -> None:

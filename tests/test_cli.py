@@ -312,6 +312,18 @@ def test_selection_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("content", [None, "0.7 abc\n0.2 0.8\n"])
+def test_multitype_bad_matrix_file(capsys, tmp_path, content):
+    # A missing file or a non-numeric entry is an input error, not a traceback.
+    mat = tmp_path / "m.txt"
+    if content is not None:
+        mat.write_text(content)
+    rc, out, err = run_cli(capsys, ["multitype", "--theta", "1.0", "--matrix", str(mat), "--t", "0.7"])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and str(mat) in err and "Traceback" not in err
+
+
 def test_bad_grid_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["stationary", "--theta", "2", "--p", "0.5", "--grid", "abc"])

@@ -72,6 +72,14 @@ def test_load_mutation_matrix(tmp_path):
     bad.write_text("0.7 0.4\n0.2 0.8\n")
     with pytest.raises(InvalidParameterError):
         load_mutation_matrix(bad)
+    # A missing file and a non-numeric entry are input errors naming the path.
+    missing = tmp_path / "missing.txt"
+    with pytest.raises(InvalidParameterError, match="missing.txt"):
+        load_mutation_matrix(missing)
+    text = tmp_path / "text.txt"
+    text.write_text("0.7 abc\n0.2 0.8\n")
+    with pytest.raises(InvalidParameterError, match="text.txt"):
+        load_mutation_matrix(text)
 
 
 def test_pim_line_kernel_embeds_two_type():

@@ -229,6 +229,23 @@ def test_stationary_density_oracles():
         assert stationary_density(nd, xi) == pytest.approx(
             stationary_density_eval(par, xi), rel=1e-13
         )
+    assert stationary_density(nd, 0.35) == 0.0
+
+
+def test_neutral_stationary_density_small_theta_vs_mpmath():
+    # At small theta the power ((xi - p)/(1 - p))^(2/theta - 1) magnifies
+    # the rounding of its base: a naive power lost 7.6e-9 relative here.
+    mpmath = pytest.importorskip("mpmath")
+    for theta, xi in ((1e-8, 1.0 - 1e-9), (1e-6, 1.0 - 1e-9), (1e-8, 1e-9), (1e-6, 0.2)):
+        p = 0.3
+        with mpmath.workdps(40):
+            a, pm, x = 2 / mpmath.mpf(theta), mpmath.mpf(p), mpmath.mpf(xi)
+            if xi > p:
+                want = pm * a * ((x - pm) / (1 - pm)) ** (a - 1) / (1 - pm)
+            else:
+                want = (1 - pm) * a * (1 - x / pm) ** (a - 1) / pm
+        got = stationary_density(neutral_drift(theta, p), xi)
+        assert got == pytest.approx(float(want), rel=1e-14), (theta, xi)
 
 
 def test_stationary_density_custom_matches_named():
@@ -524,7 +541,7 @@ def test_ua_residual_stitching(monkeypatch):
 def test_asg_suite_finishes_at_former_abort_seeds():
     # Seeds 3 and 28 once drove a beta = 2 replicate past ASG_STATE_CAP.
     for seed in (3, 28):
-        results = verification._suite_asg(seed)
+        results = verification.run_suites("asg", seed)
         assert len(results) == 5
         assert all(isinstance(r, verification.CheckResult) for r in results)
 

@@ -263,3 +263,26 @@ def test_offset_integrand_failures_are_typed():
         core.quad_offset(lambda d: 0.01 * d**-0.99, 1.0)
     with pytest.raises(core.QuadratureError, match="8 bisections"):
         core.quad_offset(lambda d: np.sin(1e3 / d) / d, 1.0, core.QuadSpec(max_subdivisions=8))
+
+
+@pytest.mark.parametrize(
+    "fn, args, match",
+    [
+        (multitype.infinite_sampling_prob, (2.5, 1, 1.0), "n"),
+        (multitype.infinite_sampling_prob, (2, 0.5, 1.0), "j"),
+        (multitype.infinite_sampling_prob, (2, 3, 1.0), "j <= n"),
+        (multitype.num_types_dist, (2.5, 1, 1.0), "n"),
+        (multitype.num_types_dist, (3, "1", 1.0), "k"),
+        (multitype.num_types_dist, (3, 4, 1.0), "k <= n"),
+        (multitype.MultiParams, (1.0, ("a", 0.5)), r"p_vec\[0\]"),
+        (eigen.PolyRep, (0.0, ("x",)), r"coeffs\[0\]"),
+        (eigen.PolyRep, ("x", (1.0,)), "shift"),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_non_numbers_and_non_integers_raise_typed(fn, args, match):
+    # Counts go through check_int and reals through check_real, so a float
+    # count or a string is an InvalidParameterError naming the argument, not
+    # a bare TypeError from math.factorial or a comparison.
+    with pytest.raises(InvalidParameterError, match=match):
+        fn(*args)

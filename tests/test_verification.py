@@ -2,9 +2,11 @@
 
 The individual identities behind each suite are exercised in the module
 tests; here we only make sure the registry, the pass/fail bookkeeping,
-the stable report rendering and the worst-point `where` fields behave,
-using the cheap deterministic suites plus one small Monte Carlo suite run
-twice; one full battery at seed 42 checks that every check sets `where`.
+the one reducer that turns each suite's (residual, where) pairs into a
+CheckResult, the stable report rendering and the worst-point `where`
+fields behave, using the cheap deterministic suites plus one small Monte
+Carlo suite run twice; one full battery at seed 42 checks that every
+check sets `where`.
 The transition-moments cells run on a thread pool while the
 calling thread runs the other suites: these tests check that the cells
 draw exactly what a sequential run would, that the results keep registry
@@ -61,6 +63,34 @@ def test_check_result_pass_logic():
     assert not CheckResult("s", "p-value", 0.001, 0.01, direction="ge").passed
     with pytest.raises(InvalidParameterError):
         CheckResult("s", "bad", 0.0, 1.0, direction="lt")
+
+
+def test_reducer_keeps_the_worst_pair():
+    # "le" keeps the largest residual, "ge" the smallest, a tie the first
+    # such pair, and where always comes from the pair kept.
+    gaps = [(0.5, "a"), (2.0, "b"), (2.0, "c"), (0.1, "d"), (0.1, "e")]
+    assert verification._check_result("s", "r", gaps, 1.0) == CheckResult("s", "r", 2.0, 1.0, "le", "b")
+    assert verification._check_result("s", "p", gaps, 0.01, "ge") == CheckResult("s", "p", 0.1, 0.01, "ge", "d")
+    single = verification._check_result("s", "exact", [(0.0, (2, 2.0))], 0.0)
+    assert single.passed and single.where == (2, 2.0)
+
+
+def test_suites_return_data_named_by_the_registry(monkeypatch):
+    # A suite returns (name, gaps, bound[, "ge"]) tuples and builds no
+    # CheckResult; run_suites reduces them and supplies the suite name.
+    checks = verification._suite_absorption_time(0)
+    assert [len(c) for c in checks] == [3, 3]
+    assert all(isinstance(gaps, list) and all(len(g) == 2 for g in gaps) for _, gaps, _ in checks)
+
+    def fake(seed):
+        return [("r", [(1e-3, (seed,)), (2e-3, (seed + 1,))], 1e-2), ("p", [(0.5, ("x",))], 0.01, "ge")]
+
+    suites = tuple((name, fake if name == "eigen-equation" else fn) for name, fn in verification._SUITES)
+    monkeypatch.setattr(verification, "_SUITES", suites)
+    assert run_suites("eigen-equation", seed=4) == [
+        CheckResult("eigen-equation", "r", 2e-3, 1e-2, "le", (5,)),
+        CheckResult("eigen-equation", "p", 0.5, 0.01, "ge", ("x",)),
+    ]
 
 
 def test_deterministic_suites_pass():
