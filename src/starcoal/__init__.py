@@ -24,7 +24,6 @@ from .core import (
     NonMonotoneDriftError,
     NoStationaryDistributionError,
     Piece,
-    QuadSpec,
     QuadratureError,
     RngStream,
     SimulationAbortError,
@@ -36,11 +35,9 @@ from .core import (
     truncated_exponential_inverse_cdf,
 )
 from .eigen import (
-    EigenSystem,
     PolyRep,
     eigen_coefficients,
     eigen_poly,
-    eigen_system,
     eigenvalue,
     expansion_expectation,
     generator_apply,

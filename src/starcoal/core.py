@@ -6,7 +6,8 @@ transition and stationary distributions take, deterministic seedable RNG
 streams for reproducible Monte Carlo, the ensemble mean and standard error,
 and quadrature.
 
-Quadrature contract: every integral either meets its QuadSpec tolerance or
+Quadrature contract: every integral either meets the fixed tolerance of
+1e-11, absolute or relative to its value, within 400 panel bisections, or
 raises QuadratureError.  There is one integrator, quad_offset: a vectorized
 Gauss-Kronrod rule in the log of the distance from one end of the
 interval, which calls its integrand on float ndarrays.  It resolves the
@@ -45,7 +46,6 @@ __all__ = [
     "SimulationAbortError",
     "TwoTypeParams",
     "RngStream",
-    "QuadSpec",
     "quad_offset",
     "Piece",
     "MixedLaw",
@@ -230,10 +230,10 @@ class RngStream:
     gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.base_seed, int) or not (0 <= self.base_seed < 2**64):
-            raise InvalidParameterError("base_seed must be an integer in [0, 2**64)")
-        if not isinstance(self.stream_index, int) or self.stream_index < 0:
-            raise InvalidParameterError("stream_index must be a non-negative integer")
+        check_int("base_seed", self.base_seed, 0)
+        check_int("stream_index", self.stream_index, 0)
+        if operator.index(self.base_seed) >= 2**64:
+            raise InvalidParameterError(f"base_seed must be below 2**64, got {self.base_seed!r}")
         seq = np.random.SeedSequence(entropy=self.base_seed, spawn_key=(self.stream_index,))
         self.gen = np.random.Generator(np.random.PCG64(seq))
 
@@ -246,36 +246,10 @@ class RngStream:
         bits.state = self.gen.bit_generator.state
         return np.random.Generator(bits.advance(outputs))
 
-    def random(self, size=None):
-        return self.gen.random(size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self.gen.uniform(low, high, size)
-
-    def exponential(self, scale=1.0, size=None):
-        return self.gen.exponential(scale, size)
-
 
 # ---------------------------------------------------------------------------
 # Quadrature
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadSpec:
-    """Tolerances and subdivision budget for adaptive quadrature.
-
-    max_subdivisions caps the number of panel bisections in quad_offset.
-    """
-
-    abs_tol: float = 1e-11
-    rel_tol: float = 1e-11
-    max_subdivisions: int = 400
-
-    def __post_init__(self):
-        check_real("abs_tol", self.abs_tol, 0.0, math.inf, open_lo=True, open_hi=True)
-        check_real("rel_tol", self.rel_tol, 0.0, math.inf, open_lo=True, open_hi=True)
-        check_int("max_subdivisions", self.max_subdivisions, 8)
 
 
 # The 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk21): the
@@ -312,6 +286,9 @@ _EDGES = np.concatenate([[0.0], _GRADE, np.arange(1.0, 193.0)])  # all, to the d
 # its value below which a fitted tail stops the march.  Passes add panels
 # in fours, OpenBLAS's gemv row block, so each sums as in one full pass.
 _PROBE, _TAIL_SHARE = _GRADE.size + 18, 2.0**-70
+# quad_offset's tolerance, absolute or relative to the value, whichever is
+# larger, and its budget of panel bisections.
+_TOL, _BISECTIONS = 1e-11, 400
 
 
 def _offset_panels(f_off, width: float, lo: np.ndarray, half: np.ndarray):
@@ -355,7 +332,7 @@ def _tail_fit(nodes: list[float], span: float, value: float) -> tuple[float, flo
     return rate, tail, math.log(tail / share) / rate if rate > 0.0 and share > 0.0 else math.inf
 
 
-def quad_offset(f_off, width: float, spec: QuadSpec | None = None) -> float | tuple[float, ...]:
+def quad_offset(f_off, width: float) -> float | tuple[float, ...]:
     """Integrate f_off(delta) for delta in (0, width], delta measured from 0.
 
     The offset parametrization is the accurate way to integrate a density
@@ -370,21 +347,21 @@ def quad_offset(f_off, width: float, spec: QuadSpec | None = None) -> float | tu
     across it.  Where that bound exceeds 2^-70 of the value, the next pass
     goes straight to the depth the fit says is enough, at most the floor
     delta = 1e-250 * width; there the bound is not added but must stay
-    within half the tolerance.  f_off receives every node of a pass at once
-    as a float ndarray.  The error of a panel is taken as |Kronrod - Gauss|;
-    while their sum exceeds half the tolerance, the panels that carry the
-    excess are bisected and evaluated again.  An f_off that stacks m > 1
-    integrands on a leading axis gets m values from shared nodes, a panel
-    being bisected while any of them misses its own tolerance.
+    within half the tolerance, 1e-11 * max(1, |value|).  f_off receives
+    every node of a pass at once as a float ndarray.  The error of a panel
+    is taken as |Kronrod - Gauss|; while their sum exceeds half the
+    tolerance, the panels that carry the excess are bisected and evaluated
+    again.  An f_off that stacks m > 1 integrands on a leading axis gets m
+    values from shared nodes, a panel being bisected while any of them
+    misses its own tolerance.
 
     Raises:
-        QuadratureError: the panels miss the tolerance within
-            spec.max_subdivisions bisections, the bounded mass below the
-            floor exceeds half the tolerance (for a unit mass near d^(k-1),
-            k below about 0.05), or f_off returns a non-finite value.
+        QuadratureError: the panels miss the tolerance within 400
+            bisections, the bounded mass below the floor exceeds half the
+            tolerance (for a unit mass near d^(k-1), k below about 0.05),
+            or f_off returns a non-finite value.
         InvalidParameterError: f_off does not accept an ndarray.
     """
-    spec = spec or QuadSpec()
     check_real("width", width, 0.0, math.inf, open_lo=True, open_hi=True)
     floor = max(64.0 * 5e-324, width * 1e-250)
     depth = max(math.log(width / floor), 3.0)
@@ -410,10 +387,10 @@ def quad_offset(f_off, width: float, spec: QuadSpec | None = None) -> float | tu
         new_kron, new_err, g = _offset_panels(f_off, width, edges[end:new], halves[end:new])
         lo, half, end = edges[:new], halves[:new], new
         kron, err = np.concatenate([kron, new_kron], 1), np.concatenate([err, new_err], 1)
-    budget = spec.max_subdivisions
+    budget = _BISECTIONS
     while True:
         values = [math.fsum(row) for row in kron.tolist()]
-        tols = [max(spec.abs_tol, spec.rel_tol * abs(v)) for v in values]
+        tols = [_TOL * max(1.0, abs(v)) for v in values]
         picks = []
         for row, tol in zip(err, tols):
             excess = float(row.sum()) - 0.5 * tol
@@ -426,7 +403,7 @@ def quad_offset(f_off, width: float, spec: QuadSpec | None = None) -> float | tu
         pick = picks[0] if len(picks) == 1 else np.unique(np.concatenate(picks))
         budget -= pick.size
         if budget < 0:
-            msg = f"offset quadrature over width {width!r} did not converge within {spec.max_subdivisions} bisections"
+            msg = f"offset quadrature over width {width!r} did not converge within {_BISECTIONS} bisections"
             raise QuadratureError(msg, values[0], float(err[0].sum()))
         keep = np.ones(lo.size, dtype=bool)
         keep[pick] = False
@@ -572,13 +549,13 @@ class MixedLaw:
         """Sum of the stored component masses."""
         return math.fsum(m for _, m in self.atoms) + math.fsum(pc.mass for pc in self.pieces)
 
-    def quadrature_mass(self, spec: QuadSpec | None = None) -> float:
+    def quadrature_mass(self) -> float:
         """Atom masses plus piece densities integrated by quad_offset."""
         total = [m for _, m in self.atoms]
-        total += [quad_offset(pc.offset_density, pc.offset_width, spec) for pc in self.pieces]
+        total += [quad_offset(pc.offset_density, pc.offset_width) for pc in self.pieces]
         return math.fsum(total)
 
-    def mean(self, spec: QuadSpec | None = None) -> float:
+    def mean(self) -> float:
         """First moment, atoms exactly and pieces by quad_offset."""
         total = [loc * m for loc, m in self.atoms]
         for pc in self.pieces:
@@ -586,7 +563,7 @@ class MixedLaw:
             # mass times the anchor plus a signed pure-offset moment, both
             # from one pass over shared nodes.
             both = lambda d, f=pc.offset_density: np.stack([np.ones_like(d), d]) * f(d)
-            mass, sway = quad_offset(both, pc.offset_width, spec)
+            mass, sway = quad_offset(both, pc.offset_width)
             if pc.offset_side == "lower":
                 total.append(pc.lower * mass + sway)
             else:

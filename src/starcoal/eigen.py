@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .core import (
     InvalidParameterError,
-    QuadSpec,
     SingularityError,
     TwoTypeParams,
     check_int,
@@ -26,11 +25,9 @@ from .core import (
 
 __all__ = [
     "PolyRep",
-    "EigenSystem",
     "eigenvalue",
     "eigen_coefficients",
     "eigen_poly",
-    "eigen_system",
     "generator_apply",
     "q1_eval",
     "pv_expectation_g_q1",
@@ -95,15 +92,6 @@ class PolyRep:
         return PolyRep(new_shift, tuple(out))
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues and eigen polynomials up to a requested degree."""
-
-    params: TwoTypeParams
-    eigenvalues: tuple[float, ...]
-    polys: tuple[PolyRep, ...]
-
-
 def eigenvalue(params: TwoTypeParams, n: int) -> float:
     """n-th eigenvalue: 0, theta/2, then 1 + n theta/2 from n = 2 on.
 
@@ -149,16 +137,6 @@ def eigen_poly(params: TwoTypeParams, n: int) -> PolyRep:
     return PolyRep(params.p, tuple(coeffs))
 
 
-def eigen_system(params: TwoTypeParams, max_degree: int) -> EigenSystem:
-    check_int("max_degree", max_degree, 0)
-    ns = range(max_degree + 1)
-    return EigenSystem(
-        params=params,
-        eigenvalues=tuple(eigenvalue(params, n) for n in ns),
-        polys=tuple(eigen_poly(params, n) for n in ns),
-    )
-
-
 def generator_apply(params: TwoTypeParams, g: PolyRep) -> PolyRep:
     """Apply the generator to a polynomial, exactly.
 
@@ -195,10 +173,6 @@ def q1_eval(params: TwoTypeParams, xi: float) -> float:
     return -p / ((1.0 - p) * (p - xi))
 
 
-def _linear_part_removed(g: PolyRep, p: float) -> tuple[float, ...]:
-    return g.with_shift(p).coeffs
-
-
 def pv_expectation_g_q1(params: TwoTypeParams, g: PolyRep) -> float:
     """Principal value of E[g(xi) Q1(xi)] under the stationary law.
 
@@ -206,7 +180,7 @@ def pv_expectation_g_q1(params: TwoTypeParams, g: PolyRep) -> float:
     (x-p)^n -> -c_{n1} for n >= 2, constants pair to 0, so the value is
     a_1 - sum_{n>=2} a_n c_{n1}.
     """
-    a = _linear_part_removed(g, params.p)
+    a = g.with_shift(params.p).coeffs
     if len(a) < 2:
         return 0.0
     acc = [a[1]]
@@ -217,11 +191,7 @@ def pv_expectation_g_q1(params: TwoTypeParams, g: PolyRep) -> float:
     return math.fsum(acc)
 
 
-def pv_expectation_g_q1_numeric(
-    params: TwoTypeParams,
-    g: PolyRep,
-    spec: QuadSpec | None = None,
-) -> float:
+def pv_expectation_g_q1_numeric(params: TwoTypeParams, g: PolyRep) -> float:
     """Principal value via the symmetric-mass substitution, numerically.
 
     Both stationary branches map to eta in (0, 1) with density
@@ -249,7 +219,7 @@ def pv_expectation_g_q1_numeric(
             acc = acc * eta + c
         return a * eta ** (a - 1.0) * acc
 
-    return quad_offset(integrand, 1.0, spec)
+    return quad_offset(integrand, 1.0)
 
 
 def stationary_expectation(params: TwoTypeParams, g: PolyRep) -> float:
@@ -258,7 +228,7 @@ def stationary_expectation(params: TwoTypeParams, g: PolyRep) -> float:
     E[(xi-p)^n] = -c_{n0} for n >= 2 and 0 for n = 1, so the value is
     a_0 - sum_{n>=2} a_n c_{n0}.
     """
-    a = _linear_part_removed(g, params.p)
+    a = g.with_shift(params.p).coeffs
     acc = [a[0]]
     for n in range(2, len(a)):
         if a[n] != 0.0:

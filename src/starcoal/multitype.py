@@ -140,9 +140,24 @@ def _check_state(mp: MultiParams, x_vec) -> np.ndarray:
     x = np.asarray(x_vec, dtype=float)
     if x.shape != (mp.d,):
         raise InvalidParameterError(f"state must have {mp.d} coordinates")
-    if np.any(x < 0.0) or np.any(x > 1.0) or abs(float(x.sum()) - 1.0) > 1e-9:
+    for i, v in enumerate(x.tolist()):
+        check_real(f"x_vec[{i}]", v, 0.0, 1.0)
+    if abs(float(x.sum()) - 1.0) > 1e-9:
         raise InvalidParameterError("state must be a probability vector")
     return x
+
+
+def _region_density(p: float, x: float, eh: float, a: float, v: float) -> float:
+    """Branch density (p + eh (x - p) / w) a w^(a-1) / (1 - p) at xi_i = v.
+
+    w = (v - p) / (1 - p) is the branch coordinate; for w >= 1/2 the power
+    is exp((a-1) log1p(-(1 - v) / (1 - p))), from the exact distance to 1,
+    since a = 2/theta would amplify the rounding of w near 1.
+    """
+    q = 1.0 - p
+    w = (v - p) / q
+    power = math.exp((a - 1.0) * math.log1p(-(1.0 - v) / q)) if w >= 0.5 else w ** (a - 1.0)
+    return (p + eh * (x - p) / w) * a * power / q
 
 
 def pim_line_kernel(mp: MultiParams, t: float) -> np.ndarray:
@@ -181,10 +196,6 @@ def pim_transition_law(mp: MultiParams, x_vec, t: float) -> SimplexLaw:
         pi, xi0 = float(p[i]), float(x[i])
         mass = pi * s + (xi0 - pi) * big_k
 
-        def dens(v: float, _p=pi, _x=xi0, _eh=eh, _a=a) -> float:
-            w = (v - _p) / (1.0 - _p)
-            return (_p + _eh * (_x - _p) / w) * _a * w ** (_a - 1.0) / (1.0 - _p)
-
         def comp(v: float, _i=i, _p=pi, _pv=p) -> tuple[float, ...]:
             shrink = (1.0 - v) / (1.0 - _p)
             out = _pv * shrink
@@ -198,7 +209,7 @@ def pim_transition_law(mp: MultiParams, x_vec, t: float) -> SimplexLaw:
                 lower=pi + (1.0 - pi) * eh,
                 upper=1.0,
                 mass=mass,
-                density=dens,
+                density=lambda v, _p=pi, _x=xi0: _region_density(_p, _x, eh, a, v),
                 companion=comp,
             )
         )
@@ -214,17 +225,15 @@ def pim_region_density(mp: MultiParams, x_vec, t: float, i: int, xi_i: float) ->
     """Branch-i density at coordinate value xi_i, zero off its segment."""
     x = _check_state(mp, x_vec)
     check_real("t", t, 0.0, math.inf, open_lo=True, open_hi=True)
-    if not 0 <= i < mp.d:
+    check_int("i", i, 0)
+    if i >= mp.d:
         raise InvalidParameterError(f"type index i must lie in [0, {mp.d}), got {i!r}")
     check_real("xi_i", xi_i, -math.inf, math.inf)
-    theta = mp.theta
-    a = 2.0 / theta
-    eh = math.exp(-0.5 * theta * t)
-    pi, xi0 = mp.p_vec[i], float(x[i])
+    eh = math.exp(-0.5 * mp.theta * t)
+    pi = mp.p_vec[i]
     if not (pi + (1.0 - pi) * eh < xi_i <= 1.0):
         return 0.0
-    w = (xi_i - pi) / (1.0 - pi)
-    return (pi + eh * (xi0 - pi) / w) * a * w ** (a - 1.0) / (1.0 - pi)
+    return _region_density(pi, float(x[i]), eh, 2.0 / mp.theta, xi_i)
 
 
 def pim_stationary_sample(mp: MultiParams, rng: RngStream, size=None):

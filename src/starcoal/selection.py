@@ -31,7 +31,6 @@ from .core import (
     NonMonotoneDriftError,
     Piece,
     QuadratureError,
-    QuadSpec,
     RngStream,
     SimulationAbortError,
     check_int,
@@ -318,10 +317,10 @@ def _skeleton_series(drift: DriftSpec) -> tuple[float, float]:
     return p11, p21
 
 
-def _skeleton_quadrature(drift: DriftSpec, spec: QuadSpec | None = None) -> tuple[float, float]:
+def _skeleton_quadrature(drift: DriftSpec) -> tuple[float, float]:
     """Exp(1)-averaged endpoint flows as integrals over u = e^{-t}."""
-    p11 = quad_offset(lambda u: _flow_array(drift, 1.0, -np.log(u)), 1.0, spec)
-    p21 = quad_offset(lambda u: _flow_array(drift, 0.0, -np.log(u)), 1.0, spec)
+    p11 = quad_offset(lambda u: _flow_array(drift, 1.0, -np.log(u)), 1.0)
+    p21 = quad_offset(lambda u: _flow_array(drift, 0.0, -np.log(u)), 1.0)
     return p11, p21
 
 

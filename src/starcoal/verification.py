@@ -267,7 +267,7 @@ def _suite_expansion(seed: int) -> list[tuple]:
     gen = RngStream(seed, _STREAM["expansion"])
     gaps = []
     for i in range(20):
-        coeffs = tuple(float(c) for c in gen.uniform(-1.0, 1.0, size=9))
+        coeffs = tuple(float(c) for c in gen.gen.uniform(-1.0, 1.0, size=9))
         g = PolyRep(0.0, coeffs)
         for theta, p in ((0.5, 0.3), (2.0, 0.7)):
             par = TwoTypeParams(theta=theta, p=p)

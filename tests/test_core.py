@@ -12,7 +12,6 @@ from starcoal.core import (
     QuadratureError,
     MixedLaw,
     Piece,
-    QuadSpec,
     RngStream,
     TwoTypeParams,
     exp_decay_window,
@@ -39,15 +38,19 @@ def test_two_type_params_validation():
 
 
 def test_rng_stream_reproducible_and_sharded():
-    a = RngStream(123, 4).random(8)
-    b = RngStream(123, 4).random(8)
-    c = RngStream(123, 5).random(8)
+    a = RngStream(123, 4).gen.random(8)
+    b = RngStream(123, 4).gen.random(8)
+    c = RngStream(123, 5).gen.random(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    with pytest.raises(InvalidParameterError):
-        RngStream(-1)
-    with pytest.raises(InvalidParameterError):
-        RngStream(1, -2)
+    # Seeds go through check_int like every other integer argument, so
+    # numpy integers are accepted and floats are not.
+    assert np.array_equal(RngStream(np.int64(123), np.uint8(4)).gen.random(8), a)
+    RngStream(np.uint64(2**64 - 1))
+    for seed, index, name in ((-1, 0, "base_seed"), (2**64, 0, "base_seed"), (1.0, 0, "base_seed"),
+                              (1, -2, "stream_index"), (1, np.int64(-1), "stream_index"), (1, 2.0, "stream_index")):
+        with pytest.raises(InvalidParameterError, match=name):
+            RngStream(seed, index)
 
 
 def test_quad_smooth_and_singular():
@@ -305,13 +308,6 @@ def test_quad_offset_stacked_integrands():
     mass, moment = quad_offset(lambda d: np.stack([0.5 * d**-0.5, 0.5 * d**0.5]), 1.0)
     assert mass == pytest.approx(1.0, abs=1e-10)
     assert moment == pytest.approx(1.0 / 3.0, abs=1e-10)
-
-
-def test_quad_spec_validation():
-    with pytest.raises(InvalidParameterError):
-        QuadSpec(abs_tol=0.0)
-    with pytest.raises(InvalidParameterError):
-        QuadSpec(max_subdivisions=0)
 
 
 def test_mean_se_matches_two_pass_statistics():

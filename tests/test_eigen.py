@@ -16,7 +16,6 @@ from starcoal.eigen import (
     PolyRep,
     eigen_coefficients,
     eigen_poly,
-    eigen_system,
     eigenvalue,
     expansion_expectation,
     generator_apply,
@@ -176,14 +175,3 @@ def test_expansion_expectation_matches_moment_route():
     assert expansion_expectation(par, g, x, t) == pytest.approx(direct, abs=1e-12)
     # At t = 0 the expansion telescopes back to g(x).
     assert expansion_expectation(par, g, x, 0.0) == pytest.approx(g(x), abs=1e-12)
-
-
-def test_eigen_system_consistency():
-    par = TwoTypeParams(theta=0.7, p=0.2)
-    sys = eigen_system(par, 5)
-    assert len(sys.polys) == 6
-    assert sys.eigenvalues == tuple(eigenvalue(par, n) for n in range(6))
-    for n, g in enumerate(sys.polys):
-        assert g.coeffs == eigen_poly(par, n).coeffs
-    with pytest.raises(InvalidParameterError):
-        eigen_system(par, -2)

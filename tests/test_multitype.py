@@ -125,6 +125,23 @@ def test_pim_transition_law_embeds_two_type():
     assert law.total_mass() == pytest.approx(1.0, abs=1e-14)
 
 
+def test_region_density_near_one_against_mpmath():
+    # At theta = 1e-8 the power w^(2/theta - 1) amplifies the rounding of
+    # w = (xi - p) / (1 - p) near 1 by 2e8; both density routes take it
+    # from the exact distance 1 - xi instead.
+    mpmath = pytest.importorskip("mpmath")
+    theta, x_vec, t, v = 1e-8, (0.9, 0.1), 1.0, 1.0 - 1e-9
+    mp = MultiParams(theta=theta, p_vec=(0.3, 0.7))
+    law = pim_transition_law(mp, x_vec, t)
+    for i in (0, 1):
+        with mpmath.workdps(40):
+            p, x, a = mpmath.mpf(mp.p_vec[i]), mpmath.mpf(x_vec[i]), 2 / mpmath.mpf(theta)
+            w = (mpmath.mpf(v) - p) / (1 - p)
+            ref = float((p + mpmath.exp(-t / a) * (x - p) / w) * a * w ** (a - 1) / (1 - p))
+        assert law.regions[i].density(v) == pytest.approx(ref, rel=1e-14)
+        assert pim_region_density(mp, x_vec, t, i, v) == pytest.approx(ref, rel=1e-14)
+
+
 def test_pim_transition_law_three_types():
     x_vec = (0.5, 0.25, 0.25)
     t = 0.9

@@ -67,9 +67,6 @@ def outside(lo, hi, open_lo, open_hi):
 CASES = {
     "core.TwoTypeParams": (
         lambda theta=1.0, p=0.3: TwoTypeParams(theta, p), {"theta": POSITIVE, "p": OPEN_UNIT}),
-    "core.QuadSpec": (
-        lambda abs_tol=1e-9, rel_tol=1e-9: core.QuadSpec(abs_tol, rel_tol),
-        {"abs_tol": POSITIVE, "rel_tol": POSITIVE}),
     "core.quad_offset": (
         lambda width=0.5: core.quad_offset(lambda d: 1.0, width), {"width": POSITIVE}),
     "core.replacement_decay_integral": (
@@ -127,11 +124,13 @@ CASES = {
     "multitype.MultiParams": (
         lambda theta=1.0: multitype.MultiParams(theta, (0.2, 0.8)), {"theta": POSITIVE}),
     "multitype.pim_line_kernel": (lambda t=1.0: multitype.pim_line_kernel(MP, t), {"t": TIME_INF}),
+    # x_vec is the state's first coordinate, checked alone before the sum.
     "multitype.pim_transition_law": (
-        lambda t=1.0: multitype.pim_transition_law(MP, (0.2, 0.5, 0.3), t), {"t": TIME}),
+        lambda t=1.0, x_vec=0.2: multitype.pim_transition_law(MP, (x_vec, 0.5, 0.3), t),
+        {"t": TIME, "x_vec": UNIT}),
     "multitype.pim_region_density": (
-        lambda t=1.0, xi_i=0.9: multitype.pim_region_density(MP, (0.2, 0.5, 0.3), t, 0, xi_i),
-        {"t": TIME_POS, "xi_i": ANY}),
+        lambda t=1.0, xi_i=0.9, x_vec=0.2: multitype.pim_region_density(MP, (x_vec, 0.5, 0.3), t, 0, xi_i),
+        {"t": TIME_POS, "xi_i": ANY, "x_vec": UNIT}),
     "multitype.markov_line_kernel": (
         lambda theta=1.0, t=1.0: multitype.markov_line_kernel(MM, theta, t),
         {"theta": POSITIVE, "t": TIME}),
@@ -261,8 +260,8 @@ def test_offset_integrand_failures_are_typed():
     # dropped, naming the floor and the fitted exponent.
     with pytest.raises(core.QuadratureError, match="floor 1e-250.*exponent 0.0099"):
         core.quad_offset(lambda d: 0.01 * d**-0.99, 1.0)
-    with pytest.raises(core.QuadratureError, match="8 bisections"):
-        core.quad_offset(lambda d: np.sin(1e3 / d) / d, 1.0, core.QuadSpec(max_subdivisions=8))
+    with pytest.raises(core.QuadratureError, match="400 bisections"):
+        core.quad_offset(lambda d: np.sin(1e3 / d) / d, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -277,6 +276,8 @@ def test_offset_integrand_failures_are_typed():
         (multitype.MultiParams, (1.0, ("a", 0.5)), r"p_vec\[0\]"),
         (eigen.PolyRep, (0.0, ("x",)), r"coeffs\[0\]"),
         (eigen.PolyRep, ("x", (1.0,)), "shift"),
+        (multitype.pim_region_density, (MP, (0.2, 0.5, 0.3), 1.0, 1.5, 0.9), "i must be an integer"),
+        (multitype.pim_region_density, (MP, (0.2, 0.5, 0.3), 1.0, 3, 0.9), r"\[0, 3\)"),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )

@@ -5,7 +5,7 @@ tests; here we only make sure the registry, the pass/fail bookkeeping,
 the one reducer that turns each suite's (residual, where) pairs into a
 CheckResult, the stable report rendering and the worst-point `where`
 fields behave, using the cheap deterministic suites plus one small Monte
-Carlo suite run twice; one full battery at seed 42 checks that every
+Carlo suite run twice; one full battery at seed 3 checks that every
 check sets `where`.
 The transition-moments cells run on a thread pool while the
 calling thread runs the other suites: these tests check that the cells
@@ -134,12 +134,6 @@ def test_one_suite_name_as_a_string():
         run_suites("no-such-suite", seed=0)
 
 
-def test_every_check_names_where():
-    results = run_suites("all", seed=42)
-    assert len(results) == 33
-    assert [(r.suite, r.name) for r in results if r.where is None] == []
-
-
 def test_report_rendering():
     results = [
         CheckResult("demo", "tiny", 2e-13, 1e-10),
@@ -196,11 +190,16 @@ def test_blocked_cell_draws_equal_sequential_sampler():
 
 
 def test_results_independent_of_pool_size_and_in_registry_order(monkeypatch):
-    # absorption-time runs on the calling thread while the cells draw.
+    # One full battery on a single pool thread: every check names where.
+    # Then two suites, the cells on two threads while absorption-time runs
+    # on the calling thread, asked for out of registry order.
     monkeypatch.setattr(verification, "_workers", lambda tasks: 1)
-    one = run_suites(["absorption-time", "transition-moments"], seed=3)
+    results = run_suites("all", seed=3)
+    assert len(results) == 33
+    assert [(r.suite, r.name) for r in results if r.where is None] == []
+    one = [r for r in results if r.suite in ("transition-moments", "absorption-time")]
     monkeypatch.setattr(verification, "_workers", lambda tasks: 2)
-    two = run_suites(["transition-moments", "absorption-time"], seed=3)
+    two = run_suites(["absorption-time", "transition-moments"], seed=3)
     assert one == two
     assert [r.suite for r in one] == ["transition-moments", "absorption-time", "absorption-time"]
     assert one[1:] == run_suites(["absorption-time"], seed=3)
