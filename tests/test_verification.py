@@ -134,6 +134,20 @@ def test_one_suite_name_as_a_string():
         run_suites("no-such-suite", seed=0)
 
 
+@pytest.fixture(scope="module")
+def battery():
+    # One full battery, shared by the tests below, with the
+    # transition-moments cells on a single pool thread.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verification, "_workers", lambda tasks: 1)
+        return run_suites("all", seed=3)
+
+
+def test_every_check_names_where(battery):
+    assert len(battery) == 33
+    assert [(r.suite, r.name) for r in battery if r.where is None] == []
+
+
 def test_report_rendering():
     results = [
         CheckResult("demo", "tiny", 2e-13, 1e-10),
@@ -189,15 +203,11 @@ def test_blocked_cell_draws_equal_sequential_sampler():
     assert rng.gen.random() == RngStream(11, 300).gen.random()
 
 
-def test_results_independent_of_pool_size_and_in_registry_order(monkeypatch):
-    # One full battery on a single pool thread: every check names where.
-    # Then two suites, the cells on two threads while absorption-time runs
-    # on the calling thread, asked for out of registry order.
-    monkeypatch.setattr(verification, "_workers", lambda tasks: 1)
-    results = run_suites("all", seed=3)
-    assert len(results) == 33
-    assert [(r.suite, r.name) for r in results if r.where is None] == []
-    one = [r for r in results if r.suite in ("transition-moments", "absorption-time")]
+def test_results_independent_of_pool_size_and_in_registry_order(monkeypatch, battery):
+    # The battery's cells ran on one pool thread; here they run on two
+    # while absorption-time runs on the calling thread, asked for out of
+    # registry order.
+    one = [r for r in battery if r.suite in ("transition-moments", "absorption-time")]
     monkeypatch.setattr(verification, "_workers", lambda tasks: 2)
     two = run_suites(["absorption-time", "transition-moments"], seed=3)
     assert one == two
