@@ -15,9 +15,9 @@ power-law endpoint singularities and boundary layers these laws produce,
 and integrates smooth integrands as well.  It marches outward in that log
 until a tail bound fitted to the integrand's decay falls below 2^-70 of
 the value, or down to offsets of 1e-250 times the width, where the bound
-must stay within half the tolerance.  Importing this module loads
-numpy but no scipy; MixedLaw.sample imports scipy's root finder on first
-use.
+must stay within half the tolerance.  Roots of monotone scalar functions,
+such as piece cdfs, come from one bracketing finder, brent_root.  Nothing
+here, nor anywhere in the package, imports scipy.
 
 Concurrency model: all evaluators are pure functions of their arguments, and
 samplers mutate only the RngStream passed to them.  Parallel Monte Carlo is
@@ -47,6 +47,7 @@ __all__ = [
     "TwoTypeParams",
     "RngStream",
     "quad_offset",
+    "brent_root",
     "Piece",
     "MixedLaw",
     "truncated_exponential_inverse_cdf",
@@ -81,6 +82,7 @@ class QuadratureError(StarcoalError, RuntimeError):
 
     def __init__(self, message: str, estimate: float, error_bound: float):
         super().__init__(f"{message} (estimate={estimate!r}, error_bound={error_bound!r})")
+        self.message = message
         self.estimate = estimate
         self.error_bound = error_bound
 
@@ -199,14 +201,6 @@ class TwoTypeParams:
     def __post_init__(self):
         check_real("theta", self.theta, 0.0, math.inf, open_lo=True, open_hi=True)
         check_real("p", self.p, 0.0, 1.0, open_lo=True, open_hi=True)
-
-    @property
-    def theta1(self) -> float:
-        return self.theta * self.p
-
-    @property
-    def theta2(self) -> float:
-        return self.theta * (1.0 - self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +414,61 @@ def quad_offset(f_off, width: float) -> float | tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Roots
+# ---------------------------------------------------------------------------
+
+
+def brent_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float, xtol: float, rtol: float) -> float:
+    """A root of f in [a, b], given fa = f(a) and fb = f(b) of opposite signs.
+
+    Brent's zeroin (Brent 1973, Algorithms for Minimization without
+    Derivatives, ch. 4): c keeps the bracket's other end, b the best
+    iterate, and each step takes inverse quadratic or linear
+    interpolation when it stays well inside the bracket and shrinks the
+    step before last by half, or else bisects.  It stops when the bracket
+    half-width is at most (xtol + rtol |b|) / 2 or f(b) == 0, after at
+    most about (log2 of the bracket over xtol)^2 evaluations, though a
+    smooth monotone f takes a handful.
+    """
+    if (fa > 0.0) == (fb > 0.0) and fa != 0.0 and fb != 0.0:
+        raise InvalidParameterError(f"brent_root needs a sign change on [{a!r}, {b!r}], got {fa!r} and {fb!r}")
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 0.5 * (xtol + rtol * abs(b))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else (tol if m > 0.0 else -tol)
+        fb = f(b)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+
+
+# ---------------------------------------------------------------------------
 # Stable exponential windows
 # ---------------------------------------------------------------------------
 
@@ -520,10 +569,15 @@ class Piece:
 
 @dataclass(frozen=True)
 class MixedLaw:
-    """A probability law on [0, 1] of atoms plus disjoint density pieces."""
+    """A probability law on [0, 1] of atoms plus disjoint density pieces.
+
+    label names the law and its parameters, as its constructor was called;
+    a QuadratureError raised while integrating the pieces leads with it.
+    """
 
     atoms: tuple[tuple[float, float], ...]
     pieces: tuple[Piece, ...]
+    label: str = "MixedLaw"
 
     def __post_init__(self):
         if not self.atoms and not self.pieces:
@@ -549,10 +603,17 @@ class MixedLaw:
         """Sum of the stored component masses."""
         return math.fsum(m for _, m in self.atoms) + math.fsum(pc.mass for pc in self.pieces)
 
+    def _quad(self, f_off, width: float):
+        """quad_offset(f_off, width), its QuadratureError led by the label."""
+        try:
+            return quad_offset(f_off, width)
+        except QuadratureError as exc:
+            raise QuadratureError(f"{self.label}: {exc.message}", exc.estimate, exc.error_bound) from None
+
     def quadrature_mass(self) -> float:
         """Atom masses plus piece densities integrated by quad_offset."""
         total = [m for _, m in self.atoms]
-        total += [quad_offset(pc.offset_density, pc.offset_width) for pc in self.pieces]
+        total += [self._quad(pc.offset_density, pc.offset_width) for pc in self.pieces]
         return math.fsum(total)
 
     def mean(self) -> float:
@@ -563,7 +624,7 @@ class MixedLaw:
             # mass times the anchor plus a signed pure-offset moment, both
             # from one pass over shared nodes.
             both = lambda d, f=pc.offset_density: np.stack([np.ones_like(d), d]) * f(d)
-            mass, sway = quad_offset(both, pc.offset_width)
+            mass, sway = self._quad(both, pc.offset_width)
             if pc.offset_side == "lower":
                 total.append(pc.lower * mass + sway)
             else:
@@ -596,14 +657,14 @@ class MixedLaw:
 
     def _sample_piece(self, pc: Piece, rng: RngStream) -> float:
         """Invert the piece cdf at a uniform share of its mass by root finding."""
-        from scipy.optimize import brentq
-
         target = rng.gen.random() * pc.mass
         fn = lambda x: pc.cdf(x) - target
-        lo = np.nextafter(pc.lower, pc.upper)
-        hi = np.nextafter(pc.upper, pc.lower)
-        if fn(lo) >= 0.0:
-            return float(lo)
-        if fn(hi) <= 0.0:
-            return float(hi)
-        return float(brentq(fn, lo, hi, xtol=1e-14, rtol=8.9e-16))
+        lo = math.nextafter(pc.lower, pc.upper)
+        hi = math.nextafter(pc.upper, pc.lower)
+        f_lo = fn(lo)
+        if f_lo >= 0.0:
+            return lo
+        f_hi = fn(hi)
+        if f_hi <= 0.0:
+            return hi
+        return brent_root(fn, lo, hi, f_lo, f_hi, xtol=1e-14, rtol=8.9e-16)

@@ -73,11 +73,6 @@ class PolyRep:
             acc = acc * y + c
         return acc
 
-    def derivative(self) -> "PolyRep":
-        if len(self.coeffs) == 1:
-            return PolyRep(self.shift, (0.0,))
-        return PolyRep(self.shift, tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
-
     def with_shift(self, new_shift: float) -> "PolyRep":
         """Re-expand around new_shift by binomial shifting."""
         if new_shift == self.shift:

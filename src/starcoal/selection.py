@@ -33,6 +33,7 @@ from .core import (
     QuadratureError,
     RngStream,
     SimulationAbortError,
+    brent_root,
     check_int,
     check_real,
     check_size,
@@ -183,35 +184,95 @@ def roots(theta: float, beta: float, p: float) -> RootPair:
     return RootPair(theta=theta, beta=beta, p=p, r1=r1, r2=r2)
 
 
-def _flow_trajectory(sol, drift: DriftSpec, chi0: float, t: float) -> np.ndarray:
-    """The frequency row of a solve_ivp solution for the flow from chi0 run
-    to time t, or DomainEscapeError naming chi0, t and the drift kind."""
-    inputs = f"chi0 = {chi0!r}, t = {t!r}, {drift.kind} drift"
-    if not sol.success:
-        raise DomainEscapeError(f"flow integration failed ({inputs}): {sol.message}")
-    traj = sol.y[0]
-    if np.any(traj < -1e-9) or np.any(traj > 1.0 + 1e-9):
+# Dormand and Prince (1980), RK5(4)7M: the nodes and rows of stages 2 to 6,
+# the fifth-order weights (stage 7 sits at the new state, so its slope
+# starts the next step), and the fifth- minus fourth-order weights of all
+# seven stages, which estimate the local error.
+_DP_C = (1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0)
+_DP_A = (
+    (1.0 / 5.0,),
+    (3.0 / 40.0, 9.0 / 40.0),
+    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
+)
+_DP_B = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0)
+_DP_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
+_RTOL, _ATOL = 1e-10, 1e-13
+
+
+def _dp45(rhs, y0: tuple[float, ...], t_end: float, max_step: float) -> list[tuple[float, ...]] | None:
+    """The accepted states of y' = rhs(s, y) from y(0) = y0 to y(t_end), y0 first.
+
+    Dormand-Prince 5(4) on a tuple of floats, advancing with the fifth-order
+    solution.  A step is accepted when the RMS over components of the
+    error estimate, each over _ATOL + _RTOL times the larger of its old and
+    new magnitude, is below 1; the next step is h times 0.9 err^(-1/5),
+    kept within [0.2, 10], not above 1 just after a rejection, and never
+    above max_step.  The first step follows Hairer, Norsett and Wanner
+    (1993), Solving ODEs I, sec. II.4.  Returns None when the step falls
+    below ten float spacings at the current time or is NaN, as it becomes
+    when rhs returns NaN.
+    """
+    m = len(y0)
+    rms = lambda v: math.sqrt(sum(x * x for x in v) / m)
+    f0 = rhs(0.0, y0)
+    scale = [_ATOL + _RTOL * abs(y) for y in y0]
+    d0, d1 = rms([y / w for y, w in zip(y0, scale)]), rms([f / w for f, w in zip(f0, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    f1 = rhs(h0, tuple(y + h0 * f for y, f in zip(y0, f0)))
+    d2 = rms([(b - a) / w for a, b, w in zip(f0, f1, scale)]) / h0
+    h1 = max(1e-6, 1e-3 * h0) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h = min(100.0 * h0, h1)
+
+    s, y, ks, states, rejected = 0.0, y0, [f0], [y0], False
+    while s < t_end:
+        h = min(h, max_step, t_end - s)
+        if not h >= 10.0 * (math.nextafter(s, math.inf) - s):
+            return None
+        ks = ks[:1]
+        for c, row in zip(_DP_C, _DP_A):
+            stage = tuple(yi + h * sum(a * k[i] for a, k in zip(row, ks)) for i, yi in enumerate(y))
+            ks.append(rhs(s + c * h, stage))
+        new = tuple(yi + h * sum(b * k[i] for b, k in zip(_DP_B, ks)) for i, yi in enumerate(y))
+        ks.append(rhs(s + h, new))
+        err = rms(
+            [h * sum(e * k[i] for e, k in zip(_DP_E, ks)) / (_ATOL + _RTOL * max(abs(a), abs(b)))
+             for i, (a, b) in enumerate(zip(y, new))]
+        )
+        if err < 1.0:
+            factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.2)
+            s = t_end if s + h >= t_end else s + h
+            y, ks = new, ks[-1:]
+            states.append(y)
+            h *= min(1.0, factor) if rejected else factor
+            rejected = False
+        else:
+            h *= max(0.2, 0.9 * err**-0.2)
+            rejected = True
+    return states
+
+
+def _flow_trajectory(drift: DriftSpec, rhs, y0: tuple[float, ...], t: float, max_step: float) -> tuple[float, ...]:
+    """The state at time t of y' = rhs(s, y), y(0) = y0, by _dp45, where
+    y[0] is the frequency of drift's flow from y0[0]; or DomainEscapeError
+    naming chi0, t and the drift kind when the step size underflows or the
+    frequency leaves [0, 1] at an accepted step."""
+    inputs = f"chi0 = {y0[0]!r}, t = {t!r}, {drift.kind} drift"
+    states = _dp45(rhs, y0, t, max_step)
+    if states is None:
+        raise DomainEscapeError(f"flow integration failed ({inputs}): required step size is less than spacing between numbers")
+    if any(y[0] < -1e-9 or y[0] > 1.0 + 1e-9 for y in states):
         raise DomainEscapeError(f"custom drift pushed the flow outside [0, 1] ({inputs})")
-    return traj
+    return states[-1]
 
 
 def _ode_flow(drift: DriftSpec, chi0: float, t: float) -> float:
-    from scipy.integrate import solve_ivp
-
     if t == 0.0:
         return chi0
     max_step = min(t, 1.0 / max(drift.lipschitz, 1e-12))
-    sol = solve_ivp(
-        lambda _s, y: [drift.velocity(float(y[0]))],
-        (0.0, t),
-        [chi0],
-        method="RK45",
-        rtol=1e-10,
-        atol=1e-13,
-        max_step=max_step,
-    )
-    traj = _flow_trajectory(sol, drift, chi0, t)
-    return min(1.0, max(0.0, float(traj[-1])))
+    (chi,) = _flow_trajectory(drift, lambda _s, y: (float(drift.velocity(y[0])),), (chi0,), t, max_step)
+    return min(1.0, max(0.0, chi))
 
 
 def flow(drift: DriftSpec, chi0: float, t: float) -> float:
@@ -333,22 +394,13 @@ def _skeleton_ode(drift: DriftSpec) -> tuple[float, float]:
     closed-form kinds would re-run the ODE at every quadrature point, which
     is far too slow for velocity callables.
     """
-    from scipy.integrate import solve_ivp
-
     horizon = 45.0
+    max_step = min(1.0, 1.0 / max(drift.lipschitz, 1e-12))
+    rhs = lambda s, y: (float(drift.velocity(y[0])), math.exp(-s) * y[0])
     out = []
     for chi0 in (1.0, 0.0):
-        sol = solve_ivp(
-            lambda s, y: [drift.velocity(float(y[0])), math.exp(-s) * float(y[0])],
-            (0.0, horizon),
-            [chi0, 0.0],
-            method="RK45",
-            rtol=1e-10,
-            atol=1e-13,
-            max_step=min(1.0, 1.0 / max(drift.lipschitz, 1e-12)),
-        )
-        traj = _flow_trajectory(sol, drift, chi0, horizon)
-        out.append(float(sol.y[1][-1]) + math.exp(-horizon) * float(traj[-1]))
+        chi, weighted = _flow_trajectory(drift, rhs, (chi0, 0.0), horizon, max_step)
+        out.append(weighted + math.exp(-horizon) * chi)
     return out[0], out[1]
 
 
@@ -414,21 +466,23 @@ def _custom_orbit_guard(drift: DriftSpec, lo: float, hi: float, sign: float):
 
 
 def _custom_hit_time(drift: DriftSpec, chi0: float, xi: float) -> float | None:
-    """Time for the custom flow from chi0 to reach xi, None if unreachable."""
-    from scipy.optimize import brentq
+    """Time for the custom flow from chi0 to reach xi, None if unreachable.
 
-    direction = -1.0 if chi0 > xi else 1.0
-    horizon = 1.0
-    while True:
-        val = flow(drift, chi0, horizon)
-        if direction * (val - xi) >= 0.0:
-            break
-        horizon *= 2.0
-        if horizon > 1400.0:
-            return None
-    if horizon == 1.0 and direction * (flow(drift, chi0, 0.0) - xi) >= 0.0:
+    Doubles a horizon from 1 until the flow passes xi, then finds the time
+    between the last two horizons (0 and 1 at first) by brent_root.
+    """
+    if chi0 == xi:
         return 0.0
-    return float(brentq(lambda s: flow(drift, chi0, s) - xi, 0.0, horizon, xtol=1e-12))
+    direction = -1.0 if chi0 > xi else 1.0
+    lo, f_lo, hi = 0.0, chi0 - xi, 1.0
+    while True:
+        f_hi = flow(drift, chi0, hi) - xi
+        if direction * f_hi >= 0.0:
+            break
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
+        if hi > 1400.0:
+            return None
+    return brent_root(lambda s: flow(drift, chi0, s) - xi, lo, hi, f_lo, f_hi, xtol=1e-12, rtol=4.0 * math.ulp(1.0))
 
 
 def stationary_density(drift: DriftSpec, xi: float) -> float:
@@ -540,6 +594,7 @@ def stationary_law(drift: DriftSpec) -> MixedLaw:
                 offset_width=1.0 - r1,
             ),
         ),
+        label=f"selection stationary_law(theta={drift.theta!r}, p={drift.p!r}, beta={drift.beta!r})",
     )
 
 

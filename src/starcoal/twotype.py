@@ -148,8 +148,9 @@ def transition_law(params: TwoTypeParams, x: float, t: float) -> MixedLaw:
     """
     check_real("x", x, 0.0, 1.0)
     check_real("t", t, 0.0, math.inf, open_hi=True)
+    label = f"transition_law(theta={params.theta!r}, p={params.p!r}, x={x!r}, t={t!r})"
     if t == 0.0:
-        return MixedLaw(atoms=((x, 1.0),), pieces=())
+        return MixedLaw(atoms=((x, 1.0),), pieces=(), label=label)
     theta, p, q = params.theta, params.p, 1.0 - params.p
     a = 2.0 / theta
     delta = 1.0 - 0.5 * theta
@@ -211,7 +212,7 @@ def transition_law(params: TwoTypeParams, x: float, t: float) -> MixedLaw:
     # e^{-t} underflows past t ~ 745, and a massless atom is no atom.
     if atom_mass > 0.0:
         atoms.append((q1, atom_mass))
-    return MixedLaw(atoms=tuple(atoms), pieces=tuple(pieces))
+    return MixedLaw(atoms=tuple(atoms), pieces=tuple(pieces), label=label)
 
 
 def transition_density_eval(params: TwoTypeParams, x: float, t: float, xi: float) -> float:
@@ -264,7 +265,7 @@ def stationary_law(params: TwoTypeParams) -> MixedLaw:
             offset_width=p,
         ),
     )
-    return MixedLaw(atoms=(), pieces=pieces)
+    return MixedLaw(atoms=(), pieces=pieces, label=f"stationary_law(theta={theta!r}, p={p!r})")
 
 
 def stationary_density_eval(params: TwoTypeParams, xi: float) -> float:

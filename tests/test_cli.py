@@ -376,14 +376,32 @@ def test_simulate_fv_rejects_infinite_time():
     assert proc.stderr.startswith("error: ")
 
 
+_SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+# The suites that once used scipy's KS law, ODE solver and root finder, the
+# sampler that inverted piece cdfs by brentq, and a custom-drift density.
+_NUMPY_ONLY_RUN = f"""
+import contextlib, io, sys
+from starcoal import cli, core, selection, twotype
+with contextlib.redirect_stdout(io.StringIO()):
+    for suite in ("uniform-stationary", "selection", "asg"):
+        assert cli.main(["verify", "--suite", suite, "--seed", "42"]) == 0, suite
+law = twotype.transition_law(core.TwoTypeParams(1.0, 0.3), 0.6, 1.0)
+rng = core.RngStream(0)
+assert all(0.0 <= law.sample(rng) <= 1.0 for _ in range(100))
+assert selection.stationary_density(selection.custom_drift(lambda y: 0.5 * (0.5 - y) + y * (1.0 - y), 2.0), 0.6) > 0.0
+{_SCIPY_MODULES}
+"""
+
+
 def test_import_loads_no_scipy():
-    # scipy is imported on first use only, so the package and its command
-    # line start on numpy alone.
+    # The runtime depends on numpy alone: neither the import nor the suites
+    # and routines that once called scipy load any of it.
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    code = "import sys, starcoal, starcoal.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    for code in (f"import sys, starcoal, starcoal.cli; {_SCIPY_MODULES}", _NUMPY_ONLY_RUN):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 def test_out_file_matches_stdout(capsys, tmp_path):

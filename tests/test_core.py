@@ -27,8 +27,7 @@ from starcoal.twotype import stationary_law, transition_law
 
 def test_two_type_params_validation():
     par = TwoTypeParams(theta=2.0, p=0.25)
-    assert par.theta1 == pytest.approx(0.5)
-    assert par.theta2 == pytest.approx(1.5)
+    assert (par.theta, par.p) == (2.0, 0.25)
     with pytest.raises(InvalidParameterError):
         TwoTypeParams(theta=0.0, p=0.5)
     with pytest.raises(InvalidParameterError):

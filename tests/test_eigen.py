@@ -35,9 +35,6 @@ def test_polyrep_basics():
     assert g.coefficient(9) == 0.0
     x = 0.8
     assert g(x) == pytest.approx(1.0 - 2.0 * 0.3 + 4.0 * 0.3**3, rel=1e-15)
-    dg = g.derivative()
-    assert dg.coeffs[:3] == (-2.0, 0.0, 12.0)
-    assert dg.degree == 2
     with pytest.raises(InvalidParameterError):
         PolyRep(0.0, ())
     with pytest.raises(InvalidParameterError):
@@ -107,7 +104,7 @@ def test_generator_matches_pointwise_formula():
     par = TwoTypeParams(theta=2.3, p=0.35)
     g = PolyRep(0.0, (0.3, -1.2, 0.7, 0.25, -0.4))
     img = generator_apply(par, g)
-    dg = g.derivative()
+    dg = lambda x: sum(k * c * x ** (k - 1) for k, c in enumerate(g.coeffs) if k)
     for x in (0.0, 0.15, 0.35, 0.62, 1.0):
         direct = (
             0.5 * par.theta * (par.p - x) * dg(x)

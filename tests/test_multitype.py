@@ -142,6 +142,26 @@ def test_region_density_near_one_against_mpmath():
         assert pim_region_density(mp, x_vec, t, i, v) == pytest.approx(ref, rel=1e-14)
 
 
+def test_embedding_region_densities_against_mpmath():
+    # The multitype suite's embedding check compares region 0 with the
+    # two-type density, two routes doing the same float operations, so its
+    # gaps read 0; at the suite's 72 points both are held to 30 digits.
+    mpmath = pytest.importorskip("mpmath")
+    for theta in (0.5, 2.0, 5.0):
+        for p in (0.3, 0.5):
+            mp = MultiParams(theta=theta, p_vec=(p, 1.0 - p))
+            for x in (0.2, 0.7):
+                for t in (0.5, 2.0):
+                    r0 = pim_transition_law(mp, (x, 1.0 - x), t).regions[0]
+                    for f in (0.2, 0.5, 0.8):
+                        xi = r0.lower + (1.0 - r0.lower) * f
+                        with mpmath.workdps(30):
+                            pm, xm, a = mpmath.mpf(p), mpmath.mpf(x), 2 / mpmath.mpf(theta)
+                            w = (mpmath.mpf(xi) - pm) / (1 - pm)
+                            want = (pm + mpmath.exp(-t / a) * (xm - pm) / w) * a * w ** (a - 1) / (1 - pm)
+                        assert r0.density(xi) == pytest.approx(float(want), rel=1e-14), (theta, p, x, t, xi)
+
+
 def test_pim_transition_law_three_types():
     x_vec = (0.5, 0.25, 0.25)
     t = 0.9

@@ -193,3 +193,33 @@ def test_transition_law_mass_and_mean_or_raise(theta, p, x, t):
     want_mean = p + (x - p) * math.exp(-0.5 * theta * t)
     _matches_or_raises(law.quadrature_mass, 1.0)
     _matches_or_raises(law.mean, want_mean)
+
+
+# Each law constructor at a point where its quadrature raises, with the
+# label its QuadratureError leads with.
+_FAILING_LAWS = {
+    "twotype.transition_law": (
+        lambda: transition_law(TwoTypeParams(400.0, 0.5), 0.9, 3.0),
+        "transition_law(theta=400.0, p=0.5, x=0.9, t=3.0): ",
+    ),
+    "twotype.stationary_law": (
+        lambda: stationary_law(TwoTypeParams(45.0, 0.3)),
+        "stationary_law(theta=45.0, p=0.3): ",
+    ),
+    "selection.stationary_law": (
+        lambda: selection_stationary_law(mutation_selection_drift(100.0, 0.3, 1.0)),
+        "selection stationary_law(theta=100.0, p=0.3, beta=1.0): ",
+    ),
+}
+
+
+@pytest.mark.parametrize("constructor", sorted(_FAILING_LAWS))
+def test_quadrature_error_names_the_law(constructor):
+    make, label = _FAILING_LAWS[constructor]
+    law = make()
+    for moment in (law.quadrature_mass, law.mean):
+        with pytest.raises(QuadratureError) as exc:
+            moment()
+        assert str(exc.value).startswith(label + "offset integral over width"), str(exc.value)
+        assert exc.value.message.startswith(label)
+        assert math.isfinite(exc.value.estimate)

@@ -561,3 +561,19 @@ def test_skeleton_series_raises_typed_error():
     with pytest.raises(QuadratureError, match="theta=1.0") as exc:
         selection._skeleton_series(mutation_selection_drift(1.0, 1e-12, 1.0))
     assert math.isfinite(exc.value.estimate)
+
+
+def test_fixation_complement_points_against_mpmath():
+    # The selection suite's complement check reads P_fix(1) + P_fix(2) - 1
+    # as exactly 0 at its 9 points, which cannot tell a formula error the
+    # two integrals share; each is held to a 30-digit integral in u = z^a.
+    mpmath = pytest.importorskip("mpmath")
+    for beta in (0.5, 2.0, 5.0):
+        for x in (0.1, 0.5, 0.9):
+            y = 1.0 - x
+            with mpmath.workdps(30):
+                a, xm, ym = 2 / mpmath.mpf(beta), mpmath.mpf(x), mpmath.mpf(y)
+                p1 = xm * mpmath.quad(lambda u: 1 / (xm + (1 - xm) * u ** (1 / a)), [0, 1])
+                p2 = ym * mpmath.quad(lambda u: u ** (1 / a) / (1 - ym + ym * u ** (1 / a)), [0, 1])
+            assert fixation_prob(beta, x, 1) == pytest.approx(float(p1), rel=1e-14), (beta, x)
+            assert fixation_prob(beta, y, 2) == pytest.approx(float(p2), rel=1e-14), (beta, y)
