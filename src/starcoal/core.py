@@ -160,6 +160,17 @@ def mean_se_of_sums(n: int, shift: float, total: float, sumsq: float) -> tuple[f
     return shift + mean, math.sqrt((sumsq - total * mean) / (n - 1) / n)
 
 
+def mean_se_of_counts(counts, values) -> tuple[float, float]:
+    """Mean and standard error of a sample of counts[k] copies of values[k],
+    by exact sums (fsum); mean_se of the expanded sample agrees to rounding."""
+    c = np.asarray(counts, dtype=float).ravel()
+    v = np.asarray(values, dtype=float).ravel()
+    n = float(c.sum())
+    mean = math.fsum(c * v) / n
+    dev = v - mean
+    return mean, math.sqrt(math.fsum(c * dev * dev) / (n - 1) / n)
+
+
 def mean_se(values) -> tuple[float, float]:
     """Sample mean and standard error of the mean, in one pass over values.
 
@@ -234,11 +245,59 @@ class RngStream:
     def ahead(self, outputs: int) -> np.random.Generator:
         """A new generator `outputs` PCG64 outputs (doubles of random())
         past this stream.  It advances a copy of the bit generator: the
-        stream it was built from never moves."""
+        stream it was built from never moves.  The batch engines draw only
+        variates made of whole 64-bit outputs, so advance matches drawing."""
         check_int("outputs", outputs, 0)
         bits = np.random.PCG64(0)
         bits.state = self.gen.bit_generator.state
         return np.random.Generator(bits.advance(outputs))
+
+
+# Replicates per block of the batch engines, which hold their outputs, their
+# per-replicate state and a few blocks.  Smaller blocks lose time to Python
+# and, on pool threads, to the GIL; larger ones leave more memory behind.
+_BLOCK = 1 << 15
+
+
+def _blocks(size: int):
+    """Consecutive slices of range(size), _BLOCK long but for the last."""
+    return (slice(lo, min(lo + _BLOCK, size)) for lo in range(0, size, _BLOCK))
+
+
+def _sample(rng: RngStream, size, runs: int, draw, width=()) -> np.ndarray:
+    """A sample of shape size + width, drawn block by block, equal to what
+    one-shot code drawing `runs` consecutive runs of prod(size) variates
+    gives.  draw(gens, m) returns m rows from gens, one generator per run
+    at the block's place in it.  The last is rng itself, moved past the
+    other runs, so its variates may take several outputs each (Exp(1))."""
+    shape = size if isinstance(size, tuple) else (size,)
+    n = math.prod(shape)
+    gens = [rng.ahead(j * n) for j in range(runs - 1)]
+    rng.gen.bit_generator.advance((runs - 1) * n)
+    out = np.empty((n, *width))
+    for s in _blocks(n):
+        out[s] = draw([*gens, rng.gen], s.stop - s.start)
+    return out.reshape(*shape, *width)
+
+
+def _replicates(size: int) -> np.ndarray:
+    """Indices 0..size-1 of an ensemble's replicates, int32 below 2^31."""
+    return np.arange(size, dtype=np.int32 if size < 2**31 else np.intp)
+
+
+def _sweep(active: np.ndarray, visit) -> np.ndarray:
+    """One stage of a staged engine: visit(block) on active's blocks in
+    order, drawing in replicate order.  visit returns None to keep all, or
+    a mask of those kept, compacted in place to a view it returns."""
+    kept = 0
+    for s in _blocks(active.size):
+        block = active[s]
+        mask = visit(block)
+        if mask is not None:
+            block = block[mask]
+        active[kept : kept + block.size] = block
+        kept += block.size
+    return active[:kept]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InvalidParameterError, RngStream, TwoTypeParams, replacement_decay_integral
-from .core import check_int, check_real, mean_se
+from .core import _blocks, _replicates, _sweep, check_int, check_real, mean_se_of_counts
 from .twotype import transition_moment
 
 __all__ = [
@@ -317,32 +317,32 @@ def _line_ensemble(
     t = inf runs every chain to absorption, where the clock is the
     absorption time.
     """
-    state = np.full(size, n, dtype=np.int64)
+    state = np.full(size, n, dtype=np.min_scalar_type(n))
     clock = np.zeros(size)
-    coal_before = np.zeros(size, dtype=np.int64)
-    active = np.arange(size)
-    while active.size:
-        count = state[active]
-        rate = 0.5 * theta * count + (count >= 2)
-        # In place and one copy at a time: at size 1e6 every temporary is 8 MB.
-        landed = rng.gen.exponential(size=active.size)
-        landed /= rate
-        landed += clock[active]
+    coal_before = np.zeros_like(state)
+
+    def land(a):
+        count = state[a]
+        landed = rng.gen.standard_exponential(a.size)
+        landed /= 0.5 * theta * count + (count >= 2)
+        landed += clock[a]
         alive = landed <= t
-        if not alive.all():
-            active = active[alive]
-            count = count[alive]
-            rate = rate[alive]
-            landed = landed[alive]
-        clock[active] = landed
+        clock[a[alive]] = landed[alive]
+        return alive
+
+    def resolve(a):
         # From i >= 2 lines the total rate is 1 + i theta/2, and the collapse
         # has rate 1: it wins with probability 1/rate.
-        coal = (count >= 2) & (rng.gen.random(active.size) * rate < 1.0)
-        coal_idx = active[coal]
-        coal_before[coal_idx] = count[coal]
-        state[coal_idx] = 1
-        state[active[~coal]] -= 1
-        active = active[state[active] >= 1]
+        count = state[a]
+        coal = (count >= 2) & (rng.gen.random(a.size) * (0.5 * theta * count + (count >= 2)) < 1.0)
+        coal_before[a[coal]] = count[coal]
+        count = np.where(coal, 1, count - 1)
+        state[a] = count
+        return count >= 1
+
+    active = _replicates(size)
+    while active.size:
+        active = _sweep(_sweep(active, land), resolve)
     return state, coal_before, clock
 
 
@@ -378,13 +378,17 @@ def duality_check(
         for k in range(n + 1)
     )
     state, coal_before = _line_ensemble(n, params.theta, t, n_mc, rng)[:2]
-    # A path's value depends only on (coal_before, state): read it from a table.
+    # A path's value depends only on (coal_before, state): count the pairs
+    # and read their values from a table.
     s = np.arange(n + 1)
     table = np.empty((n + 1, n + 1))
     table[0] = x ** s.astype(float) * p ** (n - s).astype(float)
     exponent = (n - s[1:, None]).astype(float)
     table[1:] = np.where(s == 1, x * p**exponent, p ** (exponent + 1.0))
-    rhs, rhs_se = mean_se(table[coal_before, state])
+    pairs = sum(
+        np.bincount(coal_before[b].astype(np.intp) * (n + 1) + state[b], minlength=table.size) for b in _blocks(n_mc)
+    )
+    rhs, rhs_se = mean_se_of_counts(pairs, table)
     return lhs, rhs, rhs_se
 
 
@@ -404,15 +408,20 @@ def stationary_moment_via_coalescent(
     """
     check_int("n", n, 1)
     check_int("n_mc", n_mc, 2)
-    state = np.full(n_mc, n, dtype=np.int64)
-    a = np.ones(n_mc, dtype=np.int64)
-    active = np.arange(n_mc)
+    state = np.full(n_mc, n, dtype=np.min_scalar_type(n))
+    a = np.ones_like(state)
+
+    def step(b):
+        count = state[b]
+        coal = rng.gen.random(b.size) * (0.5 * params.theta * count + 1.0) < 1.0
+        a[b[coal]] = count[coal]
+        count = np.where(coal, 1, count - 1)
+        state[b] = count
+        return count >= 2
+
+    active = _replicates(n_mc)
     while active.size:
-        s = state[active].astype(float)
-        coal = rng.gen.random(active.size) * (0.5 * params.theta * s + 1.0) < 1.0
-        a[active[coal]] = state[active[coal]]
-        state[active[coal]] = 1
-        state[active[~coal]] -= 1
-        active = active[(state[active] >= 2) & (a[active] == 1)]
-    values = params.p ** (n + 1 - a).astype(float)
-    return mean_se(values)
+        active = _sweep(active, step)
+    # A path's value p^{n+1-a} depends only on a.
+    counts = sum(np.bincount(a[b], minlength=n + 1) for b in _blocks(n_mc))
+    return mean_se_of_counts(counts, params.p ** (n + 1 - np.arange(n + 1)).astype(float))

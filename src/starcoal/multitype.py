@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import InvalidParameterError, RngStream, replacement_decay_integral
+from .core import InvalidParameterError, RngStream, _sample, replacement_decay_integral
 from .core import check_int, check_real, check_size
 
 __all__ = [
@@ -249,11 +249,15 @@ def pim_stationary_sample(mp: MultiParams, rng: RngStream, size=None):
         out = (1.0 - eta) * p
         out[i] += eta
         return out
-    eta = rng.gen.random(size) ** (0.5 * mp.theta)
-    i = rng.gen.choice(mp.d, p=p, size=size)
-    out = (1.0 - eta)[..., None] * p
-    out[(*np.indices(eta.shape), i)] += eta
-    return out
+
+    def draw(gens, m):
+        # choice draws one uniform per state.
+        eta = gens[0].random(m) ** (0.5 * mp.theta)
+        out = (1.0 - eta)[:, None] * p
+        out[np.arange(m), gens[1].choice(mp.d, p=p, size=m)] += eta
+        return out
+
+    return _sample(rng, size, 2, draw, (mp.d,))
 
 
 def markov_line_kernel(mm: MutationMatrix, theta: float, t: float) -> np.ndarray:

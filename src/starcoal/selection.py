@@ -40,6 +40,7 @@ from .core import (
     mean_se,
     quad_offset,
 )
+from .core import _replicates, _sample, _sweep, mean_se_of_counts
 from .twotype import PathRecord, TwoTypeParams, _jump_endpoints, _jump_path, stationary_density_eval
 from .twotype import stationary_law as _neutral_stationary_law
 
@@ -605,12 +606,15 @@ def stationary_sample(drift: DriftSpec, rng: RngStream, size=None):
     if size is None:
         chi0 = 1.0 if rng.gen.random() < pi1 else 0.0
         return flow(drift, chi0, rng.gen.exponential())
-    chi0 = (rng.gen.random(size) < pi1).astype(float)
-    tau = rng.gen.exponential(size=size)
-    if drift.kind == "custom":
-        ends = [flow(drift, float(c), float(s)) for c, s in zip(chi0.flat, tau.flat)]
-        return np.array(ends).reshape(tau.shape)
-    return _flow_array(drift, chi0, tau)
+
+    def draw(gens, m):
+        chi0 = (gens[0].random(m) < pi1).astype(float)
+        tau = gens[1].standard_exponential(m)
+        if drift.kind == "custom":
+            return [flow(drift, float(c), float(s)) for c, s in zip(chi0, tau)]
+        return _flow_array(drift, chi0, tau)
+
+    return _sample(rng, size, 2, draw)
 
 
 def simulate_path(drift: DriftSpec, x: float, horizon: float, rng: RngStream) -> PathRecord:
@@ -730,14 +734,18 @@ def ua_time_ensemble(n: int, beta: float, size: int, rng: RngStream) -> np.ndarr
     t_ua = np.zeros(size)
     if n == 1:
         return t_ua
-    active = np.arange(size)
+
+    def wait(a, total_rate):
+        t_ua[a] += rng.gen.standard_exponential(a.size) / total_rate
+
+    active = _replicates(size)
     for s in range(n, _UA_RESIDUAL_STATE):
         if not active.size:
             return t_ua
         rate = 0.5 * beta * s
-        t_ua[active] += rng.gen.exponential(size=active.size) / (rate + 1.0)
-        active = active[rng.gen.random(active.size) * (rate + 1.0) < rate]
-    t_ua[active] += rng.gen.exponential(size=active.size)
+        _sweep(active, lambda a, r=rate + 1.0: wait(a, r))
+        active = _sweep(active, lambda a, r=rate: rng.gen.random(a.size) * (r + 1.0) < r)
+    _sweep(active, lambda a: wait(a, 1.0))
     return t_ua
 
 
@@ -797,19 +805,6 @@ def _state_cap_abort(n: int, beta: float) -> SimulationAbortError:
     return SimulationAbortError(msg)
 
 
-def _yule_total(pe: np.ndarray, start: int, rng: RngStream, n: int, beta: float) -> np.ndarray:
-    """Line count after pure branching: sum of start geometrics.  n and
-    beta, the ensemble's, name it if a count reaches ASG_STATE_CAP."""
-    if pe.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    out = np.zeros(pe.size, dtype=np.int64)
-    for _ in range(start):
-        out += rng.gen.geometric(pe)
-    if np.any(out >= ASG_STATE_CAP):
-        raise _state_cap_abort(n, beta)
-    return out
-
-
 def asg_count_ensemble(n: int, beta: float, t: float, size: int, rng: RngStream) -> np.ndarray:
     """Line counts B(t) of size independent dual runs with a horizon.
 
@@ -826,29 +821,40 @@ def asg_count_ensemble(n: int, beta: float, t: float, size: int, rng: RngStream)
     check_int("size", size, 1)
     remaining = np.full(size, float(t))
     out = np.zeros(size, dtype=np.int64)
-    done = np.zeros(size, dtype=bool)
+
+    def dwell(a):
+        wait = rng.gen.exponential(scale=2.0 / beta, size=a.size)
+        rem = remaining[a]
+        out[a[wait >= rem]] = 1
+        remaining[a] = rem - wait
+        return wait < rem
+
+    def phase(a, lines):
+        """Collapse clocks for a, then the Yule totals of the runs they end."""
+        ended = []
+
+        def collapse(b):
+            # An ended run keeps its geometrics' parameter in remaining.
+            wait = rng.gen.standard_exponential(b.size)
+            rem = remaining[b]
+            go = wait < rem
+            ended.append(b[~go])
+            remaining[b] = np.where(go, rem - wait, np.exp(-0.5 * beta * rem))
+            return go
+
+        a = _sweep(a, collapse)
+        for _ in range(lines):
+            for b in ended:
+                out[b] += rng.gen.geometric(remaining[b])
+                if np.any(out[b] >= ASG_STATE_CAP):
+                    raise _state_cap_abort(n, beta)
+        return a
+
+    active = _replicates(size)
     if n >= 2:
-        collapse = rng.gen.exponential(size=size)
-        finish = collapse >= remaining
-        pe = np.exp(-0.5 * beta * remaining[finish])
-        out[finish] = _yule_total(pe, n, rng, n, beta)
-        done |= finish
-        remaining[~finish] -= collapse[~finish]
-    while not done.all():
-        idx = np.flatnonzero(~done)
-        dwell = rng.gen.exponential(scale=2.0 / beta, size=idx.size)
-        ends = dwell >= remaining[idx]
-        out[idx[ends]] = 1
-        done[idx[ends]] = True
-        grow = idx[~ends]
-        remaining[grow] -= dwell[~ends]
-        collapse = rng.gen.exponential(size=grow.size)
-        finish = collapse >= remaining[grow]
-        fin_idx = grow[finish]
-        pe = np.exp(-0.5 * beta * remaining[fin_idx])
-        out[fin_idx] = _yule_total(pe, 2, rng, n, beta)
-        done[fin_idx] = True
-        remaining[grow[~finish]] -= collapse[~finish]
+        active = phase(active, n)
+    while active.size:
+        active = phase(_sweep(active, dwell), 2)
     return out
 
 
@@ -870,10 +876,12 @@ def selection_duality_check(
     check_real("t", t, 0.0, math.inf, open_lo=True, open_hi=True)
     check_int("n_mc", n_mc, 2)
     drift = logistic_drift(beta)
-    swapped = _jump_endpoints(lambda f, w: _flow_array(drift, f, w), 1.0 - x, t, n_mc, rng)
-    lhs_vals = (1.0 - swapped) ** n
-    counts = asg_count_ensemble(n, beta, t, n_mc, rng)
-    rhs_vals = np.power(float(x), np.arange(counts.max() + 1, dtype=float))[counts]
-    lhs, lhs_se = mean_se(lhs_vals)
-    rhs, rhs_se = mean_se(rhs_vals)
+    ends = _jump_endpoints(lambda f, w: _flow_array(drift, f, w), 1.0 - x, t, n_mc, rng)
+    np.subtract(1.0, ends, out=ends)
+    ends **= n
+    lhs, lhs_se = mean_se(ends)
+    del ends
+    # A run's value x^B(t) depends only on its count.
+    counts = np.bincount(asg_count_ensemble(n, beta, t, n_mc, rng))
+    rhs, rhs_se = mean_se_of_counts(counts, np.power(float(x), np.arange(counts.size, dtype=float)))
     return lhs, rhs, (lhs_se, rhs_se)

@@ -29,6 +29,7 @@ from .core import (
     replacement_decay_integral,
     truncated_exponential_inverse_cdf,
 )
+from .core import _blocks, _replicates, _sample, _sweep
 
 __all__ = [
     "LineKernel",
@@ -294,14 +295,15 @@ def stationary_sample(params: TwoTypeParams, rng: RngStream, size=None):
         eta = rng.gen.random() ** (0.5 * params.theta)
         base = params.p * (1.0 - eta)
         return base + eta if rng.gen.random() < params.p else base
-    # Built in place: eta, the result and one block of uniforms are the
-    # only sample-sized arrays alive at once.
-    eta = rng.gen.random(size)
-    eta **= 0.5 * params.theta
-    out = 1.0 - eta
-    out *= params.p
-    np.add(out, eta, out=out, where=rng.gen.random(size) < params.p)
-    return out
+
+    def draw(gens, m):
+        eta = gens[0].random(m)
+        eta **= 0.5 * params.theta
+        out = 1.0 - eta
+        out *= params.p
+        return np.add(out, eta, out=out, where=gens[1].random(m) < params.p)
+
+    return _sample(rng, size, 2, draw)
 
 
 def _alternating_gap(p: float, m: int) -> float:
@@ -371,25 +373,35 @@ def sample_transition(params: TwoTypeParams, x: float, t: float, rng: RngStream,
     q1(t - tau; x), and return p_{11}(tau) or p_{21}(tau).
 
     Args:
-        size: None for a scalar, else an ensemble shape.  A call draws three
-            consecutive blocks of exactly prod(size) doubles from rng,
-            u_atom, u_tau and u_type, each double one PCG64 output, so the
-            k-th of a run of equal-size calls starts 3 k prod(size) outputs
-            past the first; the transition-moments suite relies on this.
+        size: None for a scalar, else an ensemble shape.  A call draws
+            prod(size) doubles from rng for each of u_atom, u_tau and
+            u_type in turn, each double one PCG64 output, so the k-th of a
+            series of equal-size calls starts 3 k prod(size) outputs past
+            the first; the transition-moments suite relies on this.
     """
     check_real("x", x, 0.0, 1.0)
     check_real("t", t, 0.0, math.inf, open_lo=True, open_hi=True)
     check_size("size", size)
     shape = () if size is None else size
-    u_atom = rng.gen.random(shape)
-    u_tau = rng.gen.random(shape)
-    u_type = rng.gen.random(shape)
-    out = _transition_from_uniforms(params, x, t, u_atom, u_tau, u_type)
-    return float(out) if size is None else out
+    n = math.prod(shape) if isinstance(shape, tuple) else shape
+    out = np.empty(n)
+    for s, draws in _transition_blocks(params, x, t, rng, n):
+        out[s] = draws
+    rng.gen.bit_generator.advance(3 * n)
+    return float(out[0]) if size is None else out.reshape(shape)
+
+
+def _transition_blocks(params: TwoTypeParams, x: float, t: float, rng: RngStream, size: int, k: int = 0):
+    """Yield (slice, draws), block by block and without moving rng, for the
+    draws of the k-th of a series of sample_transition(., size) calls on rng."""
+    gens = [rng.ahead(size * (3 * k + j)) for j in range(3)]
+    for s in _blocks(size):
+        m = s.stop - s.start
+        yield s, _transition_from_uniforms(params, x, t, *(g.random(m) for g in gens))
 
 
 def _transition_from_uniforms(params: TwoTypeParams, x: float, t: float, u_atom, u_tau, u_type):
-    """The transition draws sample_transition makes from its three uniform blocks."""
+    """The transition draws sample_transition makes from its three uniform runs."""
     theta, p = params.theta, params.p
     atom = p + (x - p) * math.exp(-0.5 * theta * t)
     tau = truncated_exponential_inverse_cdf(u_tau, t)
@@ -438,17 +450,27 @@ def _jump_endpoints(step, x: float, t: float, size: int, rng: RngStream) -> np.n
     """
     clock = np.zeros(size)
     freq = np.full(size, float(x))
-    active = np.arange(size)
-    while active.size:
-        wait = rng.gen.exponential(size=active.size)
-        landed = clock[active] + wait
+
+    def land(a):
+        # Until its uniform, a landed path's freq holds its chance of a 1.
+        wait = rng.gen.standard_exponential(a.size)
+        landed = clock[a] + wait
         hit = landed <= t
-        idx = active[hit]
-        clock[idx] = landed[hit]
-        before = step(freq[idx], wait[hit])
-        freq[idx] = (rng.gen.random(idx.size) < before).astype(float)
-        active = idx
-    return step(freq, t - clock)
+        a = a[hit]
+        clock[a] = landed[hit]
+        freq[a] = step(freq[a], wait[hit])
+        return hit
+
+    def jump(a):
+        freq[a] = rng.gen.random(a.size) < freq[a]
+
+    active = _replicates(size)
+    while active.size:
+        active = _sweep(active, land)
+        _sweep(active, jump)
+    for s in _blocks(size):
+        freq[s] = step(freq[s], t - clock[s])
+    return freq
 
 
 def simulate_path(params: TwoTypeParams, x: float, horizon: float, rng: RngStream) -> PathRecord:

@@ -79,7 +79,7 @@ from .selection import stationary_law as selection_stationary_law
 from .twotype import (
     TwoTypeParams,
     _component_branch,
-    _transition_from_uniforms,
+    _transition_blocks,
     line_kernel,
     replacement_component_density,
     stationary_density_eval,
@@ -284,25 +284,10 @@ def _suite_uniform_stationary(seed: int) -> list[tuple]:
     ]
 
 
-# Draws per block of a transition-moments cell.  Smaller blocks lose time to
-# the GIL between numpy calls; larger ones leave more memory in the pool
-# threads' malloc arenas, on top of later suites' peaks.
-_BLOCK = 1 << 15
-
-
 def _workers(tasks: int) -> int:
     """Pool size: the CPUs this process may use, at most 8 and at most tasks."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return max(1, min(cpus, 8, tasks))
-
-
-def _cell_draws(par: TwoTypeParams, x: float, t: float, rng: RngStream, size: int, k: int, block=_BLOCK):
-    """Yield, block by block and without moving rng, the draws of the k-th
-    of a run of sample_transition(., size) calls on rng."""
-    gens = [rng.ahead(size * (3 * k + j)) for j in range(3)]
-    for start in range(0, size, block):
-        m = min(block, size - start)
-        yield _transition_from_uniforms(par, x, t, *(g.random(m) for g in gens))
 
 
 _MOMENT_CELLS = tuple(itertools.product(_THETA_GRID, _P_GRID, (0.1, 1.0, 10.0), (0.0, 0.3, 1.0)))
@@ -324,7 +309,7 @@ def _suite_transition_moments(seed: int, pool) -> Callable[[], list[tuple]]:
         theta, p, t, x = _MOMENT_CELLS[k]
         par = TwoTypeParams(theta=theta, p=p)
         shifts, sums = [], np.zeros((4, 2))
-        for draws in _cell_draws(par, x, t, rng, n_mc, k):
+        for _, draws in _transition_blocks(par, x, t, rng, n_mc, k):
             draws -= p
             power = draws
             for i in range(4):

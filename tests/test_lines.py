@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import starcoal.lines as lines
-from starcoal.core import InvalidParameterError, RngStream, TwoTypeParams, mean_se
+from starcoal.core import InvalidParameterError, RngStream, TwoTypeParams, mean_se, mean_se_of_counts
 from starcoal.lines import (
     LineDist,
     _dyadic,
@@ -370,10 +370,18 @@ def test_duality_table_equals_masked_expressions(monkeypatch, theta, p, x, t, n)
     merged = ~no_coal
     exponent = (n - coal_before[merged]).astype(float)
     want[merged] = np.where(state[merged] == 1, x * p**exponent, p ** (exponent + 1.0))
+    # duality_check counts the (coal_before, state) pairs and reduces the
+    # counts against the flattened table: each path's table entry is its
+    # masked value, and the reduction is mean_se over those values.
     seen = []
-    monkeypatch.setattr(lines, "mean_se", lambda v: seen.append(v) or mean_se(v))
-    duality_check(TwoTypeParams(theta, p), n, x, t, 50_000, RngStream(27))
-    assert np.array_equal(seen[0], want)
+    monkeypatch.setattr(lines, "mean_se_of_counts", lambda c, v: seen.append((c, v)) or mean_se_of_counts(c, v))
+    _, rhs, se = duality_check(TwoTypeParams(theta, p), n, x, t, 50_000, RngStream(27))
+    counts, table = seen[0]
+    codes = coal_before.astype(np.intp) * (n + 1) + state
+    assert np.array_equal(counts, np.bincount(codes, minlength=(n + 1) ** 2))
+    assert np.array_equal(table.ravel()[codes], want)
+    assert math.isclose(rhs, mean_se(want)[0], rel_tol=1e-12)
+    assert math.isclose(se, mean_se(want)[1], rel_tol=1e-12)
 
 
 def test_stationary_moment_via_coalescent():

@@ -28,6 +28,7 @@ from starcoal.core import (
     StarcoalError,
     TwoTypeParams,
     mean_se,
+    mean_se_of_counts,
 )
 from starcoal.selection import (
     DriftSpec,
@@ -477,14 +478,21 @@ def test_asg_count_ensemble_matches_event_simulation():
 
 
 def test_selection_duality_power_table(monkeypatch):
-    # rhs values read from a table of x^k equal np.power over the counts.
+    # rhs values read from a table of x^k equal np.power over the counts;
+    # the rhs reduces the tally of the counts against that table, which is
+    # mean_se over the per-run values to rounding.
     counts, seen = [], []
     real_counts = selection.asg_count_ensemble
     monkeypatch.setattr(selection, "asg_count_ensemble", lambda *a: counts.append(real_counts(*a)) or counts[-1])
-    monkeypatch.setattr(selection, "mean_se", lambda v: seen.append(v) or mean_se(v))
+    monkeypatch.setattr(selection, "mean_se_of_counts", lambda c, v: seen.append((c, v)) or mean_se_of_counts(c, v))
     for x in (0.0, 0.37, 1.0):
-        selection_duality_check(3, x, 0.8, 1.5, 20_000, RngStream(74))
-        assert np.array_equal(seen[-1], np.power(x, counts[-1].astype(float)))
+        _, rhs, (_, rhs_se) = selection_duality_check(3, x, 0.8, 1.5, 20_000, RngStream(74))
+        tally, table = seen[-1]
+        values = np.power(x, counts[-1].astype(float))
+        assert np.array_equal(tally, np.bincount(counts[-1]))
+        assert np.array_equal(table[counts[-1]], values)
+        mean, se = mean_se(values)
+        assert math.isclose(rhs, mean, rel_tol=1e-12) and math.isclose(rhs_se, se, rel_tol=1e-12)
 
 
 def test_selection_duality_check():

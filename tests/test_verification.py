@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from starcoal import verification
+from starcoal import core, twotype, verification
 from starcoal.core import InvalidParameterError, RngStream, StarcoalError
 from starcoal.twotype import TwoTypeParams, sample_transition
 from starcoal.verification import (
@@ -164,10 +164,10 @@ def test_report_rendering():
     assert report.endswith("\n")
 
 
-def test_blocked_cell_draws_equal_sequential_sampler():
+def test_blocked_cell_draws_equal_sequential_sampler(monkeypatch):
     # A run of equal-size sample_transition calls on one stream, in the
     # transition-moments grid order; a block of 3000 does not divide 10,000.
-    size, block = 10_000, 3_000
+    size = 10_000
     grid = [
         (TwoTypeParams(theta, p), x, t)
         for theta in (0.5, 1.0, 2.0, 5.0)
@@ -178,9 +178,10 @@ def test_blocked_cell_draws_equal_sequential_sampler():
     shared = RngStream(11, 300)
     sequential = [sample_transition(par, x, t, shared, size=size) for par, x, t in grid]
     rng = RngStream(11, 300)
+    monkeypatch.setattr(core, "_BLOCK", 3_000)
     for k in (0, len(grid) // 2, len(grid) - 1):
         par, x, t = grid[k]
-        blocks = list(verification._cell_draws(par, x, t, rng, size, k, block))
+        blocks = [draws for _, draws in twotype._transition_blocks(par, x, t, rng, size, k)]
         assert [b.size for b in blocks] == [3000, 3000, 3000, 1000]
         assert np.array_equal(np.concatenate(blocks), sequential[k])
 
@@ -188,7 +189,7 @@ def test_blocked_cell_draws_equal_sequential_sampler():
     # reading ahead of the one shared stream.
     def cell(k):
         par, x, t = grid[k]
-        return np.concatenate(list(verification._cell_draws(par, x, t, rng, size, k, block)))
+        return np.concatenate([draws for _, draws in twotype._transition_blocks(par, x, t, rng, size, k)])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -236,7 +237,7 @@ def test_error_propagates_and_pool_shuts_down(monkeypatch, where):
         suites = tuple((name, _raise if name == "eigen-equation" else fn) for name, fn in verification._SUITES)
         monkeypatch.setattr(verification, "_SUITES", suites)
     else:
-        monkeypatch.setattr(verification, "_transition_from_uniforms", _raise)
+        monkeypatch.setattr(twotype, "_transition_from_uniforms", _raise)
     before = threading.active_count()
     with pytest.raises(StarcoalError, match="planted failure"):
         run_suites(["transition-moments", "eigen-equation"], seed=0)
