@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -385,6 +386,15 @@ def _tail_fit(nodes: list[float], span: float, value: float) -> tuple[float, flo
     return rate, tail, math.log(tail / share) / rate if rate > 0.0 and share > 0.0 else math.inf
 
 
+@contextmanager
+def _quad_led_by(lead: str):
+    """Re-raise a QuadratureError from the block with lead, its call, in front."""
+    try:
+        yield
+    except QuadratureError as exc:
+        raise QuadratureError(f"{lead}: {exc.message}", exc.estimate, exc.error_bound) from None
+
+
 def quad_offset(f_off, width: float) -> float | tuple[float, ...]:
     """Integrate f_off(delta) for delta in (0, width], delta measured from 0.
 
@@ -662,17 +672,11 @@ class MixedLaw:
         """Sum of the stored component masses."""
         return math.fsum(m for _, m in self.atoms) + math.fsum(pc.mass for pc in self.pieces)
 
-    def _quad(self, f_off, width: float):
-        """quad_offset(f_off, width), its QuadratureError led by the label."""
-        try:
-            return quad_offset(f_off, width)
-        except QuadratureError as exc:
-            raise QuadratureError(f"{self.label}: {exc.message}", exc.estimate, exc.error_bound) from None
-
     def quadrature_mass(self) -> float:
         """Atom masses plus piece densities integrated by quad_offset."""
         total = [m for _, m in self.atoms]
-        total += [self._quad(pc.offset_density, pc.offset_width) for pc in self.pieces]
+        with _quad_led_by(self.label):
+            total += [quad_offset(pc.offset_density, pc.offset_width) for pc in self.pieces]
         return math.fsum(total)
 
     def mean(self) -> float:
@@ -683,7 +687,8 @@ class MixedLaw:
             # mass times the anchor plus a signed pure-offset moment, both
             # from one pass over shared nodes.
             both = lambda d, f=pc.offset_density: np.stack([np.ones_like(d), d]) * f(d)
-            mass, sway = self._quad(both, pc.offset_width)
+            with _quad_led_by(self.label):
+                mass, sway = quad_offset(both, pc.offset_width)
             if pc.offset_side == "lower":
                 total.append(pc.lower * mass + sway)
             else:

@@ -48,12 +48,12 @@ class LineDist:
     probs: tuple[float, ...]
 
     def __post_init__(self):
+        at = f"n={self.n!r}, theta={self.theta!r}, t={self.t!r}"
         if len(self.probs) != self.n + 1:
-            raise InvalidParameterError("probs must have length n + 1")
-        if any(q < 0.0 for q in self.probs):
-            raise InvalidParameterError("negative probability entry")
-        if abs(math.fsum(self.probs) - 1.0) > 1e-12:
-            raise InvalidParameterError("line-count probabilities must sum to 1")
+            raise InvalidParameterError(f"line-count law for {at} has {len(self.probs)} entries, not n + 1")
+        j = min(range(self.n + 1), key=self.probs.__getitem__)
+        check_real(f"P(A = {j}) of the line-count law for {at}", self.probs[j], 0.0, math.inf)
+        check_real(f"sum of the line-count law for {at}", math.fsum(self.probs), 1.0 - 1e-12, 1.0 + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,6 @@ def an_distribution(n: int, theta: float, t: float) -> LineDist:
     T, c = _dyadic(theta)
     D = 1 << (c + 1)
     d = [D + m * T for m in range(n)]
-    L = math.prod(d)
     shift = a * n + b
     C = (1 << a) - A  # (1 - p(t)) 2^a
     # C(n,j) A^j C^{n-j} for j = n down to 1, by one exact small division a step.
@@ -111,12 +110,14 @@ def an_distribution(n: int, theta: float, t: float) -> LineDist:
     # With w_k = (-1)^{k+1} C(n,k) L / d[k-1] and e^{-t} p^k = B A^k 2^{a(n-k)}
     # over 2^shift, the resolvent sums need W = sum w_k and, by Horner in A,
     # h1 = sum w_k A^{k-1} 2^{a(n-k)} and h2, the same with weights (k-1) w_k.
-    W = h1 = h2 = 0
+    # Step k multiplies the sums by d[k-1], so w_k enters as +-C(n,k) d[k] ... d[n-1].
+    W, h1, h2, L = 0, 0, 0, 1
     for k in range(n, 0, -1):
-        w = (-1) ** (k + 1) * math.comb(n, k) * (L // d[k - 1])
-        W += w
-        h1 = h1 * A + (w << (a * (n - k)))
-        h2 = h2 * A + ((k - 1) * w << (a * (n - k)))
+        w = (-1) ** (k + 1) * math.comb(n, k) * L
+        W = W * d[k - 1] + w
+        h1 = h1 * A * d[k - 1] + (w << (a * (n - k)))
+        h2 = h2 * A * d[k - 1] + ((k - 1) * w << (a * (n - k)))
+        L *= d[k - 1]
     pfw = A * W << (shift - a)  # p(t) W, over 2^shift
     den = L << shift
     probs[1] = (surv[-1] * B * L + D * (pfw - B * A * h1)) / den
@@ -160,21 +161,25 @@ class SpectralCoeffs:
 
 
 def _spectral_pairs(n: int, theta: float):
-    """q[k] and the rows p[j][.] as integer (numerator, denominator) pairs.
+    """q[k], the rows p[j][.] and the factors r[k] as integer (num, den) pairs.
 
     With theta = T / 2^c, 1 + m theta/2 = d[m] / D for D = 2^{c+1} and
-    d[m] = D + m T.  Returns (q, rows, L): rows yields p[0], ..., p[n] one at
-    a time and L = d[0] ... d[n-1] is the denominator of q[1].
+    d[m] = D + m T.  Returns (q, rows, r, Lq): rows yields p[0], ..., p[n] one
+    at a time, p[j][k] = (-1)^{j+1} C(k,j) r[k] for j >= 2, and Lq[k] is L over
+    q[k]'s denominator, L = Lq[0] = d[0] ... d[n-1] being that of q[1].  The
+    spectral law sums rows 0 and 1 by Horner and rows j >= 2 by one Taylor
+    shift of E_k = q[k] r[k]; no pair holds a survival term of an_distribution,
+    which forms no q or p, so the two routes stay independent.
     """
     T, c = _dyadic(theta)
     D = 1 << (c + 1)
     d = [D + m * T for m in range(n + 1)]
     L = math.prod(d[:n])
     sign = [(-1) ** (k + 1) for k in range(n + 1)]
-    q1 = sum(sign[i] * math.comb(n, i) * D * (L // d[i - 1]) for i in range(1, n + 1))
-    q = [(1, 1), (q1, L)] + [
-        (sign[k] * math.comb(n, k) * (k - 1) * d[k], d[k - 1]) for k in range(2, n + 1)
-    ]
+    Lq = [L, 1] + [L // d[k - 1] for k in range(2, n + 1)]
+    q1 = n * L + D * sum(sign[k] * math.comb(n, k) * Lq[k] for k in range(2, n + 1))
+    q = [(1, 1), (q1, L)] + [(sign[k] * math.comb(n, k) * (k - 1) * d[k], d[k - 1]) for k in range(2, n + 1)]
+    r = [(1, 1)] * 2 + [(d[k - 1], (k - 1) * d[k]) for k in range(2, n + 1)]  # k = 0, 1 pad: C(k,j) = 0
 
     def rows():
         yield [(1, 1), (-1, 1)] + [(-T, d[k]) for k in range(2, n + 1)]
@@ -182,18 +187,16 @@ def _spectral_pairs(n: int, theta: float):
         col = list(range(n + 1))  # C(k, j) for k = 0..n, one Pascal step per j
         for j in range(2, n + 1):
             col = [0] * j + list(itertools.accumulate(col[j - 1 : n]))
-            yield [(0, 1)] * j + [
-                (sign[j] * col[k] * d[k - 1], (k - 1) * d[k]) for k in range(j, n + 1)
-            ]
+            yield [(sign[j] * ck * rn, rd) for ck, (rn, rd) in zip(col, r)]
 
-    return q, rows(), L
+    return q, rows(), r, Lq
 
 
 def spectral_coeffs(n: int, theta: float) -> SpectralCoeffs:
     """Eigenvalues 0, theta/2, 1 + k theta/2 with their weight arrays."""
     check_int("n", n, 1)
     check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
-    q, rows, _ = _spectral_pairs(n, theta)
+    q, rows, _, _ = _spectral_pairs(n, theta)
     lams = [0.0, 0.5 * theta] + [1.0 + 0.5 * k * theta for k in range(2, n + 1)]
 
     def ratio(num: int, den: int) -> float:
@@ -215,8 +218,11 @@ def an_distribution_spectral(n: int, theta: float, t: float) -> LineDist:
     e^{-theta t/2} = A / 2^a and e^{-t} = B / 2^b they are integers over the
     common dyadic denominator 2^{an+b}, so each probability is one integer
     sum, rounded once, and the alternating spectral sums cancel exactly
-    rather than in floats.  The route is still independent of
-    an_distribution, which never forms the spectral weight matrices.
+    rather than in floats.  Rows 0 and 1 are sums by Horner in A; for j >= 2,
+    q[k] p[j][k] = (-1)^{j+1} C(k,j) E_k with E_k = q[k] r[k] an integer, and
+    one Taylor shift by 1 gives every row (n passes of suffix sums).  The
+    route stays independent of an_distribution: it forms no survival term
+    C(n,j) p^j (1-p)^{n-j}, and an_distribution forms no q or p.
     """
     check_int("n", n, 1)
     check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
@@ -224,21 +230,27 @@ def an_distribution_spectral(n: int, theta: float, t: float) -> LineDist:
     A, a = _dyadic(math.exp(-0.5 * theta * t))
     B, b = _dyadic(math.exp(-t))
     shift = a * n + b
-    q, rows, L = _spectral_pairs(n, theta)
+    q, rows, r, Lq = _spectral_pairs(n, theta)
     probs = []
-    for j, row in enumerate(rows):
-        # The weights q[k] p[j][k] over den are integers, so // is exact: rows
-        # 0 and 1 share the denominator L of q[1], and for j >= 2 the d
-        # factors cancel, leaving +-C(n,k) C(k,j).
-        den, lo = (L, 2) if j < 2 else (1, j)
-        w = [qn * pn * den // (qd * pd) for (qn, qd), (pn, pd) in zip(q, row)]
-        # Horner in A over the factors e^{-t} p^k = B A^k 2^{a(n-k)} / 2^shift.
+    for row in itertools.islice(rows, 2):
+        # The weights q[k] p[j][k] over L = Lq[0] are integers, summed by Horner in A
+        # over e^{-t} p^k = B A^k 2^{a(n-k)} / 2^shift; k = 0, 1 have factors 1, p.
+        w = [qn * pn // pd * Lk for (qn, _), (pn, pd), Lk in zip(q, row, Lq)]
         h = 0
-        for k in range(n, lo - 1, -1):
+        for k in range(n, 1, -1):
             h = h * A + (w[k] << (a * (n - k)))
-        # The eigenvalues 0 and theta/2 have factors 1 and p.
-        num = B * A**lo * h + (w[0] << shift) + (w[1] * A << (shift - a))
-        probs.append(num / (den << shift))
+        num = B * A**2 * h + (w[0] << shift) + (w[1] * A << (shift - a))
+        probs.append(num / (Lq[0] << shift))
+    # F holds E_k A^k 2^{a(n-k)} for k = n down to 2.  Pass i turns the entries
+    # for k >= i into suffix sums; after n passes F[n-j] = sum_k C(k,j) F_k.
+    F, power = [], A
+    for k, (qn, qd), (rn, rd) in zip(range(2, n + 1), q[2:], r[2:]):
+        power *= A
+        F.append(qn * rn // (qd * rd) * power << (a * (n - k)))
+    F.reverse()
+    for i in range(n):
+        F[: n + 1 - i] = itertools.accumulate(F[: n + 1 - i])
+    probs += [(-1) ** (j + 1) * B * F[n - j] / (1 << shift) for j in range(2, n + 1)]
     return LineDist(n=n, theta=theta, t=t, probs=tuple(probs))
 
 

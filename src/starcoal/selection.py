@@ -40,7 +40,7 @@ from .core import (
     mean_se,
     quad_offset,
 )
-from .core import _replicates, _sample, _sweep, mean_se_of_counts
+from .core import _quad_led_by, _replicates, _sample, _sweep, mean_se_of_counts
 from .twotype import PathRecord, TwoTypeParams, _jump_endpoints, _jump_path, stationary_density_eval
 from .twotype import stationary_law as _neutral_stationary_law
 
@@ -381,8 +381,9 @@ def _skeleton_series(drift: DriftSpec) -> tuple[float, float]:
 
 def _skeleton_quadrature(drift: DriftSpec) -> tuple[float, float]:
     """Exp(1)-averaged endpoint flows as integrals over u = e^{-t}."""
-    p11 = quad_offset(lambda u: _flow_array(drift, 1.0, -np.log(u)), 1.0)
-    p21 = quad_offset(lambda u: _flow_array(drift, 0.0, -np.log(u)), 1.0)
+    with _quad_led_by(f"skeleton quadrature for {drift!r}"):
+        p11 = quad_offset(lambda u: _flow_array(drift, 1.0, -np.log(u)), 1.0)
+        p21 = quad_offset(lambda u: _flow_array(drift, 0.0, -np.log(u)), 1.0)
     return p11, p21
 
 
@@ -640,7 +641,7 @@ def fixation_prob(beta: float, x: float, fixed_type: int) -> float:
     check_real("beta", beta, 0.0, math.inf, open_lo=True, open_hi=True)
     check_real("x", x, 0.0, 1.0)
     if fixed_type not in (1, 2):
-        raise InvalidParameterError("fixed_type must be 1 or 2")
+        raise InvalidParameterError(f"fixed_type must be 1 or 2, got {fixed_type!r}")
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -655,7 +656,8 @@ def fixation_prob(beta: float, x: float, fixed_type: int) -> float:
         r = d**inv_a if a >= 1.0 else np.exp(inv_a * np.log1p(-d))
         return (1.0 if fixed_type == 1 else r) / (lead + tail * r)
 
-    return x * quad_offset(kernel, 1.0)
+    with _quad_led_by(f"fixation_prob(beta={beta!r}, x={x!r}, fixed_type={fixed_type!r})"):
+        return x * quad_offset(kernel, 1.0)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ first-step recursion solvable in exact rationals.
 """
 
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import starcoal.lines as lines
+import starcoal.verification as verification
 from starcoal.core import InvalidParameterError, RngStream, TwoTypeParams, mean_se, mean_se_of_counts
 from starcoal.lines import (
     LineDist,
@@ -398,12 +400,69 @@ def test_stationary_moment_via_coalescent():
 
 
 def test_line_dist_validation():
+    # Exact zeros and a sum within 1e-12 of 1 pass; the three rejections
+    # are the message tests below.
+    LineDist(n=2, theta=1.0, t=0.5, probs=(0.0, 0.0, 1.0))
+    LineDist(n=2, theta=1.0, t=0.5, probs=(0.5, 0.5, 5e-13))
     with pytest.raises(InvalidParameterError):
+        LineDist(n=2, theta=1.0, t=0.5, probs=(0.5, 0.5, 2e-12))
+
+
+_AT = r"n=2, theta=1\.0, t=0\.5"
+
+
+def test_line_dist_length_error_names_inputs():
+    with pytest.raises(InvalidParameterError, match=f"^line-count law for {_AT} has 2 entries, not n \\+ 1$"):
         LineDist(n=2, theta=1.0, t=0.5, probs=(0.5, 0.5))
-    with pytest.raises(InvalidParameterError):
+
+
+def test_line_dist_entry_error_names_inputs():
+    with pytest.raises(InvalidParameterError, match=f"^P\\(A = 1\\) of the line-count law for {_AT} .*, got -0\\.1$"):
         LineDist(n=2, theta=1.0, t=0.5, probs=(0.7, -0.1, 0.4))
-    with pytest.raises(InvalidParameterError):
+
+
+def test_line_dist_sum_error_names_inputs():
+    with pytest.raises(InvalidParameterError, match=f"^sum of the line-count law for {_AT} .*, got 0\\.9$"):
         LineDist(n=2, theta=1.0, t=0.5, probs=(0.5, 0.2, 0.2))
+    # A NaN entry fails the sum instead of slipping past both comparisons.
+    with pytest.raises(InvalidParameterError, match=f"^sum of the line-count law for {_AT} .*, got nan$"):
+        LineDist(n=2, theta=1.0, t=0.5, probs=(0.5, 0.5, math.nan))
+
+
+def _planted(part):
+    """_spectral_pairs with one weight moved: q[3]'s numerator or the column
+    factor r[3] of the rows j >= 2, each off by one."""
+    real = lines._spectral_pairs
+
+    def pairs(n, theta):
+        q, rows, r, Lq = real(n, theta)
+        if n >= 3:
+            moved = q if part == "q" else r
+            moved[3] = (moved[3][0] + 1, moved[3][1])
+        return q, rows, r, Lq
+
+    return pairs
+
+
+@pytest.mark.parametrize("part", ["q", "r"])
+def test_line_spectral_check_reads_the_spectral_weights(monkeypatch, part):
+    # The Taylor-shift sum must still read the weights spectral_coeffs
+    # publishes, so one planted weight must fail the line-spectral suite.
+    _, gaps, bound = verification._suite_line_spectral(0)[0]
+    assert bound == 1e-10 and max(g for g, _ in gaps) <= bound
+    published = spectral_coeffs(5, 2.0)
+    monkeypatch.setattr(lines, "_spectral_pairs", _planted(part))
+    assert spectral_coeffs(5, 2.0) != published
+    # The planted law is no longer a distribution (its mass moves by far
+    # more than 1e-12), so LineDist stops the suite at the first planted
+    # point ...
+    with pytest.raises(InvalidParameterError, match=r"line-count law for n=\d+, theta=0\.5, t=0\.1 "):
+        verification._suite_line_spectral(0)
+    # ... and with that validation set aside, the check's own residual
+    # exceeds its bound.
+    monkeypatch.setattr(lines, "LineDist", types.SimpleNamespace)
+    gaps = verification._suite_line_spectral(0)[0][1]
+    assert max(g for g, _ in gaps) > bound
 
 
 @settings(max_examples=300)

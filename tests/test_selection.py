@@ -571,6 +571,33 @@ def test_skeleton_series_raises_typed_error():
     assert math.isfinite(exc.value.estimate)
 
 
+def _failing_quad(f_off, width):
+    raise QuadratureError(f"offset integral over width {width!r} failed", 0.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, lead",
+    [
+        (lambda: fixation_prob(2.0, 0.5, 1), "fixation_prob(beta=2.0, x=0.5, fixed_type=1): "),
+        (lambda: selection._skeleton_quadrature(MS), f"skeleton quadrature for {MS!r}: "),
+    ],
+    ids=["fixation_prob", "skeleton_quadrature"],
+)
+def test_quadrature_error_names_the_call(monkeypatch, call, lead):
+    # Integrals outside a MixedLaw lead their QuadratureError with the call,
+    # keeping quad_offset's message, estimate and bound.
+    monkeypatch.setattr(selection, "quad_offset", _failing_quad)
+    with pytest.raises(QuadratureError) as exc:
+        call()
+    assert exc.value.message == lead + "offset integral over width 1.0 failed"
+    assert (exc.value.estimate, exc.value.error_bound) == (0.5, 1.0)
+
+
+def test_fixed_type_error_names_the_value():
+    with pytest.raises(InvalidParameterError, match=r"fixed_type must be 1 or 2, got 3$"):
+        fixation_prob(2.0, 0.5, 3)
+
+
 def test_fixation_complement_points_against_mpmath():
     # The selection suite's complement check reads P_fix(1) + P_fix(2) - 1
     # as exactly 0 at its 9 points, which cannot tell a formula error the
