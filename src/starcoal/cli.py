@@ -105,11 +105,12 @@ def _emit(args, params: list[tuple[str, object]], columns: list[str], rows) -> N
         sys.stdout.write(text)
 
 
-def _seed_of(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("STARCOAL_SEED")
-    return int(env) if env else 0
+def _seed_of(args, parser) -> int:
+    env = os.environ.get("STARCOAL_SEED") or "0"
+    try:
+        return int(env) if args.seed is None else args.seed
+    except ValueError:
+        parser.error(f"STARCOAL_SEED must be an integer, got {env!r}")
 
 
 def _cmd_transition(args) -> int:
@@ -174,9 +175,9 @@ def _cmd_lines(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, parser) -> int:
     check_int("n_mc", args.n_mc, 2)
-    rng = RngStream(_seed_of(args), 0)
+    rng = RngStream(_seed_of(args, parser), 0)
     if args.kind == "fv":
         par = TwoTypeParams(theta=args.theta, p=args.p)
         values = path_endpoint_ensemble(par, args.x, args.t, args.n_mc, rng)
@@ -192,7 +193,7 @@ def _cmd_simulate(args) -> int:
         values = ua_time_ensemble(args.n, args.beta, args.n_mc, rng)
         params = [("n", args.n), ("beta", args.beta)]
         names, exact = ("mean_collapse_time", "exact_mean"), 1.0
-    params += [("n_mc", args.n_mc), ("seed", _seed_of(args))]
+    params += [("n_mc", args.n_mc), ("seed", _seed_of(args, parser))]
     mean, se = mean_se(values)
     rows = [(names[0], mean), ("se", se), (names[1], exact)]
     _emit(args, params, ["quantity", "value"], rows)
@@ -280,9 +281,9 @@ def _cmd_selection(args, parser) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, parser) -> int:
     suites = "all" if args.suite == "all" else [args.suite]
-    results = run_suites(suites, seed=_seed_of(args))
+    results = run_suites(suites, seed=_seed_of(args, parser))
     report = format_report(results)
     if args.out:
         with open(args.out, "w") as fh:
@@ -398,12 +399,12 @@ def main(argv=None) -> int:
         if args.command == "lines":
             return _cmd_lines(args)
         if args.command == "simulate":
-            return _cmd_simulate(args)
+            return _cmd_simulate(args, parser)
         if args.command == "multitype":
             return _cmd_multitype(args, parser)
         if args.command == "selection":
             return _cmd_selection(args, parser)
-        return _cmd_verify(args)
+        return _cmd_verify(args, parser)
     except StarcoalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

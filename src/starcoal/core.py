@@ -135,12 +135,12 @@ def check_int(name: str, value, minimum: int):
     raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def check_size(name: str, value):
-    """Require a sample shape: None, an integer >= 1 or a tuple of them."""
+def check_size(name: str, value) -> tuple:
+    """Require None, an integer >= 1 or a tuple of them; return the shape, () for None."""
     dims = () if value is None else value if isinstance(value, tuple) else (value,)
     try:
         if all(operator.index(v) >= 1 for v in dims):
-            return
+            return dims
     except TypeError:
         pass
     raise InvalidParameterError(f"{name} must be None or a shape of integers >= 1, got {value!r}")
@@ -265,19 +265,22 @@ def _blocks(size: int):
     return (slice(lo, min(lo + _BLOCK, size)) for lo in range(0, size, _BLOCK))
 
 
-def _sample(rng: RngStream, size, runs: int, draw, width=()) -> np.ndarray:
+def _sample(rng: RngStream, size, runs: int, draw, width=()):
     """A sample of shape size + width, drawn block by block, equal to what
     one-shot code drawing `runs` consecutive runs of prod(size) variates
     gives.  draw(gens, m) returns m rows from gens, one generator per run
     at the block's place in it.  The last is rng itself, moved past the
-    other runs, so its variates may take several outputs each (Exp(1))."""
-    shape = size if isinstance(size, tuple) else (size,)
+    other runs, so its variates may take several outputs each (Exp(1)).
+    size=None is the one draw of size=1, as a float or a row of width."""
+    shape = check_size("size", size) or (1,)
     n = math.prod(shape)
     gens = [rng.ahead(j * n) for j in range(runs - 1)]
     rng.gen.bit_generator.advance((runs - 1) * n)
     out = np.empty((n, *width))
     for s in _blocks(n):
         out[s] = draw([*gens, rng.gen], s.stop - s.start)
+    if size is None:
+        return out[0] if width else float(out[0])
     return out.reshape(*shape, *width)
 
 
@@ -686,7 +689,7 @@ class MixedLaw:
             # x = anchor -/+ offset, so the moment splits into the piece
             # mass times the anchor plus a signed pure-offset moment, both
             # from one pass over shared nodes.
-            both = lambda d, f=pc.offset_density: np.stack([np.ones_like(d), d]) * f(d)
+            both = lambda d, f=pc.offset_density: np.stack([fd := f(d), d * fd])
             with _quad_led_by(self.label):
                 mass, sway = quad_offset(both, pc.offset_width)
             if pc.offset_side == "lower":

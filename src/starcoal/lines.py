@@ -232,10 +232,17 @@ def an_distribution_spectral(n: int, theta: float, t: float) -> LineDist:
     shift = a * n + b
     q, rows, r, Lq = _spectral_pairs(n, theta)
     probs = []
+
+    def exact(num: int, den: int) -> int:
+        quo, rem = divmod(num, den)
+        if rem:
+            raise InvalidParameterError(f"spectral weights for n={n!r}, theta={theta!r} are not integers")
+        return quo
+
     for row in itertools.islice(rows, 2):
         # The weights q[k] p[j][k] over L = Lq[0] are integers, summed by Horner in A
         # over e^{-t} p^k = B A^k 2^{a(n-k)} / 2^shift; k = 0, 1 have factors 1, p.
-        w = [qn * pn // pd * Lk for (qn, _), (pn, pd), Lk in zip(q, row, Lq)]
+        w = [exact(qn * pn, pd) * Lk for (qn, _), (pn, pd), Lk in zip(q, row, Lq)]
         h = 0
         for k in range(n, 1, -1):
             h = h * A + (w[k] << (a * (n - k)))
@@ -246,7 +253,7 @@ def an_distribution_spectral(n: int, theta: float, t: float) -> LineDist:
     F, power = [], A
     for k, (qn, qd), (rn, rd) in zip(range(2, n + 1), q[2:], r[2:]):
         power *= A
-        F.append(qn * rn // (qd * rd) * power << (a * (n - k)))
+        F.append(exact(qn * rn, qd * rd) * power << (a * (n - k)))
     F.reverse()
     for i in range(n):
         F[: n + 1 - i] = itertools.accumulate(F[: n + 1 - i])

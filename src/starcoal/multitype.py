@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .core import InvalidParameterError, RngStream, _sample, replacement_decay_integral
-from .core import check_int, check_real, check_size
+from .core import check_int, check_real
 
 __all__ = [
     "MultiParams",
@@ -241,14 +241,7 @@ def pim_stationary_sample(mp: MultiParams, rng: RngStream, size=None):
 
     Returns one (d,) vector or an array of shape size + (d,).
     """
-    check_size("size", size)
     p = np.asarray(mp.p_vec)
-    if size is None:
-        eta = rng.gen.random() ** (0.5 * mp.theta)
-        i = int(rng.gen.choice(mp.d, p=p))
-        out = (1.0 - eta) * p
-        out[i] += eta
-        return out
 
     def draw(gens, m):
         # choice draws one uniform per state.

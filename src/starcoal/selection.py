@@ -36,7 +36,6 @@ from .core import (
     brent_root,
     check_int,
     check_real,
-    check_size,
     mean_se,
     quad_offset,
 )
@@ -602,11 +601,7 @@ def stationary_law(drift: DriftSpec) -> MixedLaw:
 
 def stationary_sample(drift: DriftSpec, rng: RngStream, size=None):
     """Draw from the stationary law: endpoint by pi, age Exp(1), then flow."""
-    check_size("size", size)
     pi1, _ = replacement_stationary(drift)
-    if size is None:
-        chi0 = 1.0 if rng.gen.random() < pi1 else 0.0
-        return flow(drift, chi0, rng.gen.exponential())
 
     def draw(gens, m):
         chi0 = (gens[0].random(m) < pi1).astype(float)

@@ -24,7 +24,6 @@ from .core import (
     TwoTypeParams,
     check_int,
     check_real,
-    check_size,
     exp_decay_window,
     replacement_decay_integral,
     truncated_exponential_inverse_cdf,
@@ -290,11 +289,6 @@ def stationary_sample(params: TwoTypeParams, rng: RngStream, size=None):
     eta = U^{theta/2} has density (2/theta) eta^{2/theta - 1}; the sample is
     p(1-eta) + eta with probability p, else p(1-eta).
     """
-    check_size("size", size)
-    if size is None:
-        eta = rng.gen.random() ** (0.5 * params.theta)
-        base = params.p * (1.0 - eta)
-        return base + eta if rng.gen.random() < params.p else base
 
     def draw(gens, m):
         eta = gens[0].random(m)
@@ -373,25 +367,19 @@ def sample_transition(params: TwoTypeParams, x: float, t: float, rng: RngStream,
     q1(t - tau; x), and return p_{11}(tau) or p_{21}(tau).
 
     Args:
-        size: None for a scalar, else an ensemble shape.  A call draws
-            prod(size) doubles from rng for each of u_atom, u_tau and
-            u_type in turn, each double one PCG64 output, so the k-th of a
+        size: None for the one draw of size=1, else an ensemble shape.  A
+            call draws prod(size) doubles from rng for each of u_atom, u_tau
+            and u_type in turn, each one PCG64 output, so the k-th of a
             series of equal-size calls starts 3 k prod(size) outputs past
             the first; the transition-moments suite relies on this.
     """
     check_real("x", x, 0.0, 1.0)
     check_real("t", t, 0.0, math.inf, open_lo=True, open_hi=True)
-    check_size("size", size)
-    shape = () if size is None else size
-    n = math.prod(shape) if isinstance(shape, tuple) else shape
-    out = np.empty(n)
-    for s, draws in _transition_blocks(params, x, t, rng, n):
-        out[s] = draws
-    rng.gen.bit_generator.advance(3 * n)
-    return float(out[0]) if size is None else out.reshape(shape)
+    draw = lambda gens, m: _transition_from_uniforms(params, x, t, *(g.random(m) for g in gens))
+    return _sample(rng, size, 3, draw)
 
 
-def _transition_blocks(params: TwoTypeParams, x: float, t: float, rng: RngStream, size: int, k: int = 0):
+def _transition_blocks(params: TwoTypeParams, x: float, t: float, rng: RngStream, size: int, k: int):
     """Yield (slice, draws), block by block and without moving rng, for the
     draws of the k-th of a series of sample_transition(., size) calls on rng."""
     gens = [rng.ahead(size * (3 * k + j)) for j in range(3)]

@@ -189,6 +189,20 @@ def test_simulate_asg_seed_sources(capsys, monkeypatch):
     assert other != flag_out
 
 
+def test_non_integer_seed_variable_is_a_usage_error(capsys, monkeypatch):
+    # A bad STARCOAL_SEED exits 2 with a usage message naming it, for both
+    # commands that read it; --seed still wins over it.
+    monkeypatch.setenv("STARCOAL_SEED", "abc")
+    for argv in (["simulate", "lines", "--n", "3", "--theta", "1"], ["verify", "--suite", "eigen-equation"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "STARCOAL_SEED must be an integer, got 'abc'" in err
+    rc, _, _ = run_cli(capsys, ["simulate", "lines", "--n", "3", "--theta", "1", "--n-mc", "100", "--seed", "4"])
+    assert rc == 0
+
+
 def test_multitype_pim_and_sampling(capsys):
     rc, out, _ = run_cli(
         capsys,

@@ -253,6 +253,24 @@ def test_custom_drift_stationary_sample_blocks():
     assert got.shape == (2, 3) and np.allclose(got, want, rtol=0.0, atol=1e-8)
 
 
+def test_scalar_draw_is_the_first_batch_draw():
+    # size=None returns bitwise the one draw of size=1 and leaves the stream
+    # where size=1 does, for every fixed-count sampler.
+    custom = selection.custom_drift(lambda y: 0.5 * (0.4 - y) + y * (1.0 - y), 2.0)
+    mp = MultiParams(1.3, (0.2, 0.5, 0.3))
+    samplers = [
+        *(lambda r, s, x=x, t=t: twotype.sample_transition(PAR, x, t, r, size=s) for x, t in ((0.8, 0.9), (0.0, 0.05))),
+        *(lambda r, s, par=par: twotype.stationary_sample(par, r, size=s) for par in (PAR, TwoTypeParams(7.0, 0.9))),
+        *(lambda r, s, drift=drift: selection.stationary_sample(drift, r, size=s) for drift in (*DRIFTS, custom)),
+        lambda r, s: multitype.pim_stationary_sample(mp, r, size=s),
+    ]
+    for sampler in samplers:
+        for seed in range(200):
+            scalar, batch = RngStream(seed, 9), RngStream(seed, 9)
+            _same(sampler(scalar, None), sampler(batch, 1)[0])
+            assert scalar.gen.random() == batch.gen.random()
+
+
 @pytest.mark.parametrize("size", SIZES)
 def test_jump_endpoints_blocks(size):
     p, decay = PAR.p, -0.5 * PAR.theta

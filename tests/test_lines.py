@@ -7,7 +7,6 @@ first-step recursion solvable in exact rationals.
 """
 
 import math
-import types
 from fractions import Fraction
 
 import numpy as np
@@ -453,16 +452,15 @@ def test_line_spectral_check_reads_the_spectral_weights(monkeypatch, part):
     published = spectral_coeffs(5, 2.0)
     monkeypatch.setattr(lines, "_spectral_pairs", _planted(part))
     assert spectral_coeffs(5, 2.0) != published
-    # The planted law is no longer a distribution (its mass moves by far
-    # more than 1e-12), so LineDist stops the suite at the first planted
-    # point ...
-    with pytest.raises(InvalidParameterError, match=r"line-count law for n=\d+, theta=0\.5, t=0\.1 "):
-        verification._suite_line_spectral(0)
-    # ... and with that validation set aside, the check's own residual
-    # exceeds its bound.
-    monkeypatch.setattr(lines, "LineDist", types.SimpleNamespace)
-    gaps = verification._suite_line_spectral(0)[0][1]
-    assert max(g for g, _ in gaps) > bound
+    # The planted weight no longer divides exactly, so the spectral route
+    # raises from the first planted count, n = 3 ...
+    with pytest.raises(InvalidParameterError, match=r"^spectral weights for n=3, theta=0\.5 are not integers$"):
+        an_distribution_spectral(3, 0.5, 0.1)
+    # ... and both checks of the suite fail there with an infinite gap
+    # rather than stopping the battery.
+    gaps, zeros = verification.run_suites(["line-spectral"], seed=0)
+    assert not gaps.passed and gaps.observed == math.inf and gaps.where == (3, 0.5, 0.1)
+    assert not zeros.passed and zeros.observed == math.inf and zeros.where == (3, 0.5, "spectral")
 
 
 @settings(max_examples=300)
