@@ -106,11 +106,15 @@ def _emit(args, params: list[tuple[str, object]], columns: list[str], rows) -> N
 
 
 def _seed_of(args, parser) -> int:
+    source = "STARCOAL_SEED" if args.seed is None else "--seed"
     env = os.environ.get("STARCOAL_SEED") or "0"
     try:
-        return int(env) if args.seed is None else args.seed
+        seed = int(env) if args.seed is None else args.seed
     except ValueError:
         parser.error(f"STARCOAL_SEED must be an integer, got {env!r}")
+    if not 0 <= seed < 2**64:
+        parser.error(f"{source} must be an integer in [0, 2**64), got {seed}")
+    return seed
 
 
 def _cmd_transition(args) -> int:

@@ -349,23 +349,26 @@ _TOL, _BISECTIONS = 1e-11, 400
 
 
 def _offset_panels(f_off, width: float, lo: np.ndarray, half: np.ndarray):
-    """Kronrod values, |Kronrod - Gauss| and node values of g, one row per integrand.
+    """Kronrod values, |Kronrod - Gauss| and node values of g, one per panel.
 
     g(s) = f_off(delta) * delta at delta = width * e^{-s}, one f_off call for
-    every node of every panel; a non-finite g raises.
+    every node of every panel; f_off must return one value per node, and a
+    non-finite g raises.
     """
     off = width * np.exp(-((lo + half)[:, None] + half[:, None] * _GK_X))
-    try:
-        with np.errstate(all="ignore"):
-            g = np.asarray(f_off(off), dtype=float) * off
-    except TypeError as exc:
-        raise InvalidParameterError(
-            f"offset integrand over width {width!r} must accept a float ndarray: {exc}"
-        ) from exc
-    g = g.reshape(-1, *off.shape)
+    with np.errstate(all="ignore"):
+        try:
+            f = np.asarray(f_off(off), dtype=float)
+        except TypeError as exc:
+            raise InvalidParameterError(
+                f"offset integrand over width {width!r} must accept a float ndarray: {exc}"
+            ) from exc
+        if f.shape not in ((), off.shape):
+            raise InvalidParameterError(f"offset integrand over width {width!r} must return one value per node")
+        g = f * off
     bad = ~np.isfinite(g)
     if bad.any():
-        msg = f"offset integrand over width {width!r} is not finite at offset {float(off[bad.any(0)][0])!r}"
+        msg = f"offset integrand over width {width!r} is not finite at offset {float(off[bad][0])!r}"
         raise QuadratureError(msg, math.nan, math.inf)
     return half * (g @ _GK_WK), np.abs(half * (g @ _GK_WKG)), g
 
@@ -398,7 +401,7 @@ def _quad_led_by(lead: str):
         raise QuadratureError(f"{lead}: {exc.message}", exc.estimate, exc.error_bound) from None
 
 
-def quad_offset(f_off, width: float) -> float | tuple[float, ...]:
+def quad_offset(f_off, width: float) -> float:
     """Integrate f_off(delta) for delta in (0, width], delta measured from 0.
 
     The offset parametrization is the accurate way to integrate a density
@@ -417,16 +420,15 @@ def quad_offset(f_off, width: float) -> float | tuple[float, ...]:
     every node of a pass at once as a float ndarray.  The error of a panel
     is taken as |Kronrod - Gauss|; while their sum exceeds half the
     tolerance, the panels that carry the excess are bisected and evaluated
-    again.  An f_off that stacks m > 1 integrands on a leading axis gets m
-    values from shared nodes, a panel being bisected while any of them
-    misses its own tolerance.
+    again.
 
     Raises:
         QuadratureError: the panels miss the tolerance within 400
             bisections, the bounded mass below the floor exceeds half the
             tolerance (for a unit mass near d^(k-1), k below about 0.05),
             or f_off returns a non-finite value.
-        InvalidParameterError: f_off does not accept an ndarray.
+        InvalidParameterError: f_off does not accept an ndarray or does
+            not return one value per node.
     """
     check_real("width", width, 0.0, math.inf, open_lo=True, open_hi=True)
     floor = max(64.0 * 5e-324, width * 1e-250)
@@ -439,50 +441,43 @@ def quad_offset(f_off, width: float) -> float | tuple[float, ...]:
     edges = depth / count * _EDGES[: _GRADE.size + count + 1]
     halves = 0.5 * (edges[1:] - edges[:-1])
     # March outward in s from the first _PROBE panels, on to the depth where
-    # every row's fitted tail falls below its share, at most to the floor.
+    # the fitted tail falls below its share, at most to the floor.
     end = min(_PROBE, halves.size)
     lo, half = edges[:end], halves[:end]
     kron, err, g = _offset_panels(f_off, width, lo, half)
     while True:
-        span = 2.0 * float(half[-1] * _GK_X[-1])
-        fits = [_tail_fit(gi[-1].tolist(), span, math.fsum(row)) for gi, row in zip(g, kron.tolist())]
-        more = max(fit[2] for fit in fits)
+        rate, tail, more = _tail_fit(g[-1].tolist(), 2.0 * float(half[-1] * _GK_X[-1]), math.fsum(kron.tolist()))
         if end == halves.size or not more:
             break
         new = min(halves.size, end + 4 * math.ceil((int(np.searchsorted(edges, edges[end] + more)) - end) / 4))
         new_kron, new_err, g = _offset_panels(f_off, width, edges[end:new], halves[end:new])
         lo, half, end = edges[:new], halves[:new], new
-        kron, err = np.concatenate([kron, new_kron], 1), np.concatenate([err, new_err], 1)
+        kron, err = np.concatenate([kron, new_kron]), np.concatenate([err, new_err])
     budget = _BISECTIONS
     while True:
-        values = [math.fsum(row) for row in kron.tolist()]
-        tols = [_TOL * max(1.0, abs(v)) for v in values]
-        picks = []
-        for row, tol in zip(err, tols):
-            excess = float(row.sum()) - 0.5 * tol
-            if excess > 0.0:
-                # Bisect the fewest panels, largest errors first, that carry the excess.
-                order = np.argsort(row)[::-1]
-                picks.append(order[: int(np.searchsorted(np.cumsum(row[order]), excess)) + 1])
-        if not picks:
+        value = math.fsum(kron.tolist())
+        tol = _TOL * max(1.0, abs(value))
+        excess = float(err.sum()) - 0.5 * tol
+        if excess <= 0.0:
             break
-        pick = picks[0] if len(picks) == 1 else np.unique(np.concatenate(picks))
+        # Bisect the fewest panels, largest errors first, that carry the excess.
+        order = np.argsort(err)[::-1]
+        pick = order[: int(np.searchsorted(np.cumsum(err[order]), excess)) + 1]
         budget -= pick.size
         if budget < 0:
             msg = f"offset quadrature over width {width!r} did not converge within {_BISECTIONS} bisections"
-            raise QuadratureError(msg, values[0], float(err[0].sum()))
+            raise QuadratureError(msg, value, float(err.sum()))
         keep = np.ones(lo.size, dtype=bool)
         keep[pick] = False
         sub = 0.5 * half[pick]
         new_lo, new_half = np.concatenate([lo[pick], lo[pick] + 2.0 * sub]), np.concatenate([sub, sub])
         new_kron, new_err, _ = _offset_panels(f_off, width, new_lo, new_half)
         lo, half = np.concatenate([lo[keep], new_lo]), np.concatenate([half[keep], new_half])
-        kron, err = np.concatenate([kron[:, keep], new_kron], 1), np.concatenate([err[:, keep], new_err], 1)
-    for (rate, tail, _), value, tol in zip(fits, values, tols):
-        if tail > 0.5 * tol:
-            msg = f"offset integral over width {width!r} leaves mass below the floor {floor!r}"
-            raise QuadratureError(f"{msg}: |g| decays with fitted exponent {rate!r}, tail bound {tail!r}", value, tail)
-    return values[0] if len(values) == 1 else tuple(values)
+        kron, err = np.concatenate([kron[keep], new_kron]), np.concatenate([err[keep], new_err])
+    if tail > 0.5 * tol:
+        msg = f"offset integral over width {width!r} leaves mass below the floor {floor!r}"
+        raise QuadratureError(f"{msg}: |g| decays with fitted exponent {rate!r}, tail bound {tail!r}", value, tail)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -683,19 +678,14 @@ class MixedLaw:
         return math.fsum(total)
 
     def mean(self) -> float:
-        """First moment, atoms exactly and pieces by quad_offset."""
+        """First moment, atoms and piece masses exactly, offsets by quad_offset."""
         total = [loc * m for loc, m in self.atoms]
         for pc in self.pieces:
-            # x = anchor -/+ offset, so the moment splits into the piece
-            # mass times the anchor plus a signed pure-offset moment, both
-            # from one pass over shared nodes.
-            both = lambda d, f=pc.offset_density: np.stack([fd := f(d), d * fd])
+            # x = anchor -/+ offset, so the moment splits into the closed-form
+            # piece mass times the anchor plus a signed pure-offset moment.
             with _quad_led_by(self.label):
-                mass, sway = quad_offset(both, pc.offset_width)
-            if pc.offset_side == "lower":
-                total.append(pc.lower * mass + sway)
-            else:
-                total.append(pc.upper * mass - sway)
+                sway = quad_offset(lambda d, f=pc.offset_density: d * f(d), pc.offset_width)
+            total.append(pc.lower * pc.mass + sway if pc.offset_side == "lower" else pc.upper * pc.mass - sway)
         return math.fsum(total)
 
     def cdf(self, x: float) -> float:

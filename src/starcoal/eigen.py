@@ -18,6 +18,7 @@ from .core import (
     InvalidParameterError,
     SingularityError,
     TwoTypeParams,
+    _quad_led_by,
     check_int,
     check_real,
     quad_offset,
@@ -214,7 +215,8 @@ def pv_expectation_g_q1_numeric(params: TwoTypeParams, g: PolyRep) -> float:
             acc = acc * eta + c
         return a * eta ** (a - 1.0) * acc
 
-    return quad_offset(integrand, 1.0)
+    with _quad_led_by(f"pv_expectation_g_q1_numeric(theta={theta!r}, p={p!r})"):
+        return quad_offset(integrand, 1.0)
 
 
 def stationary_expectation(params: TwoTypeParams, g: PolyRep) -> float:

@@ -203,6 +203,22 @@ def test_non_integer_seed_variable_is_a_usage_error(capsys, monkeypatch):
     assert rc == 0
 
 
+def test_out_of_range_seed_is_a_usage_error(capsys, monkeypatch):
+    # A seed outside [0, 2**64) exits 2 with a usage message naming where it
+    # came from, the flag or the environment variable.
+    argv = ["simulate", "lines", "--n", "3", "--theta", "1", "--n-mc", "100"]
+    for seed in ("-1", str(2**64)):
+        for source, tail in (("--seed", ["--seed", seed]), ("STARCOAL_SEED", [])):
+            monkeypatch.setenv("STARCOAL_SEED", seed if source == "STARCOAL_SEED" else "0")
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + tail)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage:") and f"{source} must be an integer in [0, 2**64), got {seed}" in err
+    monkeypatch.setenv("STARCOAL_SEED", str(2**64 - 1))
+    assert run_cli(capsys, argv)[0] == 0
+
+
 def test_multitype_pim_and_sampling(capsys):
     rc, out, _ = run_cli(
         capsys,

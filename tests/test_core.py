@@ -20,9 +20,9 @@ from starcoal.core import (
     replacement_decay_integral,
     truncated_exponential_inverse_cdf,
 )
-from starcoal.selection import mutation_selection_drift
+from starcoal.selection import mutation_selection_drift, replacement_stationary
 from starcoal.selection import stationary_law as selection_stationary_law
-from starcoal.twotype import stationary_law, transition_law
+from starcoal.twotype import stationary_law, transition_law, transition_moment
 
 
 def test_two_type_params_validation():
@@ -255,58 +255,69 @@ def test_quadrature_mass_prefers_offset_route():
     assert ref == pytest.approx(1.0, abs=1e-6)
 
 
-def _two_pass_mean(law):
-    """MixedLaw.mean as separate quad_offset passes for the mass and the
-    offset moment of each piece."""
-    total = [loc * m for loc, m in law.atoms]
-    for pc in law.pieces:
-        mass = quad_offset(pc.offset_density, pc.offset_width)
-        sway = quad_offset(lambda d: d * pc.offset_density(d), pc.offset_width)
-        total.append(pc.lower * mass + sway if pc.offset_side == "lower" else pc.upper * mass - sway)
-    return math.fsum(total)
+def _stationary(theta, p):
+    return stationary_law(TwoTypeParams(theta, p)), p
 
 
-def _mean_or_raise(compute):
-    try:
-        return compute()
-    except QuadratureError:
-        return None
+def _transition(theta, p, x, t):
+    par = TwoTypeParams(theta, p)
+    return transition_law(par, x, t), p + transition_moment(par, 1, x, t)
 
 
-def test_one_pass_mean_matches_two_passes():
-    # Every law at the fixed points of tests/test_quadrature.py, those that
-    # raise included: both routes must raise there.
-    two = lambda theta, p: TwoTypeParams(theta, p)
-    laws = [stationary_law(two(theta, 0.3)) for theta in (200.0, 20.0, 0.5, 1e-5, 1600.0, 3.0)]
-    laws += [stationary_law(two(theta, p)) for theta, p in ((0.8, 0.35), (2.0, 0.5), (5.0, 0.4))]
-    laws += [
-        transition_law(two(theta, 0.5), x, t)
+def _selection(theta, p, beta):
+    drift = mutation_selection_drift(theta, p, beta)
+    return selection_stationary_law(drift), replacement_stationary(drift)[0]
+
+
+# Makers of (law, closed-form mean), with their arguments, at the fixed
+# points of tests/test_quadrature.py but the one in _MEAN_RAISES.
+_MEAN_FIXED = (
+    [(_stationary, (theta, 0.3)) for theta in (200.0, 20.0, 0.5, 1e-5, 1600.0, 3.0)]
+    + [(_stationary, args) for args in ((0.8, 0.35), (2.0, 0.5), (5.0, 0.4))]
+    + [
+        (_transition, (theta, 0.5, x, t))
         for theta, x, t in ((400.0, 0.3, 100.0), (400.0, 0.9, 3.0), (10.0, 0.3, 1.0), (1.5, 0.9, 0.05))
     ]
-    laws += [transition_law(two(theta, 0.3), 0.9, 1.0) for theta in (1e-15, 1e-10, 1e-6)]
-    laws += [
-        transition_law(two(theta, p), x, t)
-        for theta, p, x, t in ((0.5, 0.3, 0.9, 0.7), (2.0, 0.5, 0.2, 2.0), (5.0, 0.6, 0.0, 0.3))
+    + [(_transition, (theta, 0.3, 0.9, 1.0)) for theta in (1e-15, 1e-10, 1e-6)]
+    + [(_transition, args) for args in ((0.5, 0.3, 0.9, 0.7), (2.0, 0.5, 0.2, 2.0), (5.0, 0.6, 0.0, 0.3))]
+    + [(_selection, args) for args in ((0.01, 1e-4, 0.01), (1.0, 0.4, 2.0), (1.0, 0.5, 2.0), (0.5, 0.3, 4.0))]
+)
+# Laws whose quadrature_mass raises, the offset integrand d f(d) of the
+# mean decaying one power faster than f near the piece edge.
+_MEAN_PAST_THE_MASS = (
+    [(_stationary, (theta, 0.3)) for theta in (45.0, 100.0, 200.0, 1000.0, 1600.0)]
+    + [
+        (_transition, args)
+        for args in ((400.0, 0.5, 0.3, 100.0), (400.0, 0.5, 0.9, 3.0), (400.0, 0.3, 0.9, 100.0), (1e4, 0.3, 0.9, 1e3))
     ]
-    laws += [
-        selection_stationary_law(mutation_selection_drift(theta, p, beta))
-        for theta, beta, p in ((0.01, 0.01, 1e-4), (0.01, 0.1, 1e-4), (1.0, 2.0, 0.4), (1.0, 2.0, 0.5), (0.5, 4.0, 0.3))
-    ]
-    answered = 0
-    for law in laws:
-        one, want = _mean_or_raise(law.mean), _mean_or_raise(lambda: _two_pass_mean(law))
-        assert (one is None) == (want is None)
-        if want is not None:
-            answered += 1
-            assert abs(one - want) <= 1e-15 + 1e-15 * abs(want), (one, want)
-    assert answered >= 18
+    + [(_selection, args) for args in ((100.0, 0.3, 1.0), (1000.0, 0.3, 1.0), (1.0, 0.3, 1000.0), (1e4, 0.3, 1e4))]
+)
+# Laws whose mean still raises.
+_MEAN_RAISES = [(_selection, (0.01, 1e-4, 0.1)), (_stationary, (1e-7, 0.3))]
 
 
-def test_quad_offset_stacked_integrands():
-    # Two integrands on shared nodes: each value meets its own tolerance.
-    mass, moment = quad_offset(lambda d: np.stack([0.5 * d**-0.5, 0.5 * d**0.5]), 1.0)
-    assert mass == pytest.approx(1.0, abs=1e-10)
-    assert moment == pytest.approx(1.0 / 3.0, abs=1e-10)
+def test_mean_matches_its_closed_form():
+    # mean takes each piece's mass in closed form and integrates only its
+    # signed offset moment.
+    for make, args in _MEAN_FIXED + _MEAN_PAST_THE_MASS:
+        law, want = make(*args)
+        got = law.mean()
+        assert abs(got - want) <= 1e-12, (law.label, got, want)
+    for make, args in _MEAN_PAST_THE_MASS:
+        with pytest.raises(QuadratureError):
+            make(*args)[0].quadrature_mass()
+    for make, args in _MEAN_RAISES:
+        with pytest.raises(QuadratureError):
+            make(*args)[0].mean()
+
+
+def test_quad_offset_takes_one_value_per_node():
+    # A constant broadcasts over the nodes; stacked or reshaped values are
+    # not one integrand and raise before they reach the sums.
+    assert quad_offset(lambda d: 2.0, 0.5) == pytest.approx(1.0, abs=1e-12)
+    for f_off in (lambda d: np.stack([d, d * d]), lambda d: d[:, :1], lambda d: d.ravel()):
+        with pytest.raises(InvalidParameterError, match="must return one value per node"):
+            quad_offset(f_off, 1.0)
 
 
 def test_mean_se_matches_two_pass_statistics():

@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from starcoal.core import InvalidParameterError, SingularityError, TwoTypeParams
+from starcoal.core import InvalidParameterError, QuadratureError, SingularityError, TwoTypeParams
 from starcoal.eigen import (
     PolyRep,
     eigen_coefficients,
@@ -139,6 +139,15 @@ def test_pv_pairing_series_vs_numeric():
         assert numeric == pytest.approx(series, abs=1e-10)
     # Constants pair to zero.
     assert pv_expectation_g_q1(par, PolyRep(0.0, (7.0,))) == 0.0
+
+
+def test_pv_pairing_error_names_its_inputs():
+    # At theta = 45 the weight eta^(2/theta - 2) leaves mass below the
+    # offset floor; the error leads with the call, as the laws' errors do.
+    with pytest.raises(QuadratureError) as exc:
+        pv_expectation_g_q1_numeric(TwoTypeParams(theta=45.0, p=0.3), PolyRep(0.0, (0.0, 1.0)))
+    assert exc.value.message.startswith("pv_expectation_g_q1_numeric(theta=45.0, p=0.3): offset integral over width")
+    assert math.isfinite(exc.value.estimate)
 
 
 def test_stationary_expectation_matches_moment_route():

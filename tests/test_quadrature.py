@@ -20,7 +20,7 @@ from starcoal.core import QuadratureError, TwoTypeParams, replacement_decay_inte
 from starcoal.eigen import eigen_poly, pv_expectation_g_q1_numeric
 from starcoal.selection import mutation_selection_drift, replacement_stationary
 from starcoal.selection import stationary_law as selection_stationary_law
-from starcoal.twotype import stationary_law, transition_law
+from starcoal.twotype import stationary_law, transition_law, transition_moment
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -195,31 +195,46 @@ def test_transition_law_mass_and_mean_or_raise(theta, p, x, t):
     _matches_or_raises(law.mean, want_mean)
 
 
-# Each law constructor at a point where its quadrature raises, with the
-# label its QuadratureError leads with.
+# Each law constructor at a point where its quadrature_mass raises, with
+# the label its QuadratureError leads with and the law's closed-form mean,
+# which mean meets there: its offset moment decays one power faster.
 _FAILING_LAWS = {
     "twotype.transition_law": (
         lambda: transition_law(TwoTypeParams(400.0, 0.5), 0.9, 3.0),
         "transition_law(theta=400.0, p=0.5, x=0.9, t=3.0): ",
+        0.5 + transition_moment(TwoTypeParams(400.0, 0.5), 1, 0.9, 3.0),
     ),
     "twotype.stationary_law": (
         lambda: stationary_law(TwoTypeParams(45.0, 0.3)),
         "stationary_law(theta=45.0, p=0.3): ",
+        0.3,
     ),
     "selection.stationary_law": (
         lambda: selection_stationary_law(mutation_selection_drift(100.0, 0.3, 1.0)),
         "selection stationary_law(theta=100.0, p=0.3, beta=1.0): ",
+        replacement_stationary(mutation_selection_drift(100.0, 0.3, 1.0))[0],
     ),
 }
 
 
 @pytest.mark.parametrize("constructor", sorted(_FAILING_LAWS))
 def test_quadrature_error_names_the_law(constructor):
-    make, label = _FAILING_LAWS[constructor]
+    make, label, mean = _FAILING_LAWS[constructor]
     law = make()
-    for moment in (law.quadrature_mass, law.mean):
-        with pytest.raises(QuadratureError) as exc:
-            moment()
-        assert str(exc.value).startswith(label + "offset integral over width"), str(exc.value)
-        assert exc.value.message.startswith(label)
-        assert math.isfinite(exc.value.estimate)
+    with pytest.raises(QuadratureError) as exc:
+        law.quadrature_mass()
+    assert str(exc.value).startswith(label + "offset integral over width"), str(exc.value)
+    assert exc.value.message.startswith(label)
+    assert math.isfinite(exc.value.estimate)
+    assert law.mean() == pytest.approx(mean, abs=1e-12)
+
+
+def test_mean_error_names_the_law():
+    # Weak mutation and selection at small p: the piece below the
+    # replacement point misses the tolerance for mean as for quadrature_mass.
+    law = selection_stationary_law(mutation_selection_drift(0.01, 1e-4, 0.1))
+    with pytest.raises(QuadratureError) as exc:
+        law.mean()
+    label = "selection stationary_law(theta=0.01, p=0.0001, beta=0.1): "
+    assert str(exc.value).startswith(label + "offset quadrature over width"), str(exc.value)
+    assert math.isfinite(exc.value.estimate)
