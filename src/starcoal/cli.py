@@ -117,7 +117,7 @@ def _seed_of(args, parser) -> int:
     return seed
 
 
-def _cmd_transition(args) -> int:
+def _cmd_transition(args, parser) -> int:
     par = TwoTypeParams(theta=args.theta, p=args.p)
     q1, _ = marginal_q(par, args.x, args.t)
     params = [
@@ -133,14 +133,14 @@ def _cmd_transition(args) -> int:
     return 0
 
 
-def _cmd_stationary(args) -> int:
+def _cmd_stationary(args, parser) -> int:
     par = TwoTypeParams(theta=args.theta, p=args.p)
     rows = [(xi, stationary_density_eval(par, xi)) for xi in args.grid]
     _emit(args, [("theta", args.theta), ("p", args.p)], ["xi", "density"], rows)
     return 0
 
 
-def _cmd_moments(args) -> int:
+def _cmd_moments(args, parser) -> int:
     par = TwoTypeParams(theta=args.theta, p=args.p)
     rows = []
     for n in range(args.n_max + 1):
@@ -156,7 +156,7 @@ def _cmd_moments(args) -> int:
     return 0
 
 
-def _cmd_eigen(args) -> int:
+def _cmd_eigen(args, parser) -> int:
     par = TwoTypeParams(theta=args.theta, p=args.p)
     rows = []
     for n in range(args.n + 1):
@@ -167,7 +167,7 @@ def _cmd_eigen(args) -> int:
     return 0
 
 
-def _cmd_lines(args) -> int:
+def _cmd_lines(args, parser) -> int:
     rows = []
     for t in args.t_grid:
         direct = an_distribution(args.n, args.theta, t).probs
@@ -311,6 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("transition", help="transition density over a frequency grid")
+    sp.set_defaults(run=_cmd_transition)
     sp.add_argument("--theta", type=float, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--x", type=float, required=True)
@@ -319,12 +320,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
 
     sp = sub.add_parser("stationary", help="stationary density over a frequency grid")
+    sp.set_defaults(run=_cmd_stationary)
     sp.add_argument("--theta", type=float, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--grid", type=_parse_grid, required=True)
     _add_common(sp)
 
     sp = sub.add_parser("moments", help="centered and raw transition moments")
+    sp.set_defaults(run=_cmd_moments)
     sp.add_argument("--theta", type=float, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--x", type=float, required=True)
@@ -333,18 +336,21 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
 
     sp = sub.add_parser("eigen", help="eigenvalues and low-order eigenpolynomial coefficients")
+    sp.set_defaults(run=_cmd_eigen)
     sp.add_argument("--theta", type=float, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--n", type=int, required=True)
     _add_common(sp)
 
     sp = sub.add_parser("lines", help="line-count law, direct and spectral routes")
+    sp.set_defaults(run=_cmd_lines)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--theta", type=float, required=True)
     sp.add_argument("--t-grid", type=_parse_grid, required=True)
     _add_common(sp)
 
     sp = sub.add_parser("simulate", help="ensemble summaries from the path simulators")
+    sp.set_defaults(run=_cmd_simulate)
     sim = sp.add_subparsers(dest="kind", required=True)
     fv = sim.add_parser("fv", help="forward frequency paths")
     fv.add_argument("--theta", type=float, required=True)
@@ -365,6 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(ag)
 
     sp = sub.add_parser("multitype", help="simplex kernels and the sampling distribution")
+    sp.set_defaults(run=_cmd_multitype)
     sp.add_argument("--theta", type=float, required=True)
     sp.add_argument("--p-vec", type=lambda s: [float(v) for v in s.split(",")], default=None)
     sp.add_argument("--t", type=float, default=None)
@@ -373,6 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
 
     sp = sub.add_parser("selection", help="roots, skeleton, stationary density, fixation")
+    sp.set_defaults(run=_cmd_selection)
     sp.add_argument("--theta", type=float, default=None)
     sp.add_argument("--p", type=float, default=None)
     sp.add_argument("--beta", type=float, default=None)
@@ -382,6 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
 
     sp = sub.add_parser("verify", help="run the cross-check battery")
+    sp.set_defaults(run=_cmd_verify)
     sp.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     sp.add_argument("--out", default=None)
     sp.add_argument("--seed", type=int, default=None)
@@ -392,23 +401,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "transition":
-            return _cmd_transition(args)
-        if args.command == "stationary":
-            return _cmd_stationary(args)
-        if args.command == "moments":
-            return _cmd_moments(args)
-        if args.command == "eigen":
-            return _cmd_eigen(args)
-        if args.command == "lines":
-            return _cmd_lines(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args, parser)
-        if args.command == "multitype":
-            return _cmd_multitype(args, parser)
-        if args.command == "selection":
-            return _cmd_selection(args, parser)
-        return _cmd_verify(args, parser)
+        return args.run(args, parser)
     except StarcoalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -72,6 +72,8 @@ class PolyRep:
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * y + c
+        if not math.isfinite(acc):
+            raise InvalidParameterError(f"PolyRep value at x = {x!r} about shift {self.shift!r} is not finite")
         return acc
 
     def with_shift(self, new_shift: float) -> "PolyRep":

@@ -273,7 +273,10 @@ def mean_absorption_time(n: int, theta: float) -> float:
     T, c = _dyadic(theta)
     D = 1 << (c + 1)
     prod = math.prod(D + m * T for m in range(1, n + 1))
-    return (T + D) * (prod - math.factorial(n) * T**n) / (T * prod)
+    try:
+        return (T + D) * (prod - math.factorial(n) * T**n) / (T * prod)
+    except OverflowError:
+        raise InvalidParameterError(f"mean absorption time overflows a float at n = {n}, theta = {theta!r}") from None
 
 
 def simulate_lines(

@@ -33,7 +33,6 @@ from .core import (
     QuadratureError,
     RngStream,
     SimulationAbortError,
-    brent_root,
     check_int,
     check_real,
     mean_se,
@@ -466,26 +465,6 @@ def _custom_orbit_guard(drift: DriftSpec, lo: float, hi: float, sign: float):
             )
 
 
-def _custom_hit_time(drift: DriftSpec, chi0: float, xi: float) -> float | None:
-    """Time for the custom flow from chi0 to reach xi, None if unreachable.
-
-    Doubles a horizon from 1 until the flow passes xi, then finds the time
-    between the last two horizons (0 and 1 at first) by brent_root.
-    """
-    if chi0 == xi:
-        return 0.0
-    direction = -1.0 if chi0 > xi else 1.0
-    lo, f_lo, hi = 0.0, chi0 - xi, 1.0
-    while True:
-        f_hi = flow(drift, chi0, hi) - xi
-        if direction * f_hi >= 0.0:
-            break
-        lo, f_lo, hi = hi, f_hi, 2.0 * hi
-        if hi > 1400.0:
-            return None
-    return brent_root(lambda s: flow(drift, chi0, s) - xi, lo, hi, f_lo, f_hi, xtol=1e-12, rtol=4.0 * math.ulp(1.0))
-
-
 def stationary_density(drift: DriftSpec, xi: float) -> float:
     """Stationary density at xi: sum of pi_i e^{-t_i(xi)} / |v(xi)|.
 
@@ -510,23 +489,26 @@ def stationary_density(drift: DriftSpec, xi: float) -> float:
             decay = ((rp.r1 - xi) * (-rp.r2) / ((xi - rp.r2) * rp.r1)) ** expo
             return pi2 * decay / speed
         return 0.0
-    # Custom drift: locate the equilibrium by orbit membership and invert
-    # the flow numerically on the matching branch.
-    v_xi = drift.velocity(xi)
+    # Custom drift: xi lies on the orbit of the endpoint its velocity points
+    # away from, reached after the time integral of 1/|v| from xi to that
+    # endpoint, offsets measured from xi.  An endpoint at equilibrium never
+    # leaves, so its branch is empty.
     if xi in (0.0, 1.0):
         return 0.0
-    if v_xi < 0.0:
-        _custom_orbit_guard(drift, xi, 1.0, -1.0)
-        t_hit = _custom_hit_time(drift, 1.0, xi)
-        weight = pi1
-    elif v_xi > 0.0:
-        _custom_orbit_guard(drift, 0.0, xi, 1.0)
-        t_hit = _custom_hit_time(drift, 0.0, xi)
-        weight = pi2
-    else:
+    v_xi = drift.velocity(xi)
+    if not (v_xi < 0.0 or v_xi > 0.0):
         return 0.0
-    if t_hit is None:
+    toward, end, weight = (1.0, 1.0, pi1) if v_xi < 0.0 else (-1.0, 0.0, pi2)
+    _custom_orbit_guard(drift, min(xi, end), max(xi, end), -toward)
+    if drift.velocity(end) == 0.0:
         return 0.0
+
+    def slowness(d: np.ndarray) -> np.ndarray:
+        speeds = [abs(float(drift.velocity(y))) for y in (xi + toward * d).ravel().tolist()]
+        return 1.0 / np.reshape(speeds, d.shape)
+
+    with _quad_led_by(f"stationary_density(custom drift, xi={xi!r})"):
+        t_hit = quad_offset(slowness, abs(end - xi))
     return weight * math.exp(-t_hit) / abs(v_xi)
 
 
@@ -840,6 +822,9 @@ def asg_count_ensemble(n: int, beta: float, t: float, size: int, rng: RngStream)
             return go
 
         a = _sweep(a, collapse)
+        # A parameter that underflowed to 0 stands for a count past any cap.
+        if any(not remaining[b].all() for b in ended):
+            raise _state_cap_abort(n, beta)
         for _ in range(lines):
             for b in ended:
                 out[b] += rng.gen.geometric(remaining[b])

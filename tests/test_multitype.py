@@ -7,6 +7,7 @@ arithmetic plus a direct binomial-mixture simulation.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -221,6 +222,86 @@ def test_markov_line_kernel_against_expm():
         ref = expm(0.5 * theta * (m - np.eye(3)) * t)
         assert np.max(np.abs(got - ref)) < 1e-12
         assert got.sum(axis=1) == pytest.approx(np.ones(3), abs=1e-12)
+
+
+M3 = np.array([[0.1, 0.6, 0.3], [0.4, 0.2, 0.4], [0.25, 0.25, 0.5]])
+
+
+def _uniformization(m: np.ndarray, lam: float) -> np.ndarray:
+    """exp(lam (M - I)) as the kernel computed it before scaling and squaring:
+    Poisson-weighted powers of M out to a Chernoff tail below 1e-14."""
+    log_lam = math.log(lam)
+    kmax = max(20, int(lam + 12.0 * math.sqrt(lam) + 30.0))
+    while -lam + kmax * (1.0 + log_lam - math.log(kmax)) > math.log(1e-14):
+        kmax *= 2
+    out, power = np.zeros_like(m), np.eye(len(m))
+    for k in range(kmax + 1):
+        out += math.exp(k * log_lam - math.lgamma(k + 1) - lam) * power
+        power = power @ m
+    return out / out.sum(axis=1, keepdims=True)
+
+
+def _timed_kernel(mm: MutationMatrix, lam: float) -> np.ndarray:
+    """The kernel at theta t / 2 = lam, held to rows summing to 1 and to
+    10 ms a call (the fastest of three, against a noisy clock)."""
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        got = markov_line_kernel(mm, 2.0, lam)
+        best = min(best, time.perf_counter() - start)
+    assert np.max(np.abs(got.sum(axis=1) - 1.0)) <= 1e-15, lam
+    assert best < 0.01, (lam, best)
+    return got
+
+
+@pytest.mark.parametrize("lam", [0.5, 40.0])
+def test_markov_line_kernel_against_mpmath_expm(lam):
+    # At 50 digits mpmath's expm is itself only good to lam of about 40.
+    mpmath = pytest.importorskip("mpmath")
+    got = _timed_kernel(MutationMatrix(matrix=M3), lam)
+    with mpmath.workdps(50):
+        gen = mpmath.mpf(lam) * (mpmath.matrix(M3.tolist()) - mpmath.eye(3))
+        want = np.array(mpmath.expm(gen).tolist(), dtype=float)
+    assert np.max(np.abs(got - want)) < 1e-14
+
+
+@pytest.mark.parametrize("lam", [0.5, 40.0, 5e3, 5e4])
+def test_markov_line_kernel_against_uniformization(lam):
+    got = _timed_kernel(MutationMatrix(matrix=M3), lam)
+    assert np.max(np.abs(got - _uniformization(M3, lam))) < 1e-14
+
+
+@pytest.mark.parametrize("lam", [5e3, 5e7, 5e307])
+def test_markov_line_kernel_reaches_the_stationary_rows(lam):
+    # Long past mixing every row is gamma, gamma M = gamma, solved at 40 digits.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a = mpmath.matrix(M3.T.tolist()) - mpmath.eye(3)
+        a[2, 0] = a[2, 1] = a[2, 2] = 1
+        gamma = np.array(mpmath.lu_solve(a, mpmath.matrix([0, 0, 1])).tolist(), dtype=float).ravel()
+    got = _timed_kernel(MutationMatrix(matrix=M3), lam)
+    assert np.max(np.abs(got - gamma)) < 1e-14
+
+
+@pytest.mark.parametrize("lam", [0.5, 40.0, 5e3, 5e7])
+def test_markov_line_kernel_reducible_blocks(lam):
+    # Two closed two-state classes: no unique gamma, and each block has the
+    # closed form of a two-state chain leaving at rates u and w.
+    blocks = ((0.3, 0.6), (0.05, 0.9))
+    m = np.zeros((4, 4))
+    want = np.zeros((4, 4))
+    for k, (u, w) in enumerate(blocks):
+        i = 2 * k
+        m[i : i + 2, i : i + 2] = [[1.0 - u, u], [w, 1.0 - w]]
+        e = math.exp(-(u + w) * lam)
+        want[i : i + 2, i : i + 2] = np.array([[w + u * e, u - u * e], [w - w * e, u + w * e]]) / (u + w)
+    got = _timed_kernel(MutationMatrix(matrix=m), lam)
+    assert np.max(np.abs(got - want)) < 1e-14
+
+
+def test_markov_line_kernel_overflow_names_theta_and_t():
+    with pytest.raises(InvalidParameterError, match=r"theta = 4\.0, t = 1e\+308"):
+        markov_line_kernel(MutationMatrix(matrix=M3), 4.0, 1e308)
 
 
 def test_markov_stationary_gamma():

@@ -257,6 +257,59 @@ def test_stationary_density_custom_matches_named():
         )
 
 
+def _custom_density_error(velocity) -> float:
+    """Largest relative gap between the custom density of velocity and MS's
+    closed form, over 27 points of (0.02, 0.98) and four points near r1."""
+    cd = custom_drift(velocity, 2.0)
+    r1 = roots(1.0, 2.0, 0.5).r1
+    points = np.linspace(0.02, 0.98, 29)[1:-1].tolist() + [r1 - 1e-3, r1 + 1e-3, r1 - 1e-6, r1 + 1e-6]
+    return max(abs(stationary_density(cd, xi) / stationary_density(MS, xi) - 1.0) for xi in points)
+
+
+def test_custom_density_by_quadrature_matches_closed_form():
+    # The same drift written as a callable: 0.5 (0.5 - y) + y (1 - y).  The
+    # ODE-and-root route was 1.2e-5 off at r1 +- 1e-6.
+    assert _custom_density_error(lambda y: 0.5 * (0.5 - y) + y * (1.0 - y)) < 3e-10
+
+
+def test_custom_density_check_sees_a_planted_fault():
+    # A velocity 1e-6 too fast must move the density past the bound above,
+    # so the check is not true by construction.
+    assert _custom_density_error(lambda y: (1.0 + 1e-6) * MS.velocity(y)) > 1e-7
+
+
+def test_custom_density_runs_no_flow(monkeypatch):
+    # With the skeleton cached, the density integrates 1/|v| alone: no
+    # flow, no ODE step.
+    cd = custom_drift(MS.velocity, 2.0)
+    replacement_stationary(cd)
+
+    def forbidden(*args):
+        raise AssertionError("the custom density ran the flow ODE")
+
+    monkeypatch.setattr(selection, "flow", forbidden)
+    monkeypatch.setattr(selection, "_dp45", forbidden)
+    for xi in (0.3, 0.9):
+        assert stationary_density(cd, xi) == pytest.approx(stationary_density(MS, xi), rel=3e-10)
+
+
+def test_custom_density_endpoint_equilibrium_is_empty():
+    # v(1) = 0: the flow from 1 never leaves it, so nothing reaches 0.7.
+    assert stationary_density(custom_drift(lambda y: (0.3 - y) * (1.0 - y), 2.0), 0.7) == 0.0
+
+
+@pytest.mark.parametrize("fault", [math.nan, 0.0])
+def test_custom_density_bad_velocity_names_the_call(fault):
+    # The fault sits between xi and the orbit guard's first grid point, where
+    # only the quadrature's nodes land.
+    broken = {"on": False}
+    cd = custom_drift(lambda y: fault if broken["on"] and 0.85 < y < 0.85 + 1e-9 else MS.velocity(y), 2.0)
+    replacement_stationary(cd)  # the skeleton, cached, sees the sound velocity
+    broken["on"] = True
+    with pytest.raises(QuadratureError, match=r"stationary_density\(custom drift, xi=0\.85\): .* not finite"):
+        stationary_density(cd, 0.85)
+
+
 def test_stationary_density_rejects_non_monotone_custom():
     # Three interior equilibria: inward at both boundaries, but the orbit
     # from 0 cannot pass the stable point at 0.2 to reach 0.6.

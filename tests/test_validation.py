@@ -287,3 +287,15 @@ def test_non_numbers_and_non_integers_raise_typed(fn, args, match):
     # a bare TypeError from math.factorial or a comparison.
     with pytest.raises(InvalidParameterError, match=match):
         fn(*args)
+
+
+def test_results_past_float_range_raise_typed():
+    # Each used to escape as a bare exception or a non-finite value: an
+    # OverflowError from the exact ratio, numpy's ValueError from a
+    # geometric parameter that underflowed to 0, and -inf.
+    with pytest.raises(InvalidParameterError, match=r"n = 3, theta = 1e-308"):
+        lines.mean_absorption_time(3, 1e-308)
+    with pytest.raises(core.SimulationAbortError, match=r"n = 2 at beta = 1e\+308"):
+        selection.asg_count_ensemble(2, 1e308, 1.0, 10, rng())
+    with pytest.raises(InvalidParameterError, match=r"x = 0\.5 about shift 1e\+308"):
+        eigen.PolyRep(1e308, (1.0, 2.0))(0.5)
