@@ -26,6 +26,7 @@ from .core import (
     Piece,
     QuadratureError,
     RngStream,
+    SIM_WORK_CAP,
     SimulationAbortError,
     SingularityError,
     StarcoalError,
@@ -90,7 +91,6 @@ from .selection import (
     fixation_prob,
     flow,
     logistic_drift,
-    mu_nu,
     mutation_selection_drift,
     neutral_drift,
     replacement_stationary,

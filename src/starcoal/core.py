@@ -45,6 +45,7 @@ __all__ = [
     "DomainEscapeError",
     "NonMonotoneDriftError",
     "SimulationAbortError",
+    "SIM_WORK_CAP",
     "TwoTypeParams",
     "RngStream",
     "quad_offset",
@@ -263,6 +264,20 @@ _BLOCK = 1 << 15
 def _blocks(size: int):
     """Consecutive slices of range(size), _BLOCK long but for the last."""
     return (slice(lo, min(lo + _BLOCK, size)) for lo in range(0, size, _BLOCK))
+
+
+# The most expected work a forward simulation may take.  count replicates
+# to horizon t expect t rate-1 events each, and one staged pass per unit of
+# t costs about 1000 events' interpreter time: work t (count + 1000).  At
+# about 60 ns a unit, the largest call allowed runs for a minute or so.
+SIM_WORK_CAP = 1e9
+
+
+def _check_work(call: str, horizon: float, count: int) -> None:
+    """Raise SimulationAbortError, before any draw, when count replicates
+    of call to horizon expect more work than SIM_WORK_CAP."""
+    if horizon * (count + 1000) > SIM_WORK_CAP:
+        raise SimulationAbortError(f"{call} to horizon {horizon!r} with {count} replicates exceeds SIM_WORK_CAP = {SIM_WORK_CAP:g}")
 
 
 def _sample(rng: RngStream, size, runs: int, draw, width=()):

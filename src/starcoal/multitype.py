@@ -6,10 +6,10 @@ puts the state on the segment from the mutation equilibrium p toward the
 i-th vertex, so each region is a one-dimensional density in the coordinate
 xi_i with the other coordinates pinned affinely.  Markov mutation (a
 row-stochastic matrix applied at rate theta/2 per line) changes only the
-single-line kernel, evaluated here by uniformization.  The infinitely-
-many-types limit leaves one replacement family of mass eta plus dust, with
-eta a Beta(2/theta, 1) variable; sampling formulas reduce to its moments,
-kept in exact rational arithmetic.
+single-line kernel, evaluated here by scaling and squaring.  The
+infinitely-many-types limit leaves one replacement family of mass eta
+plus dust, with eta a Beta(2/theta, 1) variable; sampling formulas reduce
+to its moments, kept in exact rational arithmetic.
 """
 
 from __future__ import annotations

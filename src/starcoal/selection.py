@@ -38,7 +38,7 @@ from .core import (
     mean_se,
     quad_offset,
 )
-from .core import _quad_led_by, _replicates, _sample, _sweep, mean_se_of_counts
+from .core import _check_work, _quad_led_by, _replicates, _sample, _sweep, mean_se_of_counts
 from .twotype import PathRecord, TwoTypeParams, _jump_endpoints, _jump_path, stationary_density_eval
 from .twotype import stationary_law as _neutral_stationary_law
 
@@ -53,7 +53,6 @@ __all__ = [
     "custom_drift",
     "roots",
     "flow",
-    "mu_nu",
     "skeleton_matrix",
     "replacement_stationary",
     "stationary_density",
@@ -158,14 +157,12 @@ class RootPair:
         return -self.r1 / self.r2
 
 
-@lru_cache(maxsize=128)
 def roots(theta: float, beta: float, p: float) -> RootPair:
     """Solve chi^2 - (1 - phi) chi - p phi = 0, phi = theta/beta.
 
     The larger-magnitude root comes from the quadratic formula and the
     other from the exact product -p phi, which avoids cancellation when
-    phi is large (weak selection).  Cached: flow() asks for the roots of
-    the same drift at every call.
+    phi is large (weak selection).
     """
     check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
     check_real("beta", beta, 0.0, math.inf, open_lo=True, open_hi=True)
@@ -266,71 +263,55 @@ def _flow_trajectory(drift: DriftSpec, rhs, y0: tuple[float, ...], t: float, max
     return states[-1]
 
 
-def _ode_flow(drift: DriftSpec, chi0: float, t: float) -> float:
-    if t == 0.0:
-        return chi0
-    max_step = min(t, 1.0 / max(drift.lipschitz, 1e-12))
-    (chi,) = _flow_trajectory(drift, lambda _s, y: (float(drift.velocity(y[0])),), (chi0,), t, max_step)
-    return min(1.0, max(0.0, chi))
+def _exp(x):
+    """math.exp for a float, so scalar flows stay Python floats; np.exp for an ndarray."""
+    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
+
+
+def _flow_step(drift: DriftSpec):
+    """drift's flow (chi0, t) -> chi(t), its kind and roots resolved once.
+
+    The named kinds' closed forms take floats or float ndarrays alike, and
+    t = inf lands on the stable equilibrium.  Custom drift integrates the
+    ODE pair by pair, with step size capped by the Lipschitz bound.
+    """
+    if drift.kind == "neutral":
+        return lambda chi0, t: drift.p + (chi0 - drift.p) * _exp(-0.5 * drift.theta * t)
+    if drift.kind == "logistic":
+        # The added (chi0 == 0) keeps a start at 0 at 0 where the
+        # exponential underflows, and adds nothing elsewhere.
+        return lambda chi0, t: chi0 / ((1.0 - chi0) * _exp(-0.5 * drift.beta * t) + chi0 + (chi0 == 0.0))
+    if drift.kind == "mutation_selection":
+        rp = roots(drift.theta, drift.beta, drift.p)
+        r1, r2, rate = rp.r1, rp.r2, rp.decay_rate
+
+        def step(chi0, t):
+            ratio = (r1 - chi0) / (chi0 - r2) * _exp(-rate * t)
+            return r1 - (r1 - r2) * ratio / (1.0 + ratio)
+
+        return step
+    max_step = 1.0 / max(drift.lipschitz, 1e-12)
+
+    def ode(chi0, t):
+        if t == 0.0:
+            return chi0
+        (chi,) = _flow_trajectory(drift, lambda _s, y: (float(drift.velocity(y[0])),), (chi0,), t, min(t, max_step))
+        return min(1.0, max(0.0, chi))
+
+    return np.frompyfunc(ode, 2, 1)
 
 
 def flow(drift: DriftSpec, chi0: float, t: float) -> float:
     """Deterministic frequency flow started from chi0, run for time t.
 
-    Closed forms for the three named kinds (t = inf lands on the stable
-    equilibrium); custom drift integrates the ODE with step size capped by
-    the Lipschitz bound.
+    The named kinds allow t = inf, landing on the stable equilibrium;
+    custom drift integrates the ODE and needs a finite t.
     """
     check_real("chi0", chi0, 0.0, 1.0)
     check_real("t", t, 0.0, math.inf)
-    if drift.kind == "neutral":
-        return drift.p + (chi0 - drift.p) * math.exp(-0.5 * drift.theta * t)
-    if drift.kind == "logistic":
-        if chi0 == 0.0:
-            return 0.0
-        return chi0 / ((1.0 - chi0) * math.exp(-0.5 * drift.beta * t) + chi0)
-    if drift.kind == "mutation_selection":
-        rp = roots(drift.theta, drift.beta, drift.p)
-        if chi0 == rp.r1:
-            return rp.r1
-        ratio = (rp.r1 - chi0) / (chi0 - rp.r2) * math.exp(-rp.decay_rate * t)
-        return rp.r1 - (rp.r1 - rp.r2) * ratio / (1.0 + ratio)
-    if not math.isfinite(t):
+    if drift.kind == "custom" and not math.isfinite(t):
         raise InvalidParameterError("custom drift needs finite t")
-    return _ode_flow(drift, chi0, t)
-
-
-def _flow_array(drift: DriftSpec, chi0: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Vectorized flow for the closed-form kinds."""
-    if drift.kind == "neutral":
-        return drift.p + (chi0 - drift.p) * np.exp(-0.5 * drift.theta * t)
-    if drift.kind == "logistic":
-        with np.errstate(invalid="ignore"):
-            out = chi0 / ((1.0 - chi0) * np.exp(-0.5 * drift.beta * t) + chi0)
-        return np.where(chi0 == 0.0, 0.0, out)
-    if drift.kind == "mutation_selection":
-        rp = roots(drift.theta, drift.beta, drift.p)
-        ratio = (rp.r1 - chi0) / (chi0 - rp.r2) * np.exp(-rp.decay_rate * t)
-        return rp.r1 - (rp.r1 - rp.r2) * ratio / (1.0 + ratio)
-    raise InvalidParameterError("vectorized flow requires a closed-form drift kind")
-
-
-def mu_nu(drift: DriftSpec, t: float) -> tuple[float, float]:
-    """The two endpoint flows (from 1 and from 0) at time t.
-
-    For mutation with selection these are evaluated from the flow-constant
-    displays b e^{-decay t} and c e^{-decay t}, an independent code path
-    from flow(); the factories' other kinds delegate to the closed flows.
-    """
-    check_real("t", t, 0.0, math.inf, open_hi=True)
-    if drift.kind == "mutation_selection":
-        rp = roots(drift.theta, drift.beta, drift.p)
-        gap = rp.r1 - rp.r2
-        e = math.exp(-rp.decay_rate * t)
-        be = rp.b * e
-        ce = rp.c * e
-        return rp.r1 + gap * be / (1.0 - be), rp.r1 - gap * ce / (1.0 + ce)
-    return flow(drift, 1.0, t), flow(drift, 0.0, t)
+    return _flow_step(drift)(chi0, t)
 
 
 def _skeleton_series(drift: DriftSpec) -> tuple[float, float]:
@@ -379,9 +360,10 @@ def _skeleton_series(drift: DriftSpec) -> tuple[float, float]:
 
 def _skeleton_quadrature(drift: DriftSpec) -> tuple[float, float]:
     """Exp(1)-averaged endpoint flows as integrals over u = e^{-t}."""
+    step = _flow_step(drift)
     with _quad_led_by(f"skeleton quadrature for {drift!r}"):
-        p11 = quad_offset(lambda u: _flow_array(drift, 1.0, -np.log(u)), 1.0)
-        p21 = quad_offset(lambda u: _flow_array(drift, 0.0, -np.log(u)), 1.0)
+        p11 = quad_offset(lambda u: step(1.0, -np.log(u)), 1.0)
+        p21 = quad_offset(lambda u: step(0.0, -np.log(u)), 1.0)
     return p11, p21
 
 
@@ -404,6 +386,11 @@ def _skeleton_ode(drift: DriftSpec) -> tuple[float, float]:
     return out[0], out[1]
 
 
+def _series_converges(rp: RootPair) -> bool:
+    """Whether both skeleton series ratios, b and c/(1+c), are at most _SERIES_RATIO_LIMIT."""
+    return rp.b <= _SERIES_RATIO_LIMIT and rp.c / (1.0 + rp.c) <= _SERIES_RATIO_LIMIT
+
+
 @lru_cache(maxsize=128)
 def _skeleton_core(drift: DriftSpec) -> tuple[float, float]:
     """(E mu(T), E nu(T)) for T ~ Exp(1), cached per drift.
@@ -419,8 +406,7 @@ def _skeleton_core(drift: DriftSpec) -> tuple[float, float]:
     if drift.kind == "logistic":
         return 1.0, 0.0
     if drift.kind == "mutation_selection":
-        rp = roots(drift.theta, drift.beta, drift.p)
-        if rp.b <= _SERIES_RATIO_LIMIT and rp.c / (1.0 + rp.c) <= _SERIES_RATIO_LIMIT:
+        if _series_converges(roots(drift.theta, drift.beta, drift.p)):
             return _skeleton_series(drift)
         return _skeleton_quadrature(drift)
     return _skeleton_ode(drift)
@@ -584,22 +570,16 @@ def stationary_law(drift: DriftSpec) -> MixedLaw:
 def stationary_sample(drift: DriftSpec, rng: RngStream, size=None):
     """Draw from the stationary law: endpoint by pi, age Exp(1), then flow."""
     pi1, _ = replacement_stationary(drift)
-
-    def draw(gens, m):
-        chi0 = (gens[0].random(m) < pi1).astype(float)
-        tau = gens[1].standard_exponential(m)
-        if drift.kind == "custom":
-            return [flow(drift, float(c), float(s)) for c, s in zip(chi0, tau)]
-        return _flow_array(drift, chi0, tau)
-
-    return _sample(rng, size, 2, draw)
+    step = _flow_step(drift)
+    return _sample(rng, size, 2, lambda gens, m: step((gens[0].random(m) < pi1).astype(float), gens[1].standard_exponential(m)))
 
 
 def simulate_path(drift: DriftSpec, x: float, horizon: float, rng: RngStream) -> PathRecord:
     """Forward trajectory to a finite horizon: flow between rate-1 jumps."""
     check_real("x", x, 0.0, 1.0)
     check_real("horizon", horizon, 0.0, math.inf, open_lo=True, open_hi=True)
-    return _jump_path(lambda f, w: flow(drift, f, w), x, horizon, rng)
+    _check_work("selection.simulate_path", horizon, 1)
+    return _jump_path(_flow_step(drift), x, horizon, rng)
 
 
 def fixation_prob(beta: float, x: float, fixed_type: int) -> float:
@@ -667,6 +647,7 @@ def asg_simulate(
     check_real("beta", beta, 0.0, math.inf, open_lo=True, open_hi=True)
     if horizon is not None:
         check_real("horizon", horizon, 0.0, math.inf, open_lo=True, open_hi=True)
+        _check_work("selection.asg_simulate", horizon, 1)
     clock = 0.0
     state = n
     t_ua = 0.0 if n == 1 else None
@@ -798,6 +779,7 @@ def asg_count_ensemble(n: int, beta: float, t: float, size: int, rng: RngStream)
     check_real("beta", beta, 0.0, math.inf, open_lo=True, open_hi=True)
     check_real("t", t, 0.0, math.inf, open_lo=True, open_hi=True)
     check_int("size", size, 1)
+    _check_work("selection.asg_count_ensemble", t, size)
     remaining = np.full(size, float(t))
     out = np.zeros(size, dtype=np.int64)
 
@@ -857,8 +839,8 @@ def selection_duality_check(
     check_real("x", x, 0.0, 1.0)
     check_real("t", t, 0.0, math.inf, open_lo=True, open_hi=True)
     check_int("n_mc", n_mc, 2)
-    drift = logistic_drift(beta)
-    ends = _jump_endpoints(lambda f, w: _flow_array(drift, f, w), 1.0 - x, t, n_mc, rng)
+    _check_work("selection.selection_duality_check", t, n_mc)
+    ends = _jump_endpoints(_flow_step(logistic_drift(beta)), 1.0 - x, t, n_mc, rng)
     np.subtract(1.0, ends, out=ends)
     ends **= n
     lhs, lhs_se = mean_se(ends)

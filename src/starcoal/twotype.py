@@ -28,7 +28,7 @@ from .core import (
     replacement_decay_integral,
     truncated_exponential_inverse_cdf,
 )
-from .core import _blocks, _replicates, _sample, _sweep
+from .core import _blocks, _check_work, _replicates, _sample, _sweep
 
 __all__ = [
     "LineKernel",
@@ -408,7 +408,7 @@ def _jump_path(step, x: float, horizon: float, rng: RngStream) -> PathRecord:
     before the jump, step(freq, wait), is the probability of jumping to 1.
     The wait that overshoots the horizon is drawn and discarded, and the
     final frequency flows from the last jump to the horizon.  The caller
-    validates x and a finite horizon; an infinite one would never end.
+    validates x and a finite horizon, and bounds the work by _check_work.
     """
     # Scalar numpy draws cost more than the rest of an event, so the bound
     # methods are looked up once; standard_exponential() returns exactly
@@ -434,7 +434,7 @@ def _jump_endpoints(step, x: float, t: float, size: int, rng: RngStream) -> np.n
     draws one Exp(1) wait for every still-active path and one uniform for
     each path whose event lands by t; the rest are finalized by the flow.
     The stage count is the largest event count, which concentrates near
-    t + O(sqrt(t log size)).  The caller validates x and a finite t.
+    t + O(sqrt(t log size)).  The caller validates x, t and the work.
     """
     clock = np.zeros(size)
     freq = np.full(size, float(x))
@@ -471,6 +471,7 @@ def simulate_path(params: TwoTypeParams, x: float, horizon: float, rng: RngStrea
     """
     check_real("x", x, 0.0, 1.0)
     check_real("horizon", horizon, 0.0, math.inf, open_lo=True, open_hi=True)
+    _check_work("twotype.simulate_path", horizon, 1)
     p, decay = params.p, -0.5 * params.theta
     return _jump_path(lambda f, w: p + (f - p) * math.exp(decay * w), x, horizon, rng)
 
@@ -482,6 +483,7 @@ def path_endpoint_ensemble(
     check_real("x", x, 0.0, 1.0)
     check_real("t", t, 0.0, math.inf, open_hi=True)
     check_int("n_paths", n_paths, 1)
+    _check_work("twotype.path_endpoint_ensemble", t, n_paths)
     p, decay = params.p, -0.5 * params.theta
     return _jump_endpoints(lambda f, w: p + (f - p) * np.exp(decay * w), x, t, n_paths, rng)
 

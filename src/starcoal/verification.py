@@ -59,6 +59,7 @@ from .multitype import (
     pim_transition_law,
 )
 from .selection import (
+    _series_converges,
     _skeleton_quadrature,
     _skeleton_series,
     asg_stationary,
@@ -554,10 +555,8 @@ def _suite_selection(seed: int) -> list[tuple]:
             for p in (0.3, 0.5, 0.7):
                 points.append((theta, beta, p))
     for theta, beta, p in points:
-        rp = roots(theta, beta, p)
-        # The series route only converges geometrically when both flow
-        # ratios stay away from 1; elsewhere only the quadrature applies.
-        if rp.b > 0.9 or rp.c / (1.0 + rp.c) > 0.9:
+        # Only where the series converge geometrically can they check the quadrature.
+        if not _series_converges(roots(theta, beta, p)):
             continue
         drift = mutation_selection_drift(theta, p, beta)
         s_mu, s_nu = _skeleton_series(drift)

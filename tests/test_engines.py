@@ -72,7 +72,7 @@ def ref_selection_stationary_sample(drift, rng, size):
     pi1, _ = selection.replacement_stationary(drift)
     chi0 = (rng.gen.random(size) < pi1).astype(float)
     tau = rng.gen.exponential(size=size)
-    return selection._flow_array(drift, chi0, tau)
+    return selection._flow_step(drift)(chi0, tau)
 
 
 def ref_jump_endpoints(step, x, t, size, rng):
@@ -275,7 +275,7 @@ def test_scalar_draw_is_the_first_batch_draw():
 def test_jump_endpoints_blocks(size):
     p, decay = PAR.p, -0.5 * PAR.theta
     neutral = lambda f, w: p + (f - p) * np.exp(decay * w)  # noqa: E731
-    logistic = lambda f, w: selection._flow_array(selection.logistic_drift(1.5), f, w)  # noqa: E731
+    logistic = selection._flow_step(selection.logistic_drift(1.5))
     for step, x, t in ((neutral, 0.8, 0.9), (neutral, 0.0, 3.0), (logistic, 0.6, 0.8)):
         _check(
             lambda r: twotype._jump_endpoints(step, x, t, size, r),
@@ -344,7 +344,7 @@ def test_selection_duality_counts_match_mean_se(n, x, t, beta):
     mine, theirs = RngStream(10, n), RngStream(10, n)
     lhs, rhs, (lhs_se, rhs_se) = selection.selection_duality_check(n, x, t, beta, size, mine)
     drift = selection.logistic_drift(beta)
-    ends = ref_jump_endpoints(lambda f, w: selection._flow_array(drift, f, w), 1.0 - x, t, size, theirs)
+    ends = ref_jump_endpoints(selection._flow_step(drift), 1.0 - x, t, size, theirs)
     assert (lhs, lhs_se) == mean_se((1.0 - ends) ** n)
     counts = ref_asg_count_ensemble(n, beta, t, size, theirs)
     want = mean_se(np.power(float(x), np.arange(counts.max() + 1, dtype=float))[counts])

@@ -40,7 +40,6 @@ from starcoal.selection import (
     fixation_prob,
     flow,
     logistic_drift,
-    mu_nu,
     mutation_selection_drift,
     neutral_drift,
     replacement_stationary,
@@ -141,12 +140,30 @@ def test_flow_semigroup_and_equilibria():
         flow(neutral_drift(1.0, 0.3), 0.3, math.nan)
 
 
-def test_mu_nu_matches_endpoint_flows():
-    for drift in (MS, neutral_drift(0.8, 0.25), logistic_drift(3.0)):
-        for t in (0.0, 0.3, 2.0):
-            e_mu, e_nu = mu_nu(drift, t)
-            assert e_mu == pytest.approx(flow(drift, 1.0, t), abs=1e-13)
-            assert e_nu == pytest.approx(flow(drift, 0.0, t), abs=1e-13)
+def test_flow_returns_python_floats():
+    # One step per drift serves floats and arrays; a scalar start and time
+    # must come back a Python float, not a numpy scalar or a 0-d array.
+    cd = custom_drift(MS.velocity, 2.0)
+    for drift in (neutral_drift(1.0, 0.3), logistic_drift(1.5), MS, cd):
+        for x0 in (0.0, 0.4, 1.0):
+            for t in (0.0, 0.7) if drift is cd else (0.0, 0.7, math.inf):
+                assert type(flow(drift, x0, t)) is float, (drift.kind, x0, t)
+    assert flow(logistic_drift(1.5), 0.0, math.inf) == 0.0
+    r1 = roots(1.0, 2.0, 0.5).r1
+    for t in (0.0, 0.7, math.inf):
+        assert flow(MS, r1, t) == r1
+    rec = simulate_path(logistic_drift(1.8), 0.6, 5.0, RngStream(63, 0))
+    assert type(rec.final_frequency) is float
+
+
+def test_simulate_path_solves_the_roots_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(selection, "roots", lambda *a: calls.append(a) or roots(*a))
+    for horizon in (0.5, 40.0):
+        calls.clear()
+        rec = simulate_path(MS, 0.4, horizon, RngStream(65, 0))
+        assert len(calls) == 1, (horizon, len(rec.events))
+    assert len(rec.events) > 20
 
 
 def test_skeleton_matrix_closed_forms():

@@ -13,13 +13,14 @@ range), so 30 examples per entry point cover them.
 """
 
 import math
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starcoal import core, eigen, lines, multitype, selection, twotype
+from starcoal import cli, core, eigen, lines, multitype, selection, twotype
 from starcoal.core import InvalidParameterError, RngStream, TwoTypeParams
 
 INF = math.inf
@@ -149,7 +150,6 @@ CASES = {
         {"theta": POSITIVE, "beta": POSITIVE, "p": OPEN_UNIT}),
     "selection.flow": (
         lambda chi0=0.4, t=1.0: selection.flow(MS, chi0, t), {"chi0": UNIT, "t": TIME_INF}),
-    "selection.mu_nu": (lambda t=1.0: selection.mu_nu(MS, t), {"t": TIME}),
     "selection.stationary_density": (
         lambda xi=0.9: selection.stationary_density(MS, xi), {"xi": UNIT}),
     "selection.simulate_path": (
@@ -299,3 +299,45 @@ def test_results_past_float_range_raise_typed():
         selection.asg_count_ensemble(2, 1e308, 1.0, 10, rng())
     with pytest.raises(InvalidParameterError, match=r"x = 0\.5 about shift 1e\+308"):
         eigen.PolyRep(1e308, (1.0, 2.0))(0.5)
+
+
+# Forward simulations whose cost grows with the horizon, at a finite one
+# far past any that can finish.
+HUGE = 1e308
+HUGE_HORIZONS = {
+    "twotype.simulate_path": lambda r: twotype.simulate_path(PAR, 0.4, HUGE, r),
+    "twotype.path_endpoint_ensemble": lambda r: twotype.path_endpoint_ensemble(PAR, 0.5, HUGE, 3, r),
+    "selection.simulate_path": lambda r: selection.simulate_path(MS, 0.4, HUGE, r),
+    "selection.selection_duality_check": lambda r: selection.selection_duality_check(2, 0.5, HUGE, 1.0, 10, r),
+    "selection.asg_count_ensemble": lambda r: selection.asg_count_ensemble(2, 1.0, HUGE, 10, r),
+    "selection.asg_simulate": lambda r: selection.asg_simulate(3, 0.5, r, horizon=HUGE),
+}
+
+
+def _within_a_second(call):
+    """call(), failed by an alarm if it has not returned within 1 s."""
+
+    def expire(*_):
+        raise TimeoutError("no answer within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_HORIZONS))
+def test_huge_horizons_abort_before_any_draw(name):
+    mine = rng()
+    with pytest.raises(core.SimulationAbortError, match=rf"{name} to horizon 1e\+308 with \d+ replicates exceeds SIM_WORK_CAP"):
+        _within_a_second(lambda: HUGE_HORIZONS[name](mine))
+    assert mine.gen.random() == rng().gen.random()
+
+
+def test_cli_huge_horizon_exits_with_an_error(capsys):
+    argv = ["simulate", "fv", "--theta", "1.0", "--p", "0.3", "--x", "0.5", "--t", "1e308", "--seed", "1"]
+    assert _within_a_second(lambda: cli.main(argv)) == 1
+    assert "SIM_WORK_CAP" in capsys.readouterr().err
