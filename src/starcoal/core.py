@@ -269,7 +269,8 @@ def _blocks(size: int):
 # The most expected work a forward simulation may take.  count replicates
 # to horizon t expect t rate-1 events each, and one staged pass per unit of
 # t costs about 1000 events' interpreter time: work t (count + 1000).  At
-# about 60 ns a unit, the largest call allowed runs for a minute or so.
+# about 60 ns a unit, the largest call allowed runs for a minute or so.  The
+# backward line engines stop within n + 1 stages, and pass n + 1 as horizon.
 SIM_WORK_CAP = 1e9
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InvalidParameterError, RngStream, TwoTypeParams, replacement_decay_integral
-from .core import _blocks, _replicates, _sweep, check_int, check_real, mean_se_of_counts
+from .core import _blocks, _check_work, _replicates, _sweep, check_int, check_real, mean_se_of_counts
 from .twotype import transition_moment
 
 __all__ = [
@@ -294,6 +294,7 @@ def simulate_lines(
     check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
     if horizon is not None:
         check_real("horizon", horizon, 0.0, math.inf, open_lo=True, open_hi=True)
+    _check_work("lines.simulate_lines", n + 1, 1)
     clock = 0.0
     state = n
     events: list[tuple[float, str, int]] = []
@@ -373,6 +374,7 @@ def absorption_time_ensemble(n: int, theta: float, size: int, rng: RngStream) ->
     check_int("n", n, 1)
     check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
     check_int("size", size, 1)
+    _check_work("lines.absorption_time_ensemble", n + 1, size)
     return _line_ensemble(n, theta, math.inf, size, rng)[2]
 
 
@@ -394,6 +396,7 @@ def duality_check(
     check_real("x", x, 0.0, 1.0)
     check_real("t", t, 0.0, math.inf, open_lo=True, open_hi=True)
     check_int("n_mc", n_mc, 2)
+    _check_work("lines.duality_check", n + 1, n_mc)
     p = params.p
     lhs = math.fsum(
         math.comb(n, k) * p ** (n - k) * transition_moment(params, k, x, t)
@@ -430,6 +433,7 @@ def stationary_moment_via_coalescent(
     """
     check_int("n", n, 1)
     check_int("n_mc", n_mc, 2)
+    _check_work("lines.stationary_moment_via_coalescent", n + 1, n_mc)
     state = np.full(n_mc, n, dtype=np.min_scalar_type(n))
     a = np.ones_like(state)
 

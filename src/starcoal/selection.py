@@ -180,11 +180,12 @@ def roots(theta: float, beta: float, p: float) -> RootPair:
     return RootPair(theta=theta, beta=beta, p=p, r1=r1, r2=r2)
 
 
-# Dormand and Prince (1980), RK5(4)7M: the nodes and rows of stages 2 to 6,
-# the fifth-order weights (stage 7 sits at the new state, so its slope
-# starts the next step), and the fifth- minus fourth-order weights of all
-# seven stages, which estimate the local error.
-_DP_C = (1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0)
+# Dormand and Prince (1980), RK5(4)7M for y' = v(y): the rows of stages 2
+# to 6, the fifth-order weights (stage 7 sits at the new state, so its slope
+# starts the next step), the fifth- minus fourth-order weights of all seven
+# stages, which estimate the local error, and the weights of the last
+# coefficient of the continuous extension.  Dense output loses about a
+# decade against the step tolerance, hence the tight _RTOL and _ATOL.
 _DP_A = (
     (1.0 / 5.0,),
     (3.0 / 40.0, 9.0 / 40.0),
@@ -194,73 +195,76 @@ _DP_A = (
 )
 _DP_B = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0)
 _DP_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
-_RTOL, _ATOL = 1e-10, 1e-13
+_DP_D = (-12715105075.0 / 11282082432.0, 0.0, 87487479700.0 / 32700410799.0, -10690763975.0 / 1880347072.0,
+         701980252875.0 / 199316789632.0, -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0)
+_RTOL, _ATOL = 1e-12, 1e-15
 
 
-def _dp45(rhs, y0: tuple[float, ...], t_end: float, max_step: float) -> list[tuple[float, ...]] | None:
-    """The accepted states of y' = rhs(s, y) from y(0) = y0 to y(t_end), y0 first.
+def _dp45(v, y0: float, t_end: float, max_step: float):
+    """One trajectory of y' = v(y), y(0) = y0, through t_end, with dense output.
 
-    Dormand-Prince 5(4) on a tuple of floats, advancing with the fifth-order
-    solution.  A step is accepted when the RMS over components of the
-    error estimate, each over _ATOL + _RTOL times the larger of its old and
-    new magnitude, is below 1; the next step is h times 0.9 err^(-1/5),
-    kept within [0.2, 10], not above 1 just after a rejection, and never
-    above max_step.  The first step follows Hairer, Norsett and Wanner
-    (1993), Solving ODEs I, sec. II.4.  Returns None when the step falls
-    below ten float spacings at the current time or is NaN, as it becomes
-    when rhs returns NaN.
+    Dormand-Prince 5(4), advancing with the fifth-order solution.  A step is
+    accepted when its error estimate over _ATOL + _RTOL times the larger of
+    the old and new magnitude is below 1; the next step is h times
+    0.9 err^(-1/5), kept within [0.2, 10], not above 1 just after a
+    rejection, and never above max_step.  No step is cut at t_end: the run
+    stops at the first accepted step past it, so no step depends on t_end.
+    Returns the accepted steps' starts, widths and coefficients c0..c4, with
+    y(start + theta width) = c0 + theta (c1 + (1 - theta) (c2 + theta (c3 +
+    (1 - theta) c4))) on theta in [0, 1] (Hairer, Norsett and Wanner (1993),
+    Solving ODEs I, secs. II.4 and II.6); or None when the step falls below
+    ten float spacings at the current time or is NaN, as v's NaN makes it.
     """
-    m = len(y0)
-    rms = lambda v: math.sqrt(sum(x * x for x in v) / m)
-    f0 = rhs(0.0, y0)
-    scale = [_ATOL + _RTOL * abs(y) for y in y0]
-    d0, d1 = rms([y / w for y, w in zip(y0, scale)]), rms([f / w for f, w in zip(f0, scale)])
+    f0 = v(y0)
+    scale = _ATOL + _RTOL * abs(y0)
+    d0, d1 = abs(y0) / scale, abs(f0) / scale
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    f1 = rhs(h0, tuple(y + h0 * f for y, f in zip(y0, f0)))
-    d2 = rms([(b - a) / w for a, b, w in zip(f0, f1, scale)]) / h0
+    d2 = abs(v(y0 + h0 * f0) - f0) / scale / h0
     h1 = max(1e-6, 1e-3 * h0) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
     h = min(100.0 * h0, h1)
-
-    s, y, ks, states, rejected = 0.0, y0, [f0], [y0], False
-    while s < t_end:
-        h = min(h, max_step, t_end - s)
+    s, y, ks, steps, rejected = 0.0, y0, [f0], [], False
+    while s <= t_end:
+        h = min(h, max_step)
         if not h >= 10.0 * (math.nextafter(s, math.inf) - s):
             return None
         ks = ks[:1]
-        for c, row in zip(_DP_C, _DP_A):
-            stage = tuple(yi + h * sum(a * k[i] for a, k in zip(row, ks)) for i, yi in enumerate(y))
-            ks.append(rhs(s + c * h, stage))
-        new = tuple(yi + h * sum(b * k[i] for b, k in zip(_DP_B, ks)) for i, yi in enumerate(y))
-        ks.append(rhs(s + h, new))
-        err = rms(
-            [h * sum(e * k[i] for e, k in zip(_DP_E, ks)) / (_ATOL + _RTOL * max(abs(a), abs(b)))
-             for i, (a, b) in enumerate(zip(y, new))]
-        )
+        for row in _DP_A:
+            ks.append(v(y + h * sum(a * k for a, k in zip(row, ks))))
+        new = y + h * sum(b * k for b, k in zip(_DP_B, ks))
+        ks.append(v(new))
+        err = abs(h * sum(e * k for e, k in zip(_DP_E, ks))) / (_ATOL + _RTOL * max(abs(y), abs(new)))
         if err < 1.0:
+            rise = new - y
+            bulge = h * ks[0] - rise
+            steps.append((s, h, y, rise, bulge, rise - h * ks[-1] - bulge, h * sum(d * k for d, k in zip(_DP_D, ks))))
             factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.2)
-            s = t_end if s + h >= t_end else s + h
-            y, ks = new, ks[-1:]
-            states.append(y)
+            s, y, ks = s + h, new, ks[-1:]
             h *= min(1.0, factor) if rejected else factor
             rejected = False
         else:
             h *= max(0.2, 0.9 * err**-0.2)
             rejected = True
-    return states
+    starts, widths, *coef = np.array(steps).T
+    return starts, widths, coef
 
 
-def _flow_trajectory(drift: DriftSpec, rhs, y0: tuple[float, ...], t: float, max_step: float) -> tuple[float, ...]:
-    """The state at time t of y' = rhs(s, y), y(0) = y0, by _dp45, where
-    y[0] is the frequency of drift's flow from y0[0]; or DomainEscapeError
-    naming chi0, t and the drift kind when the step size underflows or the
-    frequency leaves [0, 1] at an accepted step."""
-    inputs = f"chi0 = {y0[0]!r}, t = {t!r}, {drift.kind} drift"
-    states = _dp45(rhs, y0, t, max_step)
-    if states is None:
+def _flow_read(drift: DriftSpec, chi0: float, ages: np.ndarray) -> np.ndarray:
+    """drift's flow from chi0 at each of ages, read from one _dp45 trajectory
+    to the largest age; or DomainEscapeError naming chi0, that age and the
+    drift kind when the step size underflows, or a state before that age or
+    a value read leaves [0, 1]."""
+    t = float(np.max(ages))
+    inputs = f"chi0 = {chi0!r}, t = {t!r}, {drift.kind} drift"
+    traj = _dp45(lambda y: float(drift.velocity(y)), chi0, t, 1.0 / max(drift.lipschitz, 1e-12))
+    if traj is None:
         raise DomainEscapeError(f"flow integration failed ({inputs}): required step size is less than spacing between numbers")
-    if any(y[0] < -1e-9 or y[0] > 1.0 + 1e-9 for y in states):
+    starts, widths, (c0, c1, c2, c3, c4) = traj
+    k = np.searchsorted(starts, ages, side="right") - 1
+    theta = (ages - starts[k]) / widths[k]
+    chi = c0[k] + theta * (c1[k] + (1.0 - theta) * (c2[k] + theta * (c3[k] + (1.0 - theta) * c4[k])))
+    if not all(np.all((y >= -1e-9) & (y <= 1.0 + 1e-9)) for y in (c0, chi)):
         raise DomainEscapeError(f"custom drift pushed the flow outside [0, 1] ({inputs})")
-    return states[-1]
+    return np.clip(chi, 0.0, 1.0)
 
 
 def _exp(x):
@@ -272,8 +276,9 @@ def _flow_step(drift: DriftSpec):
     """drift's flow (chi0, t) -> chi(t), its kind and roots resolved once.
 
     The named kinds' closed forms take floats or float ndarrays alike, and
-    t = inf lands on the stable equilibrium.  Custom drift integrates the
-    ODE pair by pair, with step size capped by the Lipschitz bound.
+    t = inf lands on the stable equilibrium.  Custom drift runs one dense
+    trajectory per distinct start, its step size capped by the Lipschitz
+    bound, and reads it at every age; a float start and time give a float.
     """
     if drift.kind == "neutral":
         return lambda chi0, t: drift.p + (chi0 - drift.p) * _exp(-0.5 * drift.theta * t)
@@ -290,22 +295,22 @@ def _flow_step(drift: DriftSpec):
             return r1 - (r1 - r2) * ratio / (1.0 + ratio)
 
         return step
-    max_step = 1.0 / max(drift.lipschitz, 1e-12)
 
-    def ode(chi0, t):
-        if t == 0.0:
-            return chi0
-        (chi,) = _flow_trajectory(drift, lambda _s, y: (float(drift.velocity(y[0])),), (chi0,), t, min(t, max_step))
-        return min(1.0, max(0.0, chi))
+    def read(chi0, t):
+        chi0, t = np.broadcast_arrays(chi0, t)
+        out = np.empty(chi0.shape)
+        for c in np.unique(chi0):
+            out[chi0 == c] = _flow_read(drift, float(c), t[chi0 == c])
+        return out if out.ndim else float(out)
 
-    return np.frompyfunc(ode, 2, 1)
+    return read
 
 
 def flow(drift: DriftSpec, chi0: float, t: float) -> float:
     """Deterministic frequency flow started from chi0, run for time t.
 
     The named kinds allow t = inf, landing on the stable equilibrium;
-    custom drift integrates the ODE and needs a finite t.
+    custom drift reads a trajectory integrated to t and needs a finite t.
     """
     check_real("chi0", chi0, 0.0, 1.0)
     check_real("t", t, 0.0, math.inf)
@@ -359,31 +364,13 @@ def _skeleton_series(drift: DriftSpec) -> tuple[float, float]:
 
 
 def _skeleton_quadrature(drift: DriftSpec) -> tuple[float, float]:
-    """Exp(1)-averaged endpoint flows as integrals over u = e^{-t}."""
+    """Exp(1)-averaged endpoint flows as integrals over u = e^{-t}; a custom
+    drift reads each pass's nodes from one trajectory per endpoint."""
     step = _flow_step(drift)
     with _quad_led_by(f"skeleton quadrature for {drift!r}"):
         p11 = quad_offset(lambda u: step(1.0, -np.log(u)), 1.0)
         p21 = quad_offset(lambda u: step(0.0, -np.log(u)), 1.0)
     return p11, p21
-
-
-def _skeleton_ode(drift: DriftSpec) -> tuple[float, float]:
-    """Exp(1)-averaged endpoint flows for custom drift, one ODE pass each.
-
-    Integrates the pair (chi' = v(chi), I' = e^{-s} chi) to s = 45 and
-    closes the tail with e^{-45} chi(45); the tail error is below e^{-45}
-    since chi stays in [0, 1].  The per-node flow inversion used by the
-    closed-form kinds would re-run the ODE at every quadrature point, which
-    is far too slow for velocity callables.
-    """
-    horizon = 45.0
-    max_step = min(1.0, 1.0 / max(drift.lipschitz, 1e-12))
-    rhs = lambda s, y: (float(drift.velocity(y[0])), math.exp(-s) * y[0])
-    out = []
-    for chi0 in (1.0, 0.0):
-        chi, weighted = _flow_trajectory(drift, rhs, (chi0, 0.0), horizon, max_step)
-        out.append(weighted + math.exp(-horizon) * chi)
-    return out[0], out[1]
 
 
 def _series_converges(rp: RootPair) -> bool:
@@ -408,8 +395,7 @@ def _skeleton_core(drift: DriftSpec) -> tuple[float, float]:
     if drift.kind == "mutation_selection":
         if _series_converges(roots(drift.theta, drift.beta, drift.p)):
             return _skeleton_series(drift)
-        return _skeleton_quadrature(drift)
-    return _skeleton_ode(drift)
+    return _skeleton_quadrature(drift)
 
 
 def skeleton_matrix(drift: DriftSpec) -> np.ndarray:

@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 from scipy.stats import kstest, kstwo
 
 from starcoal.core import DomainEscapeError, InvalidParameterError, RngStream, TwoTypeParams, brent_root
-from starcoal.selection import custom_drift, flow, logistic_drift, mutation_selection_drift
+from starcoal.selection import _flow_step, custom_drift, flow, logistic_drift, mutation_selection_drift, stationary_sample
 from starcoal.twotype import transition_law
 from starcoal.verification import _ks_pvalue, _ks_sf
 
@@ -117,3 +117,37 @@ def test_brent_root_needs_a_sign_change():
     with pytest.raises(InvalidParameterError, match="sign change"):
         brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 2.0, 2.0, xtol=1e-12, rtol=1e-15)
     assert brent_root(lambda x: x - 0.25, 0.25, 1.0, 0.0, 0.75, xtol=1e-12, rtol=1e-15) == 0.25
+
+
+# 0.5 (0.5 - y) + y (1 - y) as a callable, and its closed form.
+BESPOKE = custom_drift(lambda y: 0.5 * (0.5 - y) + y * (1.0 - y), 2.0)
+NAMED = mutation_selection_drift(1.0, 0.5, 2.0)
+
+
+def test_custom_flow_at_any_age_integrates():
+    # A last step cut to t - s once rounded below ten float spacings and
+    # failed the step-size floor, from 0 at this age among others.
+    ages = RngStream(8, 0).gen.standard_exponential(2000).tolist() + [0.02953226217088809]
+    for x0 in (0.0, 1.0):
+        for t in ages:
+            flow(BESPOKE, x0, t)
+    for seed in range(20):
+        stationary_sample(BESPOKE, RngStream(seed, 0), size=200)
+
+
+def test_million_custom_draws_match_closed_form():
+    start = time.perf_counter()
+    got = stationary_sample(BESPOKE, RngStream(3, 1), size=1_000_000)
+    took = time.perf_counter() - start
+    want = stationary_sample(NAMED, RngStream(3, 1), size=1_000_000)
+    assert np.max(np.abs(got - want)) < 2e-11
+    assert took < 10.0
+
+
+def test_custom_flow_reads_do_not_depend_on_the_largest_age():
+    # The trajectory never cuts a step at its last age, so a scalar flow
+    # equals bit for bit its read inside a batch that runs further.
+    ages = np.array([0.02953226217088809, 0.4, 1.3, 2.0, 7.5, 30.0])
+    for x0 in (0.0, 0.35, 1.0):
+        batch = _flow_step(BESPOKE)(np.full(ages.size, x0), ages)
+        assert [flow(BESPOKE, x0, float(t)) for t in ages] == batch.tolist()

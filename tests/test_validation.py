@@ -302,8 +302,10 @@ def test_results_past_float_range_raise_typed():
 
 
 # Forward simulations whose cost grows with the horizon, at a finite one
-# far past any that can finish.
+# far past any that can finish, and backward line engines, which stop within
+# n + 1 stages and count those as their horizon, at such a line count.
 HUGE = 1e308
+HUGE_N = 10**9
 HUGE_HORIZONS = {
     "twotype.simulate_path": lambda r: twotype.simulate_path(PAR, 0.4, HUGE, r),
     "twotype.path_endpoint_ensemble": lambda r: twotype.path_endpoint_ensemble(PAR, 0.5, HUGE, 3, r),
@@ -311,6 +313,10 @@ HUGE_HORIZONS = {
     "selection.selection_duality_check": lambda r: selection.selection_duality_check(2, 0.5, HUGE, 1.0, 10, r),
     "selection.asg_count_ensemble": lambda r: selection.asg_count_ensemble(2, 1.0, HUGE, 10, r),
     "selection.asg_simulate": lambda r: selection.asg_simulate(3, 0.5, r, horizon=HUGE),
+    "lines.absorption_time_ensemble": lambda r: lines.absorption_time_ensemble(HUGE_N, 1.0, 3, r),
+    "lines.stationary_moment_via_coalescent": lambda r: lines.stationary_moment_via_coalescent(PAR, HUGE_N, 10, r),
+    "lines.simulate_lines": lambda r: lines.simulate_lines(HUGE_N, 1.0, r),
+    "lines.duality_check": lambda r: lines.duality_check(PAR, HUGE_N, 0.5, 1.0, 10, r),
 }
 
 
@@ -332,12 +338,17 @@ def _within_a_second(call):
 @pytest.mark.parametrize("name", sorted(HUGE_HORIZONS))
 def test_huge_horizons_abort_before_any_draw(name):
     mine = rng()
-    with pytest.raises(core.SimulationAbortError, match=rf"{name} to horizon 1e\+308 with \d+ replicates exceeds SIM_WORK_CAP"):
+    horizon = HUGE_N + 1 if name.startswith("lines.") else "1e\\+308"
+    with pytest.raises(core.SimulationAbortError, match=rf"{name} to horizon {horizon} with \d+ replicates exceeds SIM_WORK_CAP"):
         _within_a_second(lambda: HUGE_HORIZONS[name](mine))
     assert mine.gen.random() == rng().gen.random()
 
 
 def test_cli_huge_horizon_exits_with_an_error(capsys):
-    argv = ["simulate", "fv", "--theta", "1.0", "--p", "0.3", "--x", "0.5", "--t", "1e308", "--seed", "1"]
-    assert _within_a_second(lambda: cli.main(argv)) == 1
-    assert "SIM_WORK_CAP" in capsys.readouterr().err
+    for argv in (
+        ["simulate", "fv", "--theta", "1.0", "--p", "0.3", "--x", "0.5", "--t", "1e308", "--seed", "1"],
+        ["simulate", "lines", "--n", str(HUGE_N), "--theta", "1", "--seed", "1"],
+    ):
+        assert _within_a_second(lambda: cli.main(argv)) == 1
+        assert "SIM_WORK_CAP" in capsys.readouterr().err
+
