@@ -20,6 +20,7 @@ variants available in closed form.  Modules:
 from .core import (
     DomainEscapeError,
     InvalidParameterError,
+    LINE_LAW_N_CAP,
     MixedLaw,
     NonMonotoneDriftError,
     NoStationaryDistributionError,
@@ -28,7 +29,6 @@ from .core import (
     RngStream,
     SIM_WORK_CAP,
     SimulationAbortError,
-    SingularityError,
     StarcoalError,
     TwoTypeParams,
     exp_decay_window,
@@ -45,20 +45,16 @@ from .eigen import (
     hyper_pairing,
     pv_expectation_g_q1,
     pv_expectation_g_q1_numeric,
-    q1_eval,
     stationary_expectation,
 )
 from .lines import (
     LineDist,
     LinePath,
-    SpectralCoeffs,
     an_distribution,
     an_distribution_spectral,
-    an_limit,
     duality_check,
     mean_absorption_time,
     simulate_lines,
-    spectral_coeffs,
     stationary_moment_via_coalescent,
 )
 from .multitype import (
@@ -66,15 +62,12 @@ from .multitype import (
     MutationMatrix,
     SimplexLaw,
     SimplexRegion,
-    eta_moment,
     infinite_sampling_prob,
     load_mutation_matrix,
     markov_line_kernel,
     markov_stationary_gamma,
     markov_stationary_sample,
-    num_types_dist,
     pim_line_kernel,
-    pim_region_density,
     pim_stationary_sample,
     pim_transition_law,
 )
@@ -110,7 +103,6 @@ from .twotype import (
     simulate_path,
     stationary_density_eval,
     stationary_law,
-    stationary_moment,
     stationary_sample,
     transition_density_eval,
     transition_law,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .core import (
     InvalidParameterError,
-    SingularityError,
     TwoTypeParams,
     _quad_led_by,
     check_int,
@@ -30,7 +29,6 @@ __all__ = [
     "eigen_coefficients",
     "eigen_poly",
     "generator_apply",
-    "q1_eval",
     "pv_expectation_g_q1",
     "pv_expectation_g_q1_numeric",
     "stationary_expectation",
@@ -155,26 +153,11 @@ def generator_apply(params: TwoTypeParams, g: PolyRep) -> PolyRep:
     return PolyRep(params.p, tuple(out))
 
 
-def q1_eval(params: TwoTypeParams, xi: float) -> float:
-    """Degree-1 dual kernel, unbounded and non-integrable at p.
-
-    Equals (1/p) ((xi-p)/(1-p))^{-1} above p and
-    -(1/(1-p)) (1 - xi/p)^{-1} below; at p = 1/2 both collapse to
-    1/(xi - 1/2).  Pairings against it only exist as principal values.
-    """
-    check_real("xi", xi, 0.0, 1.0)
-    p = params.p
-    if xi == p:
-        raise SingularityError("Q1 diverges at xi = p")
-    if xi > p:
-        return (1.0 - p) / (p * (xi - p))
-    return -p / ((1.0 - p) * (p - xi))
-
-
 def pv_expectation_g_q1(params: TwoTypeParams, g: PolyRep) -> float:
     """Principal value of E[g(xi) Q1(xi)] under the stationary law.
 
-    Series route: the centered powers pair as (x-p)^1 -> 1 and
+    Q1(xi) = (1-p) / (p (xi-p)) above p and -p / ((1-p) (p-xi)) below,
+    non-integrable at p.  Series route: the centered powers pair as (x-p)^1 -> 1 and
     (x-p)^n -> -c_{n1} for n >= 2, constants pair to 0, so the value is
     a_1 - sum_{n>=2} a_n c_{n1}.
     """

@@ -19,17 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidParameterError, RngStream, TwoTypeParams, replacement_decay_integral
+from .core import LINE_LAW_N_CAP, InvalidParameterError, RngStream, TwoTypeParams
 from .core import _blocks, _check_work, _replicates, _sweep, check_int, check_real, mean_se_of_counts
 from .twotype import transition_moment
 
 __all__ = [
     "LineDist",
     "LinePath",
-    "SpectralCoeffs",
     "an_distribution",
-    "an_limit",
-    "spectral_coeffs",
     "an_distribution_spectral",
     "mean_absorption_time",
     "simulate_lines",
@@ -83,6 +80,15 @@ def _dyadic(x: float) -> tuple[int, int]:
     return m, den.bit_length() - 1
 
 
+def _check_law_args(n: int, theta: float, t: float) -> None:
+    """The line laws' domain: n in [1, LINE_LAW_N_CAP], theta > 0 finite, t >= 0 finite."""
+    check_int("n", n, 1)
+    check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
+    if n > LINE_LAW_N_CAP:
+        raise InvalidParameterError(f"line-count law for n={n!r}, theta={theta!r} exceeds LINE_LAW_N_CAP = {LINE_LAW_N_CAP}")
+    check_real("t", t, 0.0, math.inf, open_hi=True)
+
+
 def an_distribution(n: int, theta: float, t: float) -> LineDist:
     """Law of the unresolved line count, exact up to one final rounding.
 
@@ -92,9 +98,7 @@ def an_distribution(n: int, theta: float, t: float) -> LineDist:
     With p(t) = A / 2^a, e^{-t} = B / 2^b and 1 + m theta/2 = d[m] / D,
     every term is an integer over 2^{an+b} L, L = d[0] ... d[n-1].
     """
-    check_int("n", n, 1)
-    check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
-    check_real("t", t, 0.0, math.inf, open_hi=True)
+    _check_law_args(n, theta, t)
     A, a = _dyadic(math.exp(-0.5 * theta * t))
     B, b = _dyadic(math.exp(-t))
     T, c = _dyadic(theta)
@@ -123,41 +127,6 @@ def an_distribution(n: int, theta: float, t: float) -> LineDist:
     probs[1] = (surv[-1] * B * L + D * (pfw - B * A * h1)) / den
     probs[0] = (den - D * pfw - T * B * A * h2) / den
     return LineDist(n=n, theta=theta, t=t, probs=tuple(probs))
-
-
-def an_limit(theta: float, t: float, j) -> float:
-    """Large-n limits of P(A(t) = 0), P(A(t) = 1) and P(A(t) >= 2).
-
-    The limit of the j = 1 mass is the replacement decay integral
-    (e^{-theta t/2} - e^{-t})/(1 - theta/2), read as t e^{-t} at theta = 2;
-    the j >= 2 mass tends to e^{-t} and j = 0 takes the complement.
-    """
-    check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
-    check_real("t", t, 0.0, math.inf, open_lo=True, open_hi=True)
-    one = replacement_decay_integral(theta, t)
-    survive = math.exp(-t)
-    if j == 1:
-        return one
-    if j in (2, "ge2", ">=2"):
-        return survive
-    if j == 0:
-        return 1.0 - one - survive
-    raise InvalidParameterError(f"j must be 0, 1 or 'ge2', got {j!r}")
-
-
-@dataclass(frozen=True)
-class SpectralCoeffs:
-    """Spectral weights of the line-count semigroup.
-
-    q_weights[k] scales e^{-lambda_k t} in the row for the start state n;
-    p_coeffs[j][k] is the k-th spectral coefficient of the j-th probability.
-    """
-
-    n: int
-    theta: float
-    eigenvalues: tuple[float, ...]
-    q_weights: tuple[float, ...]
-    p_coeffs: tuple[tuple[float, ...], ...]
 
 
 def _spectral_pairs(n: int, theta: float):
@@ -192,24 +161,6 @@ def _spectral_pairs(n: int, theta: float):
     return q, rows(), r, Lq
 
 
-def spectral_coeffs(n: int, theta: float) -> SpectralCoeffs:
-    """Eigenvalues 0, theta/2, 1 + k theta/2 with their weight arrays."""
-    check_int("n", n, 1)
-    check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
-    q, rows, _, _ = _spectral_pairs(n, theta)
-    lams = [0.0, 0.5 * theta] + [1.0 + 0.5 * k * theta for k in range(2, n + 1)]
-
-    def ratio(num: int, den: int) -> float:
-        # |num / den| < 2^(bits + 1), so below 2^1023 the division cannot overflow.
-        if abs(num).bit_length() - den.bit_length() >= 1023:
-            raise InvalidParameterError(f"spectral weights for n={n!r}, theta={theta!r} exceed the float range")
-        return num / den
-
-    q_weights = tuple(ratio(num, den) for num, den in q)
-    p_coeffs = tuple(tuple(ratio(num, den) for num, den in row) for row in rows)
-    return SpectralCoeffs(n, theta, tuple(lams[: n + 1]), q_weights, p_coeffs)
-
-
 def an_distribution_spectral(n: int, theta: float, t: float) -> LineDist:
     """Line-count law reconstructed as sum_k e^{-lambda_k t} Q^(k) P_j^(k).
 
@@ -224,9 +175,7 @@ def an_distribution_spectral(n: int, theta: float, t: float) -> LineDist:
     route stays independent of an_distribution: it forms no survival term
     C(n,j) p^j (1-p)^{n-j}, and an_distribution forms no q or p.
     """
-    check_int("n", n, 1)
-    check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
-    check_real("t", t, 0.0, math.inf, open_hi=True)
+    _check_law_args(n, theta, t)
     A, a = _dyadic(math.exp(-0.5 * theta * t))
     B, b = _dyadic(math.exp(-t))
     shift = a * n + b

@@ -32,14 +32,11 @@ __all__ = [
     "load_mutation_matrix",
     "pim_line_kernel",
     "pim_transition_law",
-    "pim_region_density",
     "pim_stationary_sample",
     "markov_line_kernel",
     "markov_stationary_gamma",
     "markov_stationary_sample",
     "infinite_sampling_prob",
-    "num_types_dist",
-    "eta_moment",
 ]
 
 
@@ -221,21 +218,6 @@ def pim_transition_law(mp: MultiParams, x_vec, t: float) -> SimplexLaw:
     )
 
 
-def pim_region_density(mp: MultiParams, x_vec, t: float, i: int, xi_i: float) -> float:
-    """Branch-i density at coordinate value xi_i, zero off its segment."""
-    x = _check_state(mp, x_vec)
-    check_real("t", t, 0.0, math.inf, open_lo=True, open_hi=True)
-    check_int("i", i, 0)
-    if i >= mp.d:
-        raise InvalidParameterError(f"type index i must lie in [0, {mp.d}), got {i!r}")
-    check_real("xi_i", xi_i, -math.inf, math.inf)
-    eh = math.exp(-0.5 * mp.theta * t)
-    pi = mp.p_vec[i]
-    if not (pi + (1.0 - pi) * eh < xi_i <= 1.0):
-        return 0.0
-    return _region_density(pi, float(x[i]), eh, 2.0 / mp.theta, xi_i)
-
-
 def pim_stationary_sample(mp: MultiParams, rng: RngStream, size=None):
     """Stationary state: mass eta = U^{theta/2} on type i ~ p_vec, rest split by p.
 
@@ -311,10 +293,12 @@ def markov_stationary_sample(mm: MutationMatrix, theta: float, rng: RngStream) -
 
 
 def infinite_sampling_prob(n: int, j: int, theta: float) -> float:
-    """P(j of n sampled lines carry dust types, n - j the replacement family).
+    """P(j of n sampled lines fall in the replacement family, n - j in the dust).
 
-    Exact rational value of (n!/j!) (2/theta)_(j) / (1 + 2/theta)_(n) where
-    (y)_(k) is the rising factorial; at theta = 2 every j gives 1/(n + 1).
+    P(B = j) for B ~ Binomial(n, eta), eta the family mass: the exact
+    rational (n!/j!) (a)_(j) / (1 + a)_(n), a = 2/theta, with (y)_(k) the
+    rising factorial.  j = n gives E[eta^n] = a/(a + n); at theta = 2 every j
+    gives 1/(n + 1).
     """
     check_int("n", n, 1)
     check_int("j", j, 0)
@@ -329,33 +313,3 @@ def infinite_sampling_prob(n: int, j: int, theta: float) -> float:
     for m in range(n):
         den *= 1 + a + m
     return float(num / den)
-
-
-def eta_moment(m: int, b: int, theta: float) -> float:
-    """E[eta^m (1 - eta)^b] for eta with density (2/theta) eta^{2/theta-1}.
-
-    Equals (2/theta) b! / prod_{i=0..b} (2/theta + m + i), kept rational.
-    """
-    check_int("m", m, 0)
-    check_int("b", b, 0)
-    check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
-    a = Fraction(2) / Fraction(theta)
-    val = a * math.factorial(b)
-    for i in range(b + 1):
-        val /= a + m + i
-    return float(val)
-
-
-def num_types_dist(n: int, k: int, theta: float) -> float:
-    """P(the sample shows k distinct types and hits the replacement family).
-
-    With B block draws out of n, the type count is (n - B) + 1 when B >= 1,
-    so this is C(n, k-1) E[eta^{n-k+1} (1 - eta)^{k-1}].  The all-dust event
-    (B = 0, also k = n types) is excluded here; summing over k therefore
-    gives 1 - eta_moment(0, n, theta).
-    """
-    check_int("n", n, 1)
-    check_int("k", k, 1)
-    if k > n:
-        raise InvalidParameterError(f"need k <= n, got n={n!r}, k={k!r}")
-    return math.comb(n, k - 1) * eta_moment(n - k + 1, k - 1, theta)

@@ -41,7 +41,6 @@ __all__ = [
     "stationary_density_eval",
     "stationary_sample",
     "transition_moment",
-    "stationary_moment",
     "sample_transition",
     "simulate_path",
     "path_endpoint_ensemble",
@@ -314,7 +313,7 @@ def transition_moment(params: TwoTypeParams, n: int, x: float, t: float) -> floa
 
     Three terms: the decaying n-th power, the stationary contribution, and a
     cross term linear in (x - p).  Valid for all n >= 0 including t = 0 and
-    t = inf; n = 0 short-circuits to 1 because the cross-term bracket
+    t = inf, the stationary moment; n = 0 short-circuits to 1 because the cross-term bracket
     vanishes only symbolically there (the denominator 2/theta - 1 can be 0).
     """
     check_int("n", n, 0)
@@ -336,26 +335,6 @@ def transition_moment(params: TwoTypeParams, n: int, x: float, t: float) -> floa
         * -math.expm1(-(1.0 + 0.5 * (n - 1) * theta) * t)
     )
     return main + stat + cross
-
-
-def stationary_moment(params: TwoTypeParams, n: int) -> tuple[float, float]:
-    """Stationary moments (E[(xi-p)^n], E[xi^n]).
-
-    The central form is the t -> inf limit of transition_moment; the raw
-    form expands xi^n = ((xi-p) + p)^n binomially through the centered
-    moments, whose odd first term vanishes.
-    """
-    check_int("n", n, 0)
-    theta, p = params.theta, params.p
-    a = 2.0 / theta
-
-    def central(k: int) -> float:
-        if k == 0:
-            return 1.0
-        return (a / (k + a)) * p * (1.0 - p) * _alternating_gap(p, k - 1)
-
-    raw = math.fsum(math.comb(n, k) * p ** (n - k) * central(k) for k in range(n + 1))
-    return central(n), raw
 
 
 def sample_transition(params: TwoTypeParams, x: float, t: float, rng: RngStream, size=None):

@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from starcoal.core import InvalidParameterError, QuadratureError, SingularityError, TwoTypeParams
+from starcoal.core import InvalidParameterError, QuadratureError, TwoTypeParams
 from starcoal.eigen import (
     PolyRep,
     eigen_coefficients,
@@ -22,10 +22,9 @@ from starcoal.eigen import (
     hyper_pairing,
     pv_expectation_g_q1,
     pv_expectation_g_q1_numeric,
-    q1_eval,
     stationary_expectation,
 )
-from starcoal.twotype import stationary_moment, transition_moment
+from starcoal.twotype import transition_moment
 
 
 def test_polyrep_basics():
@@ -114,18 +113,6 @@ def test_generator_matches_pointwise_formula():
         assert img(x) == pytest.approx(direct, abs=1e-13)
 
 
-def test_q1_eval():
-    par = TwoTypeParams(theta=1.0, p=0.25)
-    assert q1_eval(par, 0.75) == pytest.approx(0.75 / (0.25 * 0.5), rel=1e-15)
-    assert q1_eval(par, 0.1) == pytest.approx(-0.25 / (0.75 * 0.15), rel=1e-15)
-    mid = TwoTypeParams(theta=1.0, p=0.5)
-    assert q1_eval(mid, 0.7) == pytest.approx(5.0, rel=1e-14)
-    with pytest.raises(SingularityError):
-        q1_eval(par, 0.25)
-    with pytest.raises(InvalidParameterError):
-        q1_eval(par, 1.5)
-
-
 def test_pv_pairing_series_vs_numeric():
     par = TwoTypeParams(theta=1.3, p=0.45)
     polys = (
@@ -155,7 +142,7 @@ def test_stationary_expectation_matches_moment_route():
     g = PolyRep(0.1, (0.5, 1.0, -2.0, 0.0, 3.0))
     b = g.with_shift(par.p).coeffs
     direct = math.fsum(
-        bk * stationary_moment(par, k)[0] for k, bk in enumerate(b)
+        bk * transition_moment(par, k, 0.5, math.inf) for k, bk in enumerate(b)
     )
     assert stationary_expectation(par, g) == pytest.approx(direct, rel=1e-13)
 

@@ -17,7 +17,14 @@ from scipy.linalg import expm
 
 import starcoal.lines as lines
 import starcoal.verification as verification
-from starcoal.core import InvalidParameterError, RngStream, TwoTypeParams, mean_se, mean_se_of_counts
+from starcoal.core import (
+    InvalidParameterError,
+    RngStream,
+    TwoTypeParams,
+    mean_se,
+    mean_se_of_counts,
+    replacement_decay_integral,
+)
 from starcoal.lines import (
     LineDist,
     _dyadic,
@@ -25,14 +32,12 @@ from starcoal.lines import (
     absorption_time_ensemble,
     an_distribution,
     an_distribution_spectral,
-    an_limit,
     duality_check,
     mean_absorption_time,
     simulate_lines,
-    spectral_coeffs,
     stationary_moment_via_coalescent,
 )
-from starcoal.twotype import stationary_moment
+from starcoal.twotype import transition_moment
 
 
 def _rate_matrix(n: int, theta: float) -> np.ndarray:
@@ -73,8 +78,6 @@ def test_an_distribution_edges():
             an_distribution(4, 1.5, bad_t)
         with pytest.raises(InvalidParameterError):
             an_distribution_spectral(4, 1.5, bad_t)
-        with pytest.raises(InvalidParameterError):
-            an_limit(1.0, bad_t, 1)
 
 
 def test_spectral_route_matches_direct():
@@ -188,9 +191,9 @@ def _mean_absorption_fraction(n: int, theta: float) -> float:
 
 
 def _assert_coeffs_equal(n: int, theta: float, q, p):
-    sc = spectral_coeffs(n, theta)
-    assert sc.q_weights == tuple(float(v) for v in q)
-    assert sc.p_coeffs == tuple(tuple(float(v) for v in row) for row in p)
+    pq, rows, _, _ = lines._spectral_pairs(n, theta)
+    assert [Fraction(*v) for v in pq] == q
+    assert [[Fraction(*v) for v in row] for row in rows] == p
 
 
 @pytest.mark.parametrize("theta", ORACLE_THETAS)
@@ -244,38 +247,15 @@ def test_line_laws_equal_integer_oracle_at_the_ends(n):
         assert an_distribution_spectral(n, theta, t).probs == want
 
 
-def test_spectral_coeffs_shape():
-    sc = spectral_coeffs(5, 2.0)
-    assert sc.eigenvalues[0] == 0.0
-    assert sc.eigenvalues[1] == 1.0
-    assert sc.eigenvalues[5] == 6.0
-    assert len(sc.q_weights) == 6
-    assert len(sc.p_coeffs) == 6
-
-
-def test_spectral_coeffs_beyond_float_range():
-    # The weights q[k] ~ C(n, k) (k - 1) pass the float range near n = 1030:
-    # a typed error naming n and theta, not a bare OverflowError.
-    assert max(map(abs, spectral_coeffs(1000, 1.0).q_weights)) > 1e300
-    with pytest.raises(InvalidParameterError, match=r"n=1040, theta=1.0"):
-        spectral_coeffs(1040, 1.0)
-    # The routes that keep their weights in integers are unaffected.
-    assert mean_absorption_time(1040, 1.0) == pytest.approx(3.0, rel=1e-5)
-
-
-def test_an_limit_matches_large_n():
+def test_an_distribution_large_n_limit():
+    # As n grows, P(A = 1) tends to the replacement decay integral and
+    # P(A >= 2) to e^{-t}, the chance of no replacement by t.
     theta, t = 1.5, 0.8
-    big = an_distribution(200, theta, t)
-    assert an_limit(theta, t, 0) == pytest.approx(big.probs[0], abs=1e-12)
-    assert an_limit(theta, t, 1) == pytest.approx(big.probs[1], abs=1e-12)
-    assert an_limit(theta, t, "ge2") == pytest.approx(
-        math.fsum(big.probs[2:]), abs=1e-12
-    )
-    assert an_limit(theta, t, "ge2") == math.exp(-t)
-    with pytest.raises(InvalidParameterError):
-        an_limit(theta, t, 3)
-    with pytest.raises(InvalidParameterError):
-        an_limit(theta, 0.0, 0)
+    big = an_distribution(200, theta, t).probs
+    one, survive = replacement_decay_integral(theta, t), math.exp(-t)
+    assert big[0] == pytest.approx(1.0 - one - survive, abs=1e-12)
+    assert big[1] == pytest.approx(one, abs=1e-12)
+    assert math.fsum(big[2:]) == pytest.approx(survive, abs=1e-12)
 
 
 def _mean_absorption_recursion(n: int, theta: Fraction) -> Fraction:
@@ -296,6 +276,8 @@ def test_mean_absorption_time():
     assert mean_absorption_time(7, 1.7) == pytest.approx(float(want), rel=1e-15)
     want = _mean_absorption_recursion(25, Fraction(1, 4))
     assert mean_absorption_time(25, 0.25) == pytest.approx(float(want), rel=1e-15)
+    # The exact ratio stays in integers where its terms pass the float range.
+    assert mean_absorption_time(1040, 1.0) == pytest.approx(3.0, rel=1e-5)
     with pytest.raises(InvalidParameterError):
         mean_absorption_time(0, 1.0)
 
@@ -393,7 +375,7 @@ def test_stationary_moment_via_coalescent():
     assert est1 == pytest.approx(0.4, rel=1e-15)
     assert se1 < 1e-15
     est, se = stationary_moment_via_coalescent(par, 3, 50_000, RngStream(26, 0))
-    want = stationary_moment(par, 3)[1]
+    want = math.fsum(math.comb(3, k) * 0.4 ** (3 - k) * transition_moment(par, k, 0.5, math.inf) for k in range(4))
     z = abs(est - want) / se
     assert z < 3.5, f"z = {z:.2f}"
 
@@ -445,13 +427,14 @@ def _planted(part):
 
 @pytest.mark.parametrize("part", ["q", "r"])
 def test_line_spectral_check_reads_the_spectral_weights(monkeypatch, part):
-    # The Taylor-shift sum must still read the weights spectral_coeffs
-    # publishes, so one planted weight must fail the line-spectral suite.
+    # The Taylor-shift sum must still read the weights _spectral_pairs
+    # forms, so one planted weight must fail the line-spectral suite.
     _, gaps, bound = verification._suite_line_spectral(0)[0]
     assert bound == 1e-10 and max(g for g, _ in gaps) <= bound
-    published = spectral_coeffs(5, 2.0)
+    q, _, r, _ = lines._spectral_pairs(5, 2.0)
     monkeypatch.setattr(lines, "_spectral_pairs", _planted(part))
-    assert spectral_coeffs(5, 2.0) != published
+    planted_q, _, planted_r, _ = lines._spectral_pairs(5, 2.0)
+    assert (planted_q, planted_r) != (q, r)
     # The planted weight no longer divides exactly, so the spectral route
     # raises from the first planted count, n = 3 ...
     with pytest.raises(InvalidParameterError, match=r"^spectral weights for n=3, theta=0\.5 are not integers$"):

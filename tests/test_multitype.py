@@ -19,15 +19,12 @@ from starcoal.core import InvalidParameterError, RngStream, TwoTypeParams
 from starcoal.multitype import (
     MultiParams,
     MutationMatrix,
-    eta_moment,
     infinite_sampling_prob,
     load_mutation_matrix,
     markov_line_kernel,
     markov_stationary_gamma,
     markov_stationary_sample,
-    num_types_dist,
     pim_line_kernel,
-    pim_region_density,
     pim_stationary_sample,
     pim_transition_law,
 )
@@ -115,12 +112,9 @@ def test_pim_transition_law_embeds_two_type():
         assert r0.density(v) == pytest.approx(
             transition_density_eval(par, x, t, v), rel=1e-13
         )
-        assert pim_region_density(mp, (x, 1.0 - x), t, 0, v) == pytest.approx(
-            transition_density_eval(par, x, t, v), rel=1e-13
-        )
     # Region 1 describes the type-2 coordinate; xi -> 1 - xi embeds it.
-    for v in (0.88, 0.96):
-        assert pim_region_density(mp, (x, 1.0 - x), t, 1, v) == pytest.approx(
+    for v in (0.9, 0.96):
+        assert r1.density(v) == pytest.approx(
             transition_density_eval(par, x, t, 1.0 - v), rel=1e-13
         )
     assert law.total_mass() == pytest.approx(1.0, abs=1e-14)
@@ -128,7 +122,7 @@ def test_pim_transition_law_embeds_two_type():
 
 def test_region_density_near_one_against_mpmath():
     # At theta = 1e-8 the power w^(2/theta - 1) amplifies the rounding of
-    # w = (xi - p) / (1 - p) near 1 by 2e8; both density routes take it
+    # w = (xi - p) / (1 - p) near 1 by 2e8; the region density takes it
     # from the exact distance 1 - xi instead.
     mpmath = pytest.importorskip("mpmath")
     theta, x_vec, t, v = 1e-8, (0.9, 0.1), 1.0, 1.0 - 1e-9
@@ -140,7 +134,6 @@ def test_region_density_near_one_against_mpmath():
             w = (mpmath.mpf(v) - p) / (1 - p)
             ref = float((p + mpmath.exp(-t / a) * (x - p) / w) * a * w ** (a - 1) / (1 - p))
         assert law.regions[i].density(v) == pytest.approx(ref, rel=1e-14)
-        assert pim_region_density(mp, x_vec, t, i, v) == pytest.approx(ref, rel=1e-14)
 
 
 def test_embedding_region_densities_against_mpmath():
@@ -349,44 +342,33 @@ def test_infinite_sampling_prob():
         infinite_sampling_prob(3, 4, 1.0)
 
 
-def test_eta_moment():
-    # 8/429, the exact rational value at theta = 4/5.
-    assert eta_moment(3, 2, 0.8) == pytest.approx(float(Fraction(8, 429)), rel=1e-14)
-    assert eta_moment(0, 0, 1.7) == 1.0
-    # b = 0 collapses to a/(a+m); exact at theta = 2.
-    for m in range(5):
-        assert eta_moment(m, 0, 2.0) == float(Fraction(1, m + 1))
+def test_infinite_sampling_prob_moments():
+    # j counts the lines in the replacement family, P(B = j) with
+    # B ~ Binomial(n, eta), so it is C(n, j) E[eta^j (1 - eta)^{n-j}]:
+    # 80/429 = C(5, 3) 8/429 at theta = 4/5.
+    assert infinite_sampling_prob(5, 3, 0.8) == pytest.approx(float(Fraction(80, 429)), rel=1e-14)
+    # j = n is E[eta^n] = a/(a + n), exact at theta = 1/2 (a = 4).
+    assert infinite_sampling_prob(1, 1, 1.0) == 2.0 / 3.0
+    for n in range(1, 6):
+        assert infinite_sampling_prob(n, n, 0.5) == float(Fraction(4, 4 + n))
     # Independent quadrature of the defining integral.
     theta = 1.3
     a = 2.0 / theta
-    got = eta_moment(2, 3, theta)
     ref, _ = integrate.quad(
         lambda e: a * e ** (a - 1.0) * e**2 * (1.0 - e) ** 3, 0.0, 1.0
     )
-    assert got == pytest.approx(ref, abs=1e-10)
-    with pytest.raises(InvalidParameterError):
-        eta_moment(-1, 0, 1.0)
+    assert infinite_sampling_prob(5, 2, theta) == pytest.approx(10.0 * ref, abs=1e-10)
 
 
-def test_num_types_dist_closure():
-    for n, theta in ((3, 0.9), (8, 2.0), (12, 4.2)):
-        total = math.fsum(num_types_dist(n, k, theta) for k in range(1, n + 1))
-        assert total == pytest.approx(1.0 - eta_moment(0, n, theta), abs=1e-14)
-    with pytest.raises(InvalidParameterError):
-        num_types_dist(5, 0, 1.0)
-    with pytest.raises(InvalidParameterError):
-        num_types_dist(5, 6, 1.0)
-
-
-def test_num_types_dist_against_simulation():
-    # Direct mixture route: eta = U^{theta/2}, B ~ Binomial(n, eta), and
-    # B >= 1 shows k = n - B + 1 distinct types.
+def test_infinite_sampling_prob_against_simulation():
+    # Direct mixture route: eta = U^{theta/2} and B ~ Binomial(n, eta)
+    # lines in the replacement family.
     n, theta, size = 6, 1.5, 200_000
     gen = RngStream(44, 0).gen
     eta = gen.random(size) ** (0.5 * theta)
     b = gen.binomial(n, eta)
-    for k in range(1, n + 1):
-        freq = float(np.mean(b == n - k + 1))
-        want = num_types_dist(n, k, theta)
+    for j in range(n + 1):
+        freq = float(np.mean(b == j))
+        want = infinite_sampling_prob(n, j, theta)
         se = math.sqrt(want * (1.0 - want) / size)
-        assert abs(freq - want) < 4.0 * se, f"k = {k}"
+        assert abs(freq - want) < 4.0 * se, f"j = {j}"

@@ -27,7 +27,6 @@ from starcoal.twotype import (
     simulate_path,
     stationary_density_eval,
     stationary_law,
-    stationary_moment,
     stationary_sample,
     transition_density_eval,
     transition_law,
@@ -155,7 +154,7 @@ def test_transition_moment_oracles():
     # Long horizons forget x.
     for n in range(1, 5):
         assert transition_moment(PAR_C, n, 0.9, 80.0) == pytest.approx(
-            stationary_moment(PAR_C, n)[0], rel=1e-12, abs=1e-13
+            transition_moment(PAR_C, n, 0.1, math.inf), rel=1e-12, abs=1e-13
         )
     with pytest.raises(InvalidParameterError):
         transition_moment(PAR_A, -1, 0.7, 1.0)
@@ -256,16 +255,22 @@ def test_stationary_density_oracles():
 
 
 def test_stationary_moment_values():
-    central2, raw2 = stationary_moment(PAR_C, 2)
+    # The stationary moments are the t = inf transition moments; the raw
+    # moment sums the centered ones binomially, as `starcoal moments` does.
+    def moments(n):
+        central = [transition_moment(PAR_C, k, 0.9, math.inf) for k in range(n + 1)]
+        return central[n], math.fsum(math.comb(n, k) * 0.35 ** (n - k) * c for k, c in enumerate(central))
+
+    central2, raw2 = moments(2)
     # [p q^2 + q p^2] / (1 + theta) has the exact rational value 91/720 here.
     assert central2 == pytest.approx(91.0 / 720.0, rel=1e-14)
     assert raw2 == pytest.approx(
         0.35**2 + central2, rel=1e-14
     )
-    central3, raw3 = stationary_moment(PAR_C, 3)
+    central3, raw3 = moments(3)
     assert raw3 == pytest.approx(0.2066060606060606060606060606061, rel=1e-13)
-    assert stationary_moment(PAR_C, 1) == (0.0, 0.35)
-    assert stationary_moment(PAR_C, 0) == (1.0, 1.0)
+    assert moments(1) == (0.0, 0.35)
+    assert moments(0) == (1.0, 1.0)
 
 
 def test_stationary_law_cdf_and_sampling():

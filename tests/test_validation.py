@@ -99,7 +99,6 @@ CASES = {
     "twotype.replacement_component_density": (
         lambda x=0.4, t=1.0, xi=0.9: twotype.replacement_component_density(PAR, x, t, 1, xi),
         {"x": UNIT, "t": TIME_POS, "xi": ANY}),
-    "eigen.q1_eval": (lambda xi=0.9: eigen.q1_eval(PAR, xi), {"xi": UNIT}),
     "eigen.expansion_expectation": (
         lambda x=0.4, t=1.0: eigen.expansion_expectation(PAR, G, x, t), {"x": UNIT, "t": TIME}),
     "lines.an_distribution": (
@@ -108,10 +107,6 @@ CASES = {
     "lines.an_distribution_spectral": (
         lambda theta=1.0, t=1.0: lines.an_distribution_spectral(4, theta, t),
         {"theta": POSITIVE, "t": TIME}),
-    "lines.an_limit": (
-        lambda theta=1.0, t=1.0: lines.an_limit(theta, t, 1), {"theta": POSITIVE, "t": TIME_POS}),
-    "lines.spectral_coeffs": (
-        lambda theta=1.0: lines.spectral_coeffs(4, theta), {"theta": POSITIVE}),
     "lines.mean_absorption_time": (
         lambda theta=1.0: lines.mean_absorption_time(4, theta), {"theta": POSITIVE}),
     "lines.simulate_lines": (
@@ -129,16 +124,11 @@ CASES = {
     "multitype.pim_transition_law": (
         lambda t=1.0, x_vec=0.2: multitype.pim_transition_law(MP, (x_vec, 0.5, 0.3), t),
         {"t": TIME, "x_vec": UNIT}),
-    "multitype.pim_region_density": (
-        lambda t=1.0, xi_i=0.9, x_vec=0.2: multitype.pim_region_density(MP, (x_vec, 0.5, 0.3), t, 0, xi_i),
-        {"t": TIME_POS, "xi_i": ANY, "x_vec": UNIT}),
     "multitype.markov_line_kernel": (
         lambda theta=1.0, t=1.0: multitype.markov_line_kernel(MM, theta, t),
         {"theta": POSITIVE, "t": TIME}),
     "multitype.infinite_sampling_prob": (
         lambda theta=1.0: multitype.infinite_sampling_prob(4, 2, theta), {"theta": POSITIVE}),
-    "multitype.eta_moment": (
-        lambda theta=1.0: multitype.eta_moment(1, 2, theta), {"theta": POSITIVE}),
     "selection.mutation_selection_drift": (
         lambda theta=1.0, p=0.5, beta=2.0: selection.mutation_selection_drift(theta, p, beta),
         {"theta": POSITIVE, "p": OPEN_UNIT, "beta": POSITIVE}),
@@ -270,14 +260,12 @@ def test_offset_integrand_failures_are_typed():
         (multitype.infinite_sampling_prob, (2.5, 1, 1.0), "n"),
         (multitype.infinite_sampling_prob, (2, 0.5, 1.0), "j"),
         (multitype.infinite_sampling_prob, (2, 3, 1.0), "j <= n"),
-        (multitype.num_types_dist, (2.5, 1, 1.0), "n"),
-        (multitype.num_types_dist, (3, "1", 1.0), "k"),
-        (multitype.num_types_dist, (3, 4, 1.0), "k <= n"),
+        (lines.an_distribution, (2.5, 1.0, 1.0), "n"),
+        (lines.an_distribution_spectral, ("3", 1.0, 1.0), "n"),
+        (lines.mean_absorption_time, (2.5, 1.0), "n"),
         (multitype.MultiParams, (1.0, ("a", 0.5)), r"p_vec\[0\]"),
         (eigen.PolyRep, (0.0, ("x",)), r"coeffs\[0\]"),
         (eigen.PolyRep, ("x", (1.0,)), "shift"),
-        (multitype.pim_region_density, (MP, (0.2, 0.5, 0.3), 1.0, 1.5, 0.9), "i must be an integer"),
-        (multitype.pim_region_density, (MP, (0.2, 0.5, 0.3), 1.0, 3, 0.9), r"\[0, 3\)"),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )
@@ -352,3 +340,17 @@ def test_cli_huge_horizon_exits_with_an_error(capsys):
         assert _within_a_second(lambda: cli.main(argv)) == 1
         assert "SIM_WORK_CAP" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("law", [lines.an_distribution, lines.an_distribution_spectral], ids=lambda f: f.__name__)
+def test_line_laws_past_the_cap_raise_at_once(law):
+    # Both exact laws grow as n^2 to n^3 in big-integer work; past the cap
+    # they raise before any of it, at a full-mantissa theta and t too.
+    n = core.LINE_LAW_N_CAP + 1
+    with pytest.raises(InvalidParameterError, match=rf"^line-count law for n={n}, theta=0\.1 exceeds LINE_LAW_N_CAP = {n - 1}$"):
+        _within_a_second(lambda: law(n, 0.1, 0.3))
+
+
+def test_cli_line_law_past_the_cap_exits_with_an_error(capsys):
+    argv = ["lines", "--n", "100000", "--theta", "0.1", "--t-grid", "0.3"]
+    assert _within_a_second(lambda: cli.main(argv)) == 1
+    assert "LINE_LAW_N_CAP" in capsys.readouterr().err
