@@ -269,6 +269,20 @@ def _mean_absorption_recursion(n: int, theta: Fraction) -> Fraction:
     return prev
 
 
+def test_spectral_coeffs_beyond_float_range():
+    # The spectral weights q[k] ~ C(n, k) (k - 1) pass the float range near
+    # n = 1030; both line laws keep them as integers, so past it they still
+    # agree, sum to 1 and stay finite, as does the exact absorption ratio.
+    q, _, _, _ = lines._spectral_pairs(1000, 1.0)
+    assert max(abs(num) // den for num, den in q) > 10**300
+    q, _, _, _ = lines._spectral_pairs(1040, 1.0)
+    assert max(abs(num) // den for num, den in q) > 10**309
+    spectral = an_distribution_spectral(1040, 1.0, 0.5).probs
+    assert spectral == an_distribution(1040, 1.0, 0.5).probs
+    assert all(map(math.isfinite, spectral)) and math.fsum(spectral) == pytest.approx(1.0, abs=1e-12)
+    assert mean_absorption_time(1040, 1.0) == pytest.approx(3.0, rel=1e-5)
+
+
 def test_mean_absorption_time():
     assert mean_absorption_time(2, 2.0) == 4.0 / 3.0
     assert mean_absorption_time(1, 0.5) == 4.0
@@ -276,8 +290,6 @@ def test_mean_absorption_time():
     assert mean_absorption_time(7, 1.7) == pytest.approx(float(want), rel=1e-15)
     want = _mean_absorption_recursion(25, Fraction(1, 4))
     assert mean_absorption_time(25, 0.25) == pytest.approx(float(want), rel=1e-15)
-    # The exact ratio stays in integers where its terms pass the float range.
-    assert mean_absorption_time(1040, 1.0) == pytest.approx(3.0, rel=1e-5)
     with pytest.raises(InvalidParameterError):
         mean_absorption_time(0, 1.0)
 
