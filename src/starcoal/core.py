@@ -275,6 +275,12 @@ SIM_WORK_CAP = 1e9
 LINE_LAW_N_CAP = 2000
 
 
+def _dyadic(x: float) -> tuple[int, int]:
+    """Split a float into (m, e) with x == m / 2^e exactly."""
+    m, den = float(x).as_integer_ratio()
+    return m, den.bit_length() - 1
+
+
 def _check_work(call: str, horizon: float, count: int) -> None:
     """Raise SimulationAbortError, before any draw, when count replicates
     of call to horizon expect more work than SIM_WORK_CAP."""

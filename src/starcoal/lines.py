@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LINE_LAW_N_CAP, InvalidParameterError, RngStream, TwoTypeParams
-from .core import _blocks, _check_work, _replicates, _sweep, check_int, check_real, mean_se_of_counts
+from .core import _blocks, _check_work, _dyadic, _replicates, _sweep, check_int, check_real, mean_se_of_counts
 from .twotype import transition_moment
 
 __all__ = [
@@ -55,29 +55,10 @@ class LineDist:
 
 @dataclass(frozen=True)
 class LinePath:
-    """One backward trajectory of the line-count chain.
+    """One backward run of the line-count chain to absorption."""
 
-    events holds (time, kind, state after) with kind "mutation" or
-    "coalescence"; only the first collapse is a coalescence event, later
-    replacement epochs do not alter a single remaining line.  Fields after
-    events record the collapse and absorption bookkeeping used by duality
-    estimators; each is None when the corresponding event did not occur
-    before the horizon.
-    """
-
-    initial_lines: int
-    horizon: float | None
-    events: tuple[tuple[float, str, int], ...]
     final_lines: int
-    coalescence_time: float | None
-    lines_before_coalescence: int | None
-    absorption_time: float | None
-
-
-def _dyadic(x: float) -> tuple[int, int]:
-    """Split a float into (m, e) with x == m / 2^e exactly."""
-    m, den = float(x).as_integer_ratio()
-    return m, den.bit_length() - 1
+    absorption_time: float
 
 
 def _check_law_args(n: int, theta: float, t: float) -> None:
@@ -228,10 +209,8 @@ def mean_absorption_time(n: int, theta: float) -> float:
         raise InvalidParameterError(f"mean absorption time overflows a float at n = {n}, theta = {theta!r}") from None
 
 
-def simulate_lines(
-    n: int, theta: float, rng: RngStream, horizon: float | None = None
-) -> LinePath:
-    """Simulate the line-count chain, to absorption or to a fixed horizon.
+def simulate_lines(n: int, theta: float, rng: RngStream) -> LinePath:
+    """Simulate the line-count chain to absorption.
 
     From i >= 2 the chain waits Exp(1 + i theta/2) and steps to i - 1 by
     mutation (probability i theta / (2 + i theta)) or collapses to 1; from
@@ -241,40 +220,17 @@ def simulate_lines(
     """
     check_int("n", n, 1)
     check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
-    if horizon is not None:
-        check_real("horizon", horizon, 0.0, math.inf, open_lo=True, open_hi=True)
     _check_work("lines.simulate_lines", n + 1, 1)
     clock = 0.0
     state = n
-    events: list[tuple[float, str, int]] = []
-    coal_t = None
-    coal_before = None
-    absorb_t = None
     while state >= 1:
         rate = 0.5 * theta * state + (1.0 if state >= 2 else 0.0)
-        wait = rng.gen.exponential() / rate
-        if horizon is not None and clock + wait > horizon:
-            break
-        clock += wait
+        clock += rng.gen.exponential() / rate
         if state >= 2 and rng.gen.random() * rate < 1.0:
-            coal_t = clock
-            coal_before = state
             state = 1
-            events.append((clock, "coalescence", state))
         else:
             state -= 1
-            if state == 0:
-                absorb_t = clock
-            events.append((clock, "mutation", state))
-    return LinePath(
-        initial_lines=n,
-        horizon=horizon,
-        events=tuple(events),
-        final_lines=state,
-        coalescence_time=coal_t,
-        lines_before_coalescence=coal_before,
-        absorption_time=absorb_t,
-    )
+    return LinePath(final_lines=state, absorption_time=clock)
 
 
 def _line_ensemble(

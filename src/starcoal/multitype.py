@@ -9,19 +9,18 @@ row-stochastic matrix applied at rate theta/2 per line) changes only the
 single-line kernel, evaluated here by scaling and squaring.  The
 infinitely-many-types limit leaves one replacement family of mass eta
 plus dust, with eta a Beta(2/theta, 1) variable; sampling formulas reduce
-to its moments, kept in exact rational arithmetic.
+to its moments, each one integer ratio over the dyadic theta.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
-from .core import InvalidParameterError, RngStream, _sample, replacement_decay_integral
+from .core import LINE_LAW_N_CAP, InvalidParameterError, RngStream, _dyadic, _sample, replacement_decay_integral
 from .core import check_int, check_real
 
 __all__ = [
@@ -298,18 +297,19 @@ def infinite_sampling_prob(n: int, j: int, theta: float) -> float:
     P(B = j) for B ~ Binomial(n, eta), eta the family mass: the exact
     rational (n!/j!) (a)_(j) / (1 + a)_(n), a = 2/theta, with (y)_(k) the
     rising factorial.  j = n gives E[eta^n] = a/(a + n); at theta = 2 every j
-    gives 1/(n + 1).
+    gives 1/(n + 1).  With theta = T / 2^c and d[m] = 2^{c+1} + m T, a + m =
+    d[m] / T, so the law is one integer ratio, rounded once:
+    d[0] (j + 1) ... n T^{n-j} / (d[j] ... d[n]) for j >= 1, and
+    n! T^n / (d[1] ... d[n]) for j = 0.  n is capped at LINE_LAW_N_CAP.
     """
     check_int("n", n, 1)
     check_int("j", j, 0)
     if j > n:
         raise InvalidParameterError(f"need j <= n, got n={n!r}, j={j!r}")
     check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
-    a = Fraction(2) / Fraction(theta)
-    num = Fraction(math.factorial(n), math.factorial(j))
-    for m in range(j):
-        num *= a + m
-    den = Fraction(1)
-    for m in range(n):
-        den *= 1 + a + m
-    return float(num / den)
+    if n > LINE_LAW_N_CAP:
+        raise InvalidParameterError(f"infinite-types sampling law for n={n!r}, theta={theta!r} exceeds LINE_LAW_N_CAP = {LINE_LAW_N_CAP}")
+    T, c = _dyadic(theta)
+    D = 1 << (c + 1)
+    num = math.prod(range(j + 1, n + 1)) * T ** (n - j) * (D if j else 1)
+    return num / math.prod(D + m * T for m in range(max(j, 1), n + 1))

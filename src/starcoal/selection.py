@@ -605,65 +605,44 @@ def fixation_prob(beta: float, x: float, fixed_type: int) -> float:
 
 @dataclass(frozen=True)
 class AsgPath:
-    """One trajectory of the branching dual.
+    """One run of the branching dual to a finite horizon.
 
-    events holds (time, kind, state after) with kind "branch" or
-    "collapse"; t_ua is the first hit of a single line (0.0 when starting
-    there, None if a horizon cut the run first).
+    t_ua is the first hit of a single line: 0.0 when starting there, None
+    if the horizon came first.
     """
 
-    initial_state: int
-    horizon: float | None
-    events: tuple[tuple[float, str, int], ...]
     final_state: int
     t_ua: float | None
 
 
-def asg_simulate(
-    n: int, beta: float, rng: RngStream, horizon: float | None = None
-) -> AsgPath:
-    """Simulate the branching dual from n lines.
+def asg_simulate(n: int, beta: float, rng: RngStream, horizon: float) -> AsgPath:
+    """Simulate the branching dual from n lines to a finite horizon.
 
-    Without a horizon the run stops at the first collapse to one line (the
-    ultimate ancestor); with a finite one it continues through collapses
-    until the horizon.  Rate-1 events at a single line relabel it and are
-    skipped.  States beyond ASG_STATE_CAP abort.
+    The run continues through collapses until the horizon; rate-1 events at
+    a single line relabel it and are skipped.  States beyond ASG_STATE_CAP
+    abort.  ua_time_ensemble gives the ancestor time without a horizon.
     """
     check_int("n", n, 1)
     check_real("beta", beta, 0.0, math.inf, open_lo=True, open_hi=True)
-    if horizon is not None:
-        check_real("horizon", horizon, 0.0, math.inf, open_lo=True, open_hi=True)
-        _check_work("selection.asg_simulate", horizon, 1)
+    check_real("horizon", horizon, 0.0, math.inf, open_lo=True, open_hi=True)
+    _check_work("selection.asg_simulate", horizon, 1)
     clock = 0.0
     state = n
     t_ua = 0.0 if n == 1 else None
-    events: list[tuple[float, str, int]] = []
     while True:
-        if t_ua is not None and horizon is None:
-            break
         branch_rate = 0.5 * beta * state
         total = branch_rate + (1.0 if state >= 2 else 0.0)
-        wait = rng.gen.exponential() / total
-        if horizon is not None and clock + wait > horizon:
-            break
-        clock += wait
+        clock += rng.gen.exponential() / total
+        if clock > horizon:
+            return AsgPath(final_state=state, t_ua=t_ua)
         if state >= 2 and rng.gen.random() * total >= branch_rate:
             state = 1
             if t_ua is None:
                 t_ua = clock
-            events.append((clock, "collapse", state))
         else:
             state += 1
             if state >= ASG_STATE_CAP:
                 raise _state_cap_abort(n, beta)
-            events.append((clock, "branch", state))
-    return AsgPath(
-        initial_state=n,
-        horizon=horizon,
-        events=tuple(events),
-        final_state=state,
-        t_ua=t_ua,
-    )
 
 
 def ua_time_ensemble(n: int, beta: float, size: int, rng: RngStream) -> np.ndarray:

@@ -74,8 +74,6 @@ class PathRecord:
     0.0 after a type-2 replacement.
     """
 
-    initial_frequency: float
-    horizon: float
     events: tuple[tuple[float, int, float], ...]
     final_frequency: float
 
@@ -403,7 +401,7 @@ def _jump_path(step, x: float, horizon: float, rng: RngStream) -> PathRecord:
         clock += wait
         freq = 1.0 if uniform() < step(freq, wait) else 0.0
         events.append((clock, 1 if freq == 1.0 else 2, freq))
-    return PathRecord(x, horizon, tuple(events), step(freq, horizon - clock))
+    return PathRecord(tuple(events), step(freq, horizon - clock))
 
 
 def _jump_endpoints(step, x: float, t: float, size: int, rng: RngStream) -> np.ndarray:

@@ -21,13 +21,14 @@ from starcoal.core import (
     InvalidParameterError,
     RngStream,
     TwoTypeParams,
+    _dyadic,
     mean_se,
     mean_se_of_counts,
     replacement_decay_integral,
 )
 from starcoal.lines import (
     LineDist,
-    _dyadic,
+    LinePath,
     _line_ensemble,
     absorption_time_ensemble,
     an_distribution,
@@ -295,40 +296,27 @@ def test_mean_absorption_time():
 
 
 def test_simulate_lines_to_absorption():
-    path = simulate_lines(6, 1.3, RngStream(21, 0))
-    assert path.initial_lines == 6
-    assert path.horizon is None
-    assert path.final_lines == 0
-    assert path.absorption_time == path.events[-1][0]
-    times = [ev[0] for ev in path.events]
-    assert times == sorted(times) and times[0] > 0.0
-    # Replay the state sequence from the event kinds.
-    state = 6
-    n_coal = 0
-    for _, kind, after in path.events:
-        if kind == "coalescence":
-            assert state >= 2
-            assert after == 1
-            n_coal += 1
-            state = 1
-        else:
-            assert kind == "mutation"
-            assert after == state - 1
-            state = after
-    assert state == 0
-    assert n_coal <= 1
-    if n_coal:
-        assert path.coalescence_time is not None
-        assert path.lines_before_coalescence >= 2
-
-
-def test_simulate_lines_with_horizon():
-    path = simulate_lines(6, 1.3, RngStream(22, 0), horizon=0.4)
-    assert path.horizon == 0.4
-    assert all(ev[0] <= 0.4 for ev in path.events)
-    assert 0 <= path.final_lines <= 6
-    with pytest.raises(InvalidParameterError):
-        simulate_lines(6, 1.3, RngStream(0), horizon=0.0)
+    # Replay the chain from an identical stream.  Each event draws one Exp(1)
+    # wait over the total rate i theta/2 + 1 (collapse only from i >= 2) and,
+    # from i >= 2 lines, one uniform: the collapse to 1 wins with
+    # probability 1/rate, else one line mutates away.
+    theta = 1.3
+    mine, twin = RngStream(21, 0), RngStream(21, 0)
+    collapsed = 0
+    for n in (6, 1, 2, 9) * 10:
+        clock, state = 0.0, n
+        while state:
+            rate = 0.5 * theta * state + (1.0 if state >= 2 else 0.0)
+            clock += twin.gen.exponential() / rate
+            if state >= 2 and twin.gen.random() * rate < 1.0:
+                collapsed += 1
+                state = 1
+            else:
+                state -= 1
+        assert simulate_lines(n, theta, mine) == LinePath(final_lines=0, absorption_time=clock)
+        assert clock > 0.0
+    assert 0 < collapsed < 30
+    assert mine.gen.random() == twin.gen.random()
 
 
 def test_absorption_time_ensemble_mean():

@@ -9,6 +9,7 @@ the flow closed forms.
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from starcoal.core import (
     mean_se_of_counts,
 )
 from starcoal.selection import (
+    AsgPath,
     DriftSpec,
     asg_count_ensemble,
     asg_simulate,
@@ -387,7 +389,6 @@ def test_stationary_sampling():
 
 def test_simulate_path_under_selection():
     rec = simulate_path(logistic_drift(1.8), 0.6, 5.0, RngStream(63, 0))
-    assert rec.initial_frequency == 0.6
     times = [ev[0] for ev in rec.events]
     assert times == sorted(times)
     for when, kind, freq in rec.events:
@@ -455,29 +456,36 @@ def test_fixation_prob_properties():
 
 
 def test_asg_simulate_invariants():
-    path = asg_simulate(4, 1.5, RngStream(65, 0))
-    assert path.initial_state == 4
-    assert path.final_state == 1
-    assert path.t_ua == path.events[-1][0]
-    assert path.events[-1][1] == "collapse"
-    state = 4
-    for when, kind, after in path.events:
-        if kind == "branch":
-            assert after == state + 1
-        else:
-            assert kind == "collapse"
-            assert after == 1
-        state = after
+    # Replay the dual from an identical stream.  Each event draws one Exp(1)
+    # wait over the total rate i beta/2 + 1 (collapse only from i >= 2); a
+    # wait past the horizon ends the run, else one uniform picks the
+    # collapse to 1 (probability 1/total) or a branch to i + 1.
+    beta, horizon = 1.5, 2.0
+    mine, twin = RngStream(65, 0), RngStream(65, 0)
+    hit = 0
+    for n in (4, 2, 7) * 20:
+        clock, state, t_ua = 0.0, n, None
+        while True:
+            branch = 0.5 * beta * state
+            total = branch + (1.0 if state >= 2 else 0.0)
+            clock += twin.gen.exponential() / total
+            if clock > horizon:
+                break
+            if state >= 2 and twin.gen.random() * total >= branch:
+                state = 1
+                t_ua = clock if t_ua is None else t_ua
+            else:
+                state += 1
+        hit += t_ua is not None
+        assert asg_simulate(n, beta, mine, horizon) == AsgPath(final_state=state, t_ua=t_ua)
+    assert 0 < hit < 60
+    assert mine.gen.random() == twin.gen.random()
     # Starting from one line the ancestor is immediate.
-    lone = asg_simulate(1, 1.5, RngStream(66, 0))
-    assert lone.t_ua == 0.0
-    assert lone.events == ()
-    horizon_path = asg_simulate(3, 1.5, RngStream(67, 0), horizon=0.2)
-    assert all(ev[0] <= 0.2 for ev in horizon_path.events)
+    assert asg_simulate(1, beta, RngStream(66, 0), horizon=3.0).t_ua == 0.0
     with pytest.raises(InvalidParameterError):
-        asg_simulate(0, 1.5, RngStream(0))
+        asg_simulate(0, beta, RngStream(0), horizon=1.0)
     with pytest.raises(InvalidParameterError):
-        asg_simulate(3, 1.5, RngStream(0), horizon=math.inf)
+        asg_simulate(3, beta, RngStream(0), horizon=math.inf)
 
 
 def test_ua_time_is_unit_exponential():
@@ -583,6 +591,18 @@ def test_selection_duality_check():
             selection_duality_check(2, 0.4, 0.8, bad_beta, 100, RngStream(0))
 
 
+def test_asg_simulate_memory_does_not_grow_with_its_events():
+    # At beta = 3 the dual takes about 15,000 events to horizon 200; a run
+    # that kept them would hold hundreds of KiB.
+    tracemalloc.start()
+    try:
+        asg_simulate(2, 3.0, RngStream(3, 0), horizon=200.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
 def test_state_cap_aborts(monkeypatch):
     monkeypatch.setattr(selection, "ASG_STATE_CAP", 12)
     # The ensemble finishes replicates at its own, lower threshold with an
@@ -591,7 +611,7 @@ def test_state_cap_aborts(monkeypatch):
     assert times.shape == (2_000,)
     assert np.all(np.isfinite(times))
     with pytest.raises(SimulationAbortError):
-        asg_simulate(11, 50.0, RngStream(75, 0))
+        asg_simulate(11, 50.0, RngStream(75, 0), horizon=10.0)
 
 
 def test_state_cap_abort_names_inputs(monkeypatch):
@@ -599,7 +619,7 @@ def test_state_cap_abort_names_inputs(monkeypatch):
     # simulator, and the Yule phases of the count ensemble.
     monkeypatch.setattr(selection, "ASG_STATE_CAP", 12)
     with pytest.raises(SimulationAbortError, match=r"n = 11 at beta = 50\.0 exceeded ASG_STATE_CAP = 12 lines"):
-        asg_simulate(11, 50.0, RngStream(75, 0))
+        asg_simulate(11, 50.0, RngStream(75, 0), horizon=10.0)
     with pytest.raises(SimulationAbortError, match=r"n = 3 at beta = 4\.0 exceeded ASG_STATE_CAP = 12 lines"):
         asg_count_ensemble(3, 4.0, 2.0, 200, RngStream(77, 0))
 

@@ -110,8 +110,7 @@ CASES = {
     "lines.mean_absorption_time": (
         lambda theta=1.0: lines.mean_absorption_time(4, theta), {"theta": POSITIVE}),
     "lines.simulate_lines": (
-        lambda theta=1.0, horizon=1.0: lines.simulate_lines(4, theta, rng(), horizon),
-        {"theta": POSITIVE, "horizon": TIME_POS}),
+        lambda theta=1.0: lines.simulate_lines(4, theta, rng()), {"theta": POSITIVE}),
     "lines.absorption_time_ensemble": (
         lambda theta=1.0: lines.absorption_time_ensemble(4, theta, 10, rng()), {"theta": POSITIVE}),
     "lines.duality_check": (
@@ -352,5 +351,22 @@ def test_line_laws_past_the_cap_raise_at_once(law):
 
 def test_cli_line_law_past_the_cap_exits_with_an_error(capsys):
     argv = ["lines", "--n", "100000", "--theta", "0.1", "--t-grid", "0.3"]
+    assert _within_a_second(lambda: cli.main(argv)) == 1
+    assert "LINE_LAW_N_CAP" in capsys.readouterr().err
+
+
+def test_infinite_sampling_prob_past_the_cap_raises_at_once():
+    # Its integer ratio grows as n^2 in big-integer work for one j, and the
+    # CLI table asks for every j.
+    n = core.LINE_LAW_N_CAP + 1
+    with pytest.raises(
+        InvalidParameterError,
+        match=rf"^infinite-types sampling law for n={n}, theta=0\.1 exceeds LINE_LAW_N_CAP = {n - 1}$",
+    ):
+        _within_a_second(lambda: multitype.infinite_sampling_prob(n, n // 2, 0.1))
+
+
+def test_cli_sampling_law_past_the_cap_exits_with_an_error(capsys):
+    argv = ["multitype", "--theta", "0.1", "--n", "100000"]
     assert _within_a_second(lambda: cli.main(argv)) == 1
     assert "LINE_LAW_N_CAP" in capsys.readouterr().err
