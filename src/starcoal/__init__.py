@@ -93,7 +93,6 @@ from .selection import (
     ua_time_ensemble,
 )
 from .twotype import (
-    LineKernel,
     PathRecord,
     line_kernel,
     marginal_q,

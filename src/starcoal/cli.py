@@ -21,7 +21,7 @@ import os
 import sys
 
 from .core import RngStream, StarcoalError, check_int, mean_se
-from .eigen import eigen_poly, eigenvalue
+from .eigen import PolyRep, eigen_coefficients, eigen_poly, eigenvalue
 from .lines import (
     absorption_time_ensemble,
     an_distribution,
@@ -48,6 +48,7 @@ from .selection import (
 from .selection import stationary_density as selection_stationary_density
 from .twotype import (
     TwoTypeParams,
+    _raw_moment,
     marginal_q,
     path_endpoint_ensemble,
     stationary_density_eval,
@@ -98,6 +99,10 @@ def _emit(args, params: list[tuple[str, object]], columns: list[str], rows) -> N
         lines.append(",".join(columns))
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
+    _write(args, text)
+
+
+def _write(args, text: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -145,12 +150,7 @@ def _cmd_moments(args, parser) -> int:
     rows = []
     for n in range(args.n_max + 1):
         for t in args.t_grid:
-            central = transition_moment(par, n, args.x, t)
-            raw = math.fsum(
-                math.comb(n, k) * args.p ** (n - k) * transition_moment(par, k, args.x, t)
-                for k in range(n + 1)
-            )
-            rows.append((n, t, central, raw))
+            rows.append((n, t, transition_moment(par, n, args.x, t), _raw_moment(par, n, args.x, t)))
     params = [("theta", args.theta), ("p", args.p), ("x", args.x), ("n_max", args.n_max)]
     _emit(args, params, ["n", "t", "central_moment", "raw_moment"], rows)
     return 0
@@ -160,7 +160,8 @@ def _cmd_eigen(args, parser) -> int:
     par = TwoTypeParams(theta=args.theta, p=args.p)
     rows = []
     for n in range(args.n + 1):
-        g = eigen_poly(par, n)
+        # Rows print c0 and c1 only; P_n whole would cost n + 1 coefficients.
+        g = eigen_poly(par, n) if n < 2 else PolyRep(par.p, eigen_coefficients(par, n))
         rows.append((n, eigenvalue(par, n), g.coefficient(0), g.coefficient(1)))
     params = [("theta", args.theta), ("p", args.p)]
     _emit(args, params, ["n", "eigenvalue", "c0", "c1"], rows)
@@ -241,14 +242,7 @@ def _cmd_selection(args, parser) -> int:
     if args.drift_coeffs is not None:
         coeffs = args.drift_coeffs
         lipschitz = sum(k * abs(c) for k, c in enumerate(coeffs)) or 1.0
-
-        def velocity(y: float, _c=tuple(coeffs)) -> float:
-            acc = 0.0
-            for c in reversed(_c):
-                acc = acc * y + c
-            return acc
-
-        drift = custom_drift(velocity, lipschitz)
+        drift = custom_drift(PolyRep(0.0, tuple(coeffs)), lipschitz)
         params.append(("drift_coeffs", ",".join(_fmt(c) for c in coeffs)))
     elif args.beta is not None and args.theta is None:
         # Pure selection: absorbing endpoints, so the table reports
@@ -288,12 +282,7 @@ def _cmd_selection(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     suites = "all" if args.suite == "all" else [args.suite]
     results = run_suites(suites, seed=_seed_of(args, parser))
-    report = format_report(results)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report)
-    else:
-        sys.stdout.write(report)
+    _write(args, format_report(results))
     return 0 if all(r.passed for r in results) else 1
 
 

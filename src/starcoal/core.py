@@ -281,6 +281,20 @@ def _dyadic(x: float) -> tuple[int, int]:
     return m, den.bit_length() - 1
 
 
+def _rate_ratios(theta: float, n: int, law: str) -> tuple[int, int, list[int]]:
+    """(T, D, d) with theta = T / 2^c, D = 2^{c+1} and d[m] = D + m T, m = 0..n.
+
+    The exact rate form of every rising-factorial law in a = 2/theta:
+    1 + m theta/2 = d[m] / D and a + m = d[m] / T.  n above LINE_LAW_N_CAP
+    raises before any big-integer work, naming the law.
+    """
+    if n > LINE_LAW_N_CAP:
+        raise InvalidParameterError(f"{law} for n={n!r}, theta={theta!r} exceeds LINE_LAW_N_CAP = {LINE_LAW_N_CAP}")
+    T, c = _dyadic(theta)
+    D = 1 << (c + 1)
+    return T, D, [D + m * T for m in range(n + 1)]
+
+
 def _check_work(call: str, horizon: float, count: int) -> None:
     """Raise SimulationAbortError, before any draw, when count replicates
     of call to horizon expect more work than SIM_WORK_CAP."""

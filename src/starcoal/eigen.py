@@ -161,15 +161,7 @@ def pv_expectation_g_q1(params: TwoTypeParams, g: PolyRep) -> float:
     (x-p)^n -> -c_{n1} for n >= 2, constants pair to 0, so the value is
     a_1 - sum_{n>=2} a_n c_{n1}.
     """
-    a = g.with_shift(params.p).coeffs
-    if len(a) < 2:
-        return 0.0
-    acc = [a[1]]
-    for n in range(2, len(a)):
-        if a[n] != 0.0:
-            _, c1 = eigen_coefficients(params, n)
-            acc.append(-a[n] * c1)
-    return math.fsum(acc)
+    return _pairing(params, g, 1)
 
 
 def pv_expectation_g_q1_numeric(params: TwoTypeParams, g: PolyRep) -> float:
@@ -210,12 +202,18 @@ def stationary_expectation(params: TwoTypeParams, g: PolyRep) -> float:
     E[(xi-p)^n] = -c_{n0} for n >= 2 and 0 for n = 1, so the value is
     a_0 - sum_{n>=2} a_n c_{n0}.
     """
+    return _pairing(params, g, 0)
+
+
+def _pairing(params: TwoTypeParams, g: PolyRep, order: int) -> float:
+    """a_order - sum_{n>=2} a_n c_{n,order}, a_n g's coefficients about p (0 if g has no a_order)."""
     a = g.with_shift(params.p).coeffs
-    acc = [a[0]]
+    if len(a) <= order:
+        return 0.0
+    acc = [a[order]]
     for n in range(2, len(a)):
         if a[n] != 0.0:
-            c0, _ = eigen_coefficients(params, n)
-            acc.append(-a[n] * c0)
+            acc.append(-a[n] * eigen_coefficients(params, n)[order])
     return math.fsum(acc)
 
 

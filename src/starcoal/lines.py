@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LINE_LAW_N_CAP, InvalidParameterError, RngStream, TwoTypeParams
-from .core import _blocks, _check_work, _dyadic, _replicates, _sweep, check_int, check_real, mean_se_of_counts
-from .twotype import transition_moment
+from .core import InvalidParameterError, RngStream, TwoTypeParams
+from .core import _blocks, _check_work, _dyadic, _rate_ratios, _replicates, _sweep, check_int, check_real, mean_se_of_counts
+from .twotype import _raw_moment
 
 __all__ = [
     "LineDist",
@@ -62,11 +62,9 @@ class LinePath:
 
 
 def _check_law_args(n: int, theta: float, t: float) -> None:
-    """The line laws' domain: n in [1, LINE_LAW_N_CAP], theta > 0 finite, t >= 0 finite."""
+    """The line laws' domain: n >= 1, theta > 0 finite, t >= 0 finite; _rate_ratios caps n."""
     check_int("n", n, 1)
     check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
-    if n > LINE_LAW_N_CAP:
-        raise InvalidParameterError(f"line-count law for n={n!r}, theta={theta!r} exceeds LINE_LAW_N_CAP = {LINE_LAW_N_CAP}")
     check_real("t", t, 0.0, math.inf, open_hi=True)
 
 
@@ -80,11 +78,9 @@ def an_distribution(n: int, theta: float, t: float) -> LineDist:
     every term is an integer over 2^{an+b} L, L = d[0] ... d[n-1].
     """
     _check_law_args(n, theta, t)
+    T, D, d = _rate_ratios(theta, n, "line-count law")
     A, a = _dyadic(math.exp(-0.5 * theta * t))
     B, b = _dyadic(math.exp(-t))
-    T, c = _dyadic(theta)
-    D = 1 << (c + 1)
-    d = [D + m * T for m in range(n)]
     shift = a * n + b
     C = (1 << a) - A  # (1 - p(t)) 2^a
     # C(n,j) A^j C^{n-j} for j = n down to 1, by one exact small division a step.
@@ -113,17 +109,15 @@ def an_distribution(n: int, theta: float, t: float) -> LineDist:
 def _spectral_pairs(n: int, theta: float):
     """q[k], the rows p[j][.] and the factors r[k] as integer (num, den) pairs.
 
-    With theta = T / 2^c, 1 + m theta/2 = d[m] / D for D = 2^{c+1} and
-    d[m] = D + m T.  Returns (q, rows, r, Lq): rows yields p[0], ..., p[n] one
-    at a time, p[j][k] = (-1)^{j+1} C(k,j) r[k] for j >= 2, and Lq[k] is L over
-    q[k]'s denominator, L = Lq[0] = d[0] ... d[n-1] being that of q[1].  The
+    With (T, D, d) from _rate_ratios, 1 + m theta/2 = d[m] / D.  Returns
+    (q, rows, r, Lq): rows yields p[0], ..., p[n] one at a time, p[j][k] =
+    (-1)^{j+1} C(k,j) r[k] for j >= 2, and Lq[k] is L over q[k]'s
+    denominator, L = Lq[0] = d[0] ... d[n-1] being that of q[1].  The
     spectral law sums rows 0 and 1 by Horner and rows j >= 2 by one Taylor
     shift of E_k = q[k] r[k]; no pair holds a survival term of an_distribution,
     which forms no q or p, so the two routes stay independent.
     """
-    T, c = _dyadic(theta)
-    D = 1 << (c + 1)
-    d = [D + m * T for m in range(n + 1)]
+    T, D, d = _rate_ratios(theta, n, "line-count law")
     L = math.prod(d[:n])
     sign = [(-1) ** (k + 1) for k in range(n + 1)]
     Lq = [L, 1] + [L // d[k - 1] for k in range(2, n + 1)]
@@ -195,16 +189,16 @@ def mean_absorption_time(n: int, theta: float) -> float:
     """Expected time until every line has resolved.
 
     Equals r (1 - n! / (r (r+1) ... (r+n-1))) with r = 1 + 2/theta; with
-    theta = T / 2^c, r + j = (2^{c+1} + (j+1) T) / T, so the value is one
-    integer ratio, rounded once.  n = 2, theta = 2 gives exactly 4/3.
+    (T, D, d) from _rate_ratios, r + j = d[j+1] / T, so the value is one
+    integer ratio, rounded once.  n = 2, theta = 2 gives exactly 4/3.  n is
+    capped at LINE_LAW_N_CAP.
     """
     check_int("n", n, 1)
     check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
-    T, c = _dyadic(theta)
-    D = 1 << (c + 1)
-    prod = math.prod(D + m * T for m in range(1, n + 1))
+    T, D, d = _rate_ratios(theta, n, "mean absorption time")
+    prod = math.prod(d[1:])
     try:
-        return (T + D) * (prod - math.factorial(n) * T**n) / (T * prod)
+        return d[1] * (prod - math.factorial(n) * T**n) / (T * prod)
     except OverflowError:
         raise InvalidParameterError(f"mean absorption time overflows a float at n = {n}, theta = {theta!r}") from None
 
@@ -303,10 +297,7 @@ def duality_check(
     check_int("n_mc", n_mc, 2)
     _check_work("lines.duality_check", n + 1, n_mc)
     p = params.p
-    lhs = math.fsum(
-        math.comb(n, k) * p ** (n - k) * transition_moment(params, k, x, t)
-        for k in range(n + 1)
-    )
+    lhs = _raw_moment(params, n, x, t)
     state, coal_before = _line_ensemble(n, params.theta, t, n_mc, rng)[:2]
     # A path's value depends only on (coal_before, state): count the pairs
     # and read their values from a table.

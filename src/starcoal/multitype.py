@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import LINE_LAW_N_CAP, InvalidParameterError, RngStream, _dyadic, _sample, replacement_decay_integral
+from .core import InvalidParameterError, RngStream, _rate_ratios, _sample, replacement_decay_integral
 from .core import check_int, check_real
 
 __all__ = [
@@ -124,7 +124,7 @@ class SimplexLaw:
     regions: tuple[SimplexRegion, ...]
 
     def __post_init__(self):
-        total = self.atom_mass + math.fsum(r.mass for r in self.regions)
+        total = self.total_mass()
         if abs(total - 1.0) > 1e-9:
             raise InvalidParameterError(f"simplex law mass {total!r} must be 1")
 
@@ -297,9 +297,9 @@ def infinite_sampling_prob(n: int, j: int, theta: float) -> float:
     P(B = j) for B ~ Binomial(n, eta), eta the family mass: the exact
     rational (n!/j!) (a)_(j) / (1 + a)_(n), a = 2/theta, with (y)_(k) the
     rising factorial.  j = n gives E[eta^n] = a/(a + n); at theta = 2 every j
-    gives 1/(n + 1).  With theta = T / 2^c and d[m] = 2^{c+1} + m T, a + m =
-    d[m] / T, so the law is one integer ratio, rounded once:
-    d[0] (j + 1) ... n T^{n-j} / (d[j] ... d[n]) for j >= 1, and
+    gives 1/(n + 1).  With (T, D, d) from _rate_ratios, a + m = d[m] / T, so
+    the law is one integer ratio, rounded once:
+    D (j + 1) ... n T^{n-j} / (d[j] ... d[n]) for j >= 1, and
     n! T^n / (d[1] ... d[n]) for j = 0.  n is capped at LINE_LAW_N_CAP.
     """
     check_int("n", n, 1)
@@ -307,9 +307,6 @@ def infinite_sampling_prob(n: int, j: int, theta: float) -> float:
     if j > n:
         raise InvalidParameterError(f"need j <= n, got n={n!r}, j={j!r}")
     check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
-    if n > LINE_LAW_N_CAP:
-        raise InvalidParameterError(f"infinite-types sampling law for n={n!r}, theta={theta!r} exceeds LINE_LAW_N_CAP = {LINE_LAW_N_CAP}")
-    T, c = _dyadic(theta)
-    D = 1 << (c + 1)
+    T, D, d = _rate_ratios(theta, n, "infinite-types sampling law")
     num = math.prod(range(j + 1, n + 1)) * T ** (n - j) * (D if j else 1)
-    return num / math.prod(D + m * T for m in range(max(j, 1), n + 1))
+    return num / math.prod(d[max(j, 1) :])

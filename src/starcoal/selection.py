@@ -38,7 +38,7 @@ from .core import (
     mean_se,
     quad_offset,
 )
-from .core import _check_work, _quad_led_by, _replicates, _sample, _sweep, mean_se_of_counts
+from .core import _check_work, _quad_led_by, _rate_ratios, _replicates, _sample, _sweep, mean_se_of_counts
 from .twotype import PathRecord, TwoTypeParams, _jump_endpoints, _jump_path, stationary_density_eval
 from .twotype import stationary_law as _neutral_stationary_law
 
@@ -677,23 +677,20 @@ def ua_time_ensemble(n: int, beta: float, size: int, rng: RngStream) -> np.ndarr
 def asg_stationary(beta: float, i: int) -> float:
     """Stationary mass pi_i = (2/beta) (i-1)! / (1 + 2/beta)_(i).
 
-    Rational arithmetic up to i = 64, log-gamma beyond; beta = 2 gives
-    exactly 1/(i (i+1)).
+    Up to i = LINE_LAW_N_CAP one integer ratio, rounded once, over _rate_ratios
+    at theta = beta: D (i-1)! T^(i-1) / (d[1] ... d[i]).  Log-gamma beyond;
+    beta = 2 gives exactly 1/(i (i+1)).
     """
     check_int("i", i, 1)
     check_real("beta", beta, 0.0, math.inf, open_lo=True, open_hi=True)
-    if i <= 64:
-        from fractions import Fraction
-
-        a = Fraction(2) / Fraction(beta)
-        val = a * math.factorial(i - 1)
-        for m in range(1, i + 1):
-            val /= a + m
-        return float(val)
-    a = 2.0 / beta
-    return math.exp(
-        math.log(a) + math.lgamma(i) + math.lgamma(a + 1.0) - math.lgamma(a + 1.0 + i)
-    )
+    try:
+        T, D, d = _rate_ratios(beta, i, "stationary dual law")
+    except InvalidParameterError:  # i above the cap
+        a = 2.0 / beta
+        return math.exp(
+            math.log(a) + math.lgamma(i) + math.lgamma(a + 1.0) - math.lgamma(a + 1.0 + i)
+        )
+    return D * math.factorial(i - 1) * T ** (i - 1) / math.prod(d[1:])
 
 
 def asg_stationary_gf(beta: float, y: float) -> float:

@@ -31,7 +31,6 @@ from .core import (
 from .core import _blocks, _check_work, _replicates, _sample, _sweep
 
 __all__ = [
-    "LineKernel",
     "PathRecord",
     "line_kernel",
     "marginal_q",
@@ -49,23 +48,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LineKernel:
-    """Single-line type-change probabilities over a fixed horizon.
-
-    Entry ij is the probability a line of type i at time 0 is of type j at
-    the horizon, given no replacement event occurred.
-    """
-
-    p11: float
-    p12: float
-    p21: float
-    p22: float
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.p11, self.p12], [self.p21, self.p22]])
-
-
-@dataclass(frozen=True)
 class PathRecord:
     """A simulated forward trajectory.
 
@@ -78,8 +60,8 @@ class PathRecord:
     final_frequency: float
 
 
-def line_kernel(params: TwoTypeParams, t: float) -> LineKernel:
-    """Mutation-only transition matrix of a single line over (0, t).
+def line_kernel(params: TwoTypeParams, t: float) -> np.ndarray:
+    """Mutation-only 2x2 matrix: entry ij is P(a type-i line is of type j at t).
 
     A line keeps its type unless at least one mutation occurs (probability
     1 - e^{-theta t/2}), in which case the last mutation decides the type,
@@ -89,7 +71,7 @@ def line_kernel(params: TwoTypeParams, t: float) -> LineKernel:
     e = math.exp(-0.5 * params.theta * t)
     m = -math.expm1(-0.5 * params.theta * t)
     p = params.p
-    return LineKernel(p11=e + m * p, p12=m * (1.0 - p), p21=m * p, p22=e + m * (1.0 - p))
+    return np.array([[e + m * p, m * (1.0 - p)], [m * p, e + m * (1.0 - p)]])
 
 
 def marginal_q(params: TwoTypeParams, x: float, t: float) -> tuple[float, float]:
@@ -333,6 +315,11 @@ def transition_moment(params: TwoTypeParams, n: int, x: float, t: float) -> floa
         * -math.expm1(-(1.0 + 0.5 * (n - 1) * theta) * t)
     )
     return main + stat + cross
+
+
+def _raw_moment(params: TwoTypeParams, n: int, x: float, t: float) -> float:
+    """E_x[xi(t)^n] = sum_k C(n,k) p^(n-k) E_x[(xi(t) - p)^k], summed by fsum."""
+    return math.fsum(math.comb(n, k) * params.p ** (n - k) * transition_moment(params, k, x, t) for k in range(n + 1))
 
 
 def sample_transition(params: TwoTypeParams, x: float, t: float, rng: RngStream, size=None):

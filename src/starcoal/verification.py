@@ -491,7 +491,7 @@ def _suite_multitype(seed: int) -> list[tuple]:
         for p in (0.3, 0.5):
             par = TwoTypeParams(theta=theta, p=p)
             mp = MultiParams(theta=theta, p_vec=(p, 1.0 - p))
-            kdev = np.max(np.abs(pim_line_kernel(mp, 0.7) - line_kernel(par, 0.7).as_matrix()))
+            kdev = np.max(np.abs(pim_line_kernel(mp, 0.7) - line_kernel(par, 0.7)))
             embeds.append((float(kdev), (theta, p)))
             for x in (0.2, 0.7):
                 for t in (0.5, 2.0):

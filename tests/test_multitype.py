@@ -85,9 +85,7 @@ def test_pim_line_kernel_embeds_two_type():
     mp = MultiParams(theta=theta, p_vec=(p, 1.0 - p))
     for t in (0.0, 0.4, 2.5):
         got = pim_line_kernel(mp, t)
-        assert got == pytest.approx(
-            line_kernel(TwoTypeParams(theta=theta, p=p), t).as_matrix(), abs=1e-15
-        )
+        assert got == pytest.approx(line_kernel(TwoTypeParams(theta=theta, p=p), t), abs=1e-15)
     k3 = pim_line_kernel(MP3, 0.8)
     assert k3.sum(axis=1) == pytest.approx(np.ones(3), abs=1e-15)
 

@@ -10,6 +10,7 @@ the flow closed forms.
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from scipy.stats import kstest
 import starcoal.selection as selection
 import starcoal.verification as verification
 from starcoal.core import (
+    LINE_LAW_N_CAP,
     DomainEscapeError,
     InvalidParameterError,
     NoStationaryDistributionError,
@@ -501,9 +503,20 @@ def test_ua_time_is_unit_exponential():
         ua_time_ensemble(2, 2.0, -1, RngStream(0))
 
 
-def test_asg_stationary():
-    from fractions import Fraction
+def _asg_stationary_oracle(beta: float, i: int) -> float:
+    """pi_i = a (i-1)! / ((a+1) ... (a+i)), a = 2/beta, in exact Fractions."""
+    a = Fraction(2) / Fraction(beta)
+    val = a * math.factorial(i - 1)
+    for m in range(1, i + 1):
+        val /= a + m
+    return float(val)
 
+
+def test_asg_stationary():
+    # The integer ratio rounds the exact rational once, as the oracle does.
+    for beta in (1e-3, 0.1, 0.37, 1.3, 1.7, 2.0, 5.3, 123.456):
+        for i in range(1, 65):
+            assert asg_stationary(beta, i) == _asg_stationary_oracle(beta, i)
     # beta = 2 collapses to 1/(i(i+1)), exactly.
     for i in (1, 2, 7, 20):
         assert asg_stationary(2.0, i) == float(Fraction(1, i * (i + 1)))
@@ -514,10 +527,11 @@ def test_asg_stationary():
         out_rate = asg_stationary(beta, i) * (0.5 * beta * i + 1.0)
         in_rate = asg_stationary(beta, i - 1) * 0.5 * beta * (i - 1.0)
         assert out_rate == pytest.approx(in_rate, rel=1e-12)
-    # The rational and log-gamma branches agree across the switch at 64.
-    lo = asg_stationary(1.7, 64)
-    hi = asg_stationary(1.7, 65)
-    assert hi / lo == pytest.approx(64.0 / (2.0 / 1.7 + 65.0), rel=1e-10)
+    # The integer-ratio and log-gamma branches agree across the switch at the cap.
+    i = LINE_LAW_N_CAP
+    lo = asg_stationary(1.7, i)
+    hi = asg_stationary(1.7, i + 1)
+    assert hi / lo == pytest.approx(i / (2.0 / 1.7 + i + 1.0), rel=1e-10)
     with pytest.raises(InvalidParameterError):
         asg_stationary(2.0, 0)
 

@@ -52,12 +52,12 @@ def test_marginal_q_flow():
 
 def test_line_kernel_rows():
     k = line_kernel(PAR_B, 0.9)
-    assert k.p11 + k.p12 == pytest.approx(1.0, abs=1e-15)
-    assert k.p21 + k.p22 == pytest.approx(1.0, abs=1e-15)
-    assert line_kernel(PAR_B, 0.0).as_matrix() == pytest.approx(np.eye(2))
+    assert k[0, 0] + k[0, 1] == pytest.approx(1.0, abs=1e-15)
+    assert k[1, 0] + k[1, 1] == pytest.approx(1.0, abs=1e-15)
+    assert line_kernel(PAR_B, 0.0) == pytest.approx(np.eye(2))
     far = line_kernel(PAR_B, 60.0)
-    assert far.p11 == pytest.approx(0.6, abs=1e-12)
-    assert far.p21 == pytest.approx(0.6, abs=1e-12)
+    assert far[0, 0] == pytest.approx(0.6, abs=1e-12)
+    assert far[1, 0] == pytest.approx(0.6, abs=1e-12)
     with pytest.raises(InvalidParameterError):
         line_kernel(PAR_B, math.nan)
 

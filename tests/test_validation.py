@@ -12,6 +12,7 @@ values are few in kind (NaN, an infinity, a value below or above the
 range), so 30 examples per entry point cover them.
 """
 
+import json
 import math
 import signal
 
@@ -307,14 +308,14 @@ HUGE_HORIZONS = {
 }
 
 
-def _within_a_second(call):
-    """call(), failed by an alarm if it has not returned within 1 s."""
+def _in_time(call, seconds=1.0):
+    """call(), failed by an alarm if it has not returned within seconds."""
 
     def expire(*_):
-        raise TimeoutError("no answer within 1 s")
+        raise TimeoutError(f"no answer within {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         return call()
     finally:
@@ -327,7 +328,7 @@ def test_huge_horizons_abort_before_any_draw(name):
     mine = rng()
     horizon = HUGE_N + 1 if name.startswith("lines.") else "1e\\+308"
     with pytest.raises(core.SimulationAbortError, match=rf"{name} to horizon {horizon} with \d+ replicates exceeds SIM_WORK_CAP"):
-        _within_a_second(lambda: HUGE_HORIZONS[name](mine))
+        _in_time(lambda: HUGE_HORIZONS[name](mine))
     assert mine.gen.random() == rng().gen.random()
 
 
@@ -336,7 +337,7 @@ def test_cli_huge_horizon_exits_with_an_error(capsys):
         ["simulate", "fv", "--theta", "1.0", "--p", "0.3", "--x", "0.5", "--t", "1e308", "--seed", "1"],
         ["simulate", "lines", "--n", str(HUGE_N), "--theta", "1", "--seed", "1"],
     ):
-        assert _within_a_second(lambda: cli.main(argv)) == 1
+        assert _in_time(lambda: cli.main(argv)) == 1
         assert "SIM_WORK_CAP" in capsys.readouterr().err
 
 
@@ -346,12 +347,12 @@ def test_line_laws_past_the_cap_raise_at_once(law):
     # they raise before any of it, at a full-mantissa theta and t too.
     n = core.LINE_LAW_N_CAP + 1
     with pytest.raises(InvalidParameterError, match=rf"^line-count law for n={n}, theta=0\.1 exceeds LINE_LAW_N_CAP = {n - 1}$"):
-        _within_a_second(lambda: law(n, 0.1, 0.3))
+        _in_time(lambda: law(n, 0.1, 0.3))
 
 
 def test_cli_line_law_past_the_cap_exits_with_an_error(capsys):
     argv = ["lines", "--n", "100000", "--theta", "0.1", "--t-grid", "0.3"]
-    assert _within_a_second(lambda: cli.main(argv)) == 1
+    assert _in_time(lambda: cli.main(argv)) == 1
     assert "LINE_LAW_N_CAP" in capsys.readouterr().err
 
 
@@ -363,10 +364,39 @@ def test_infinite_sampling_prob_past_the_cap_raises_at_once():
         InvalidParameterError,
         match=rf"^infinite-types sampling law for n={n}, theta=0\.1 exceeds LINE_LAW_N_CAP = {n - 1}$",
     ):
-        _within_a_second(lambda: multitype.infinite_sampling_prob(n, n // 2, 0.1))
+        _in_time(lambda: multitype.infinite_sampling_prob(n, n // 2, 0.1))
 
 
 def test_cli_sampling_law_past_the_cap_exits_with_an_error(capsys):
     argv = ["multitype", "--theta", "0.1", "--n", "100000"]
-    assert _within_a_second(lambda: cli.main(argv)) == 1
+    assert _in_time(lambda: cli.main(argv)) == 1
     assert "LINE_LAW_N_CAP" in capsys.readouterr().err
+
+
+def test_mean_absorption_time_past_the_cap_raises_at_once():
+    # Its product of n big integers grows about as n^2 in work, faster at a
+    # full-mantissa theta: about 53 s at n = 1e5, theta = 0.1 uncapped.
+    n = core.LINE_LAW_N_CAP + 1
+    with pytest.raises(
+        InvalidParameterError,
+        match=rf"^mean absorption time for n={n}, theta=0\.1 exceeds LINE_LAW_N_CAP = {n - 1}$",
+    ):
+        _in_time(lambda: lines.mean_absorption_time(n, 0.1))
+
+
+def test_cli_simulated_lines_past_the_cap_exit_with_an_error(capsys):
+    # The ensemble runs first and passes SIM_WORK_CAP; the exact mean then raises.
+    argv = ["simulate", "lines", "--n", "100000", "--theta", "0.1", "--n-mc", "2", "--seed", "1"]
+    assert _in_time(lambda: cli.main(argv), 2.0) == 1
+    assert "LINE_LAW_N_CAP" in capsys.readouterr().err
+
+
+def test_cli_eigen_table_is_linear_in_n(capsys):
+    # Each row prints c0 and c1 only, not the whole P_n of n + 1 coefficients.
+    assert _in_time(lambda: cli.main(["eigen", "--theta", "1.3", "--p", "0.35", "--n", "20000", "--format", "json"]), 2.0) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 20001
+    par = TwoTypeParams(1.3, 0.35)
+    for n, value, c0, c1 in rows[:13]:
+        g = eigen.eigen_poly(par, n)
+        assert (value, c0, c1) == (eigen.eigenvalue(par, n), g.coefficient(0), g.coefficient(1))
