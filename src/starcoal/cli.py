@@ -146,6 +146,7 @@ def _cmd_stationary(args, parser) -> int:
 
 
 def _cmd_moments(args, parser) -> int:
+    check_int("n_max", args.n_max, 0)
     par = TwoTypeParams(theta=args.theta, p=args.p)
     rows = []
     for n in range(args.n_max + 1):
@@ -157,6 +158,7 @@ def _cmd_moments(args, parser) -> int:
 
 
 def _cmd_eigen(args, parser) -> int:
+    check_int("n", args.n, 0)
     par = TwoTypeParams(theta=args.theta, p=args.p)
     rows = []
     for n in range(args.n + 1):
@@ -206,6 +208,8 @@ def _cmd_simulate(args, parser) -> int:
 
 
 def _cmd_multitype(args, parser) -> int:
+    if args.n is not None:
+        check_int("n", args.n, 1)
     rows = []
     params: list[tuple[str, object]] = [("theta", args.theta)]
     if args.p_vec is not None:

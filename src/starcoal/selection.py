@@ -39,7 +39,7 @@ from .core import (
     quad_offset,
 )
 from .core import _check_work, _quad_led_by, _rate_ratios, _replicates, _sample, _sweep, mean_se_of_counts
-from .twotype import PathRecord, TwoTypeParams, _jump_endpoints, _jump_path, stationary_density_eval
+from .twotype import PathRecord, TwoTypeParams, _jump_endpoints, _jump_path, transition_density_eval
 from .twotype import stationary_law as _neutral_stationary_law
 
 __all__ = [
@@ -443,12 +443,12 @@ def stationary_density(drift: DriftSpec, xi: float) -> float:
     t_i(xi) is the flow time from endpoint i to xi; a branch contributes
     only where its orbit passes, above the equilibrium for the flow from 1
     and below it for the flow from 0.  The equilibrium itself has measure
-    zero and returns 0.  Neutral drift is the two-type stationary density,
-    evaluated by twotype.stationary_density_eval.
+    zero and returns 0.  Neutral drift is the two-type transition density at
+    t = inf, from x = p.
     """
     check_real("xi", xi, 0.0, 1.0)
     if drift.kind == "neutral":
-        return 0.0 if xi == drift.p else stationary_density_eval(TwoTypeParams(drift.theta, drift.p), xi)
+        return transition_density_eval(TwoTypeParams(drift.theta, drift.p), drift.p, math.inf, xi)
     pi1, pi2 = replacement_stationary(drift)
     if drift.kind == "mutation_selection":
         rp = roots(drift.theta, drift.beta, drift.p)

@@ -5,15 +5,15 @@ and between replacements each line mutates at rate theta/2, choosing type 1
 with probability p.  Conditioning on the last replacement time gives every
 law in closed form: the transition law is an atom (no replacement yet) plus
 two density pieces, one per replacement type, separated by a gap of zero
-density.  This module evaluates those laws, their moments, the per-
-replacement-count decomposition of the density, and provides exact samplers
-and a forward path simulator.
+density; at t = inf it is the stationary law.  This module evaluates those
+laws, their moments, the per-replacement-count decomposition of the density,
+and provides exact samplers and a forward path simulator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,21 +115,21 @@ def transition_law(params: TwoTypeParams, x: float, t: float) -> MixedLaw:
     branch over the last-replacement time gives
     p(1-e^{-t}) + (x-p) K(theta,t) with K the replacement decay integral.
     A piece narrower than an ulp of its far edge holds no float strictly
-    inside, so its mass becomes an atom at that edge.
+    inside, so its mass becomes an atom at that edge.  At t = inf the atom
+    and every x - p term vanish (K = 0), leaving the stationary law.
 
     Args:
         params: mutation parameters.
         x: initial frequency in [0, 1].
-        t: horizon; t = 0 returns the point mass at x.
+        t: horizon; t = 0 returns the point mass at x, t = inf the
+            stationary law.
 
     Returns:
         MixedLaw with exact component masses.
     """
     check_real("x", x, 0.0, 1.0)
-    check_real("t", t, 0.0, math.inf, open_hi=True)
+    check_real("t", t, 0.0, math.inf)
     label = f"transition_law(theta={params.theta!r}, p={params.p!r}, x={x!r}, t={t!r})"
-    if t == 0.0:
-        return MixedLaw(atoms=((x, 1.0),), pieces=(), label=label)
     theta, p, q = params.theta, params.p, 1.0 - params.p
     a = 2.0 / theta
     delta = 1.0 - 0.5 * theta
@@ -137,7 +137,7 @@ def transition_law(params: TwoTypeParams, x: float, t: float) -> MixedLaw:
     mix = -math.expm1(-0.5 * theta * t)
     atom_mass = math.exp(-t)
     s = -math.expm1(-t)
-    big_k = replacement_decay_integral(theta, t)
+    big_k = replacement_decay_integral(theta, t) if t < math.inf else 0.0
     # Shared subexpressions so the atom lands exactly on a gap edge when
     # x is 0 or 1; p + (x-p) eh would differ from the edge by an ulp.
     q1 = x * eh + p * mix
@@ -148,11 +148,12 @@ def transition_law(params: TwoTypeParams, x: float, t: float) -> MixedLaw:
 
     def cdf_up(xi: float, _p=p, _x=x, _a=a, _d=delta, _t=t, _am=atom_mass) -> float:
         w = (xi - _p) / (1.0 - _p)
-        return _p * (w**_a - _am) + (_x - _p) * exp_decay_window(_d, _t, _t + _a * math.log(w))
+        win = exp_decay_window(_d, _t, _t + _a * math.log(w)) if _t < math.inf else 0.0
+        return _p * (w**_a - _am) + (_x - _p) * win
 
     def cdf_lo(xi: float, _p=p, _x=x, _a=a, _d=delta, _t=t, _K=big_k) -> float:
         v = 1.0 - xi / _p
-        win = exp_decay_window(_d, _t, _t + _a * math.log(v))
+        win = exp_decay_window(_d, _t, _t + _a * math.log(v)) if _t < math.inf else 0.0
         return (1.0 - _p) * (1.0 - v**_a) - (_x - _p) * (_K - win)
 
     # Densities in the offset d from the piece edge nearest p: both branches
@@ -215,51 +216,24 @@ def transition_density_eval(params: TwoTypeParams, x: float, t: float, xi: float
 
 
 def stationary_law(params: TwoTypeParams) -> MixedLaw:
-    """Stationary law: no atom, one density piece each side of p.
+    """Stationary law: transition_law at t = inf, labelled as this call.
 
-    The side above p carries mass p (the last replacement was type 1) and
-    density p (2/theta) w^{2/theta - 1} / (1-p) with w = (xi-p)/(1-p); the
-    side below p mirrors it with mass 1-p.  At theta = 2, p = 1/2 both
-    branches are constant 1, the Uniform(0,1) law.
+    Mass p above p with density p (2/theta) w^{2/theta - 1} / (1-p),
+    w = (xi-p)/(1-p), mirrored below p with mass 1-p; Uniform(0,1) at
+    theta = 2, p = 1/2.
     """
-    theta, p, q = params.theta, params.p, 1.0 - params.p
-    a = 2.0 / theta
-    pieces = (
-        Piece(
-            lower=p,
-            upper=1.0,
-            mass=p,
-            cdf=lambda xi, _p=p, _a=a: _p * ((xi - _p) / (1.0 - _p)) ** _a,
-            offset_density=lambda d: _branch_density(p, 0.0, 0.0, d / q, (q - d) / q, a, q),
-            offset_side="lower",
-            offset_width=q,
-        ),
-        Piece(
-            lower=0.0,
-            upper=p,
-            mass=q,
-            cdf=lambda xi, _p=p, _a=a: (1.0 - _p) * (1.0 - (1.0 - xi / _p) ** _a),
-            offset_density=lambda d: _branch_density(q, 0.0, 0.0, d / p, (p - d) / p, a, p),
-            offset_side="upper",
-            offset_width=p,
-        ),
-    )
-    return MixedLaw(atoms=(), pieces=pieces, label=f"stationary_law(theta={theta!r}, p={p!r})")
+    law = transition_law(params, params.p, math.inf)
+    return replace(law, label=f"stationary_law(theta={params.theta!r}, p={params.p!r})")
 
 
 def stationary_density_eval(params: TwoTypeParams, xi: float) -> float:
-    """Pointwise stationary density with the xi >= p branch at the split.
-
-    At xi = p the two one-sided limits agree except when theta = 2 with
-    p != 1/2; the upper branch value is returned there.  An infinite limit
-    (theta > 2) is reported as inf rather than raising.
-    """
+    """Pointwise stationary density: transition_density_eval at t = inf, and
+    at xi = p the upper branch's limit (inf for theta > 2), which the lower
+    one matches except at theta = 2 with p != 1/2."""
     check_real("xi", xi, 0.0, 1.0)
-    theta, p, q = params.theta, params.p, 1.0 - params.p
-    a = 2.0 / theta
-    if xi >= p:
-        return float(_branch_density(p, 0.0, 0.0, (xi - p) / q, (1.0 - xi) / q, a, q))
-    return float(_branch_density(q, 0.0, 0.0, 1.0 - xi / p, xi / p, a, p))
+    if xi == params.p:
+        return float(_branch_density(params.p, 0.0, 0.0, 0.0, 1.0, 2.0 / params.theta, 1.0 - params.p))
+    return transition_density_eval(params, params.p, math.inf, xi)
 
 
 def stationary_sample(params: TwoTypeParams, rng: RngStream, size=None):

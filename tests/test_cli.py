@@ -392,6 +392,25 @@ def test_simulate_rejects_single_replicate(capsys, kind_args):
     assert err.startswith("error: ") and "n_mc" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["moments", "--theta", "1", "--p", "0.3", "--x", "0.5", "--n-max", "-1", "--t-grid", "1"],
+         "n_max must be an integer >= 0, got -1"),
+        (["eigen", "--theta", "1", "--p", "0.3", "--n", "-1"], "n must be an integer >= 0, got -1"),
+        (["multitype", "--theta", "1", "--n", "-2"], "n must be an integer >= 1, got -2"),
+    ],
+    ids=["moments", "eigen", "multitype"],
+)
+def test_negative_sizes_exit_on_the_library_message(capsys, argv, message):
+    # A size below its minimum once printed an empty table, or for
+    # multitype a usage error that named no size.
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_simulate_fv_rejects_infinite_time():
     # An infinite horizon once spun the jump loop forever, so the command
     # runs in a child process whose timeout turns a hang into a failure.

@@ -273,6 +273,27 @@ def test_stationary_moment_values():
     assert moments(0) == (1.0, 1.0)
 
 
+@pytest.mark.parametrize("par", [PAR_A, PAR_B, PAR_C])
+def test_stationary_law_is_transition_law_at_infinity(par):
+    # At t = inf the atom and every trace of the start x are gone; the
+    # stationary law is that call, relabelled.
+    stat = stationary_law(par)
+    assert stat.label == f"stationary_law(theta={par.theta!r}, p={par.p!r})"
+    assert [(pc.lower, pc.upper, pc.mass) for pc in stat.pieces] == [(par.p, 1.0, par.p), (0.0, par.p, 1.0 - par.p)]
+    grid = [k / 64 for k in range(65)]
+    fields = lambda pc: (pc.lower, pc.upper, pc.mass, pc.offset_side, pc.offset_width)
+    for x in (0.0, 0.3, par.p, 1.0):
+        law = transition_law(par, x, math.inf)
+        assert law.label == f"transition_law(theta={par.theta!r}, p={par.p!r}, x={x!r}, t=inf)"
+        assert law.atoms == stat.atoms == ()
+        for pc, ref in zip(law.pieces, stat.pieces, strict=True):
+            assert fields(pc) == fields(ref)
+            d = np.linspace(0.0, pc.offset_width, 33)
+            np.testing.assert_array_equal(pc.offset_density(d), ref.offset_density(d))
+        assert [law.cdf(xi) for xi in grid] == [stat.cdf(xi) for xi in grid]
+        assert law.quadrature_mass() == stat.quadrature_mass()
+
+
 def test_stationary_law_cdf_and_sampling():
     law = stationary_law(PAR_C)
     p, half = PAR_C.p, 0.5 * PAR_C.theta

@@ -80,7 +80,7 @@ CASES = {
     "twotype.marginal_q": (
         lambda x=0.4, t=1.0: twotype.marginal_q(PAR, x, t), {"x": UNIT, "t": TIME_INF}),
     "twotype.transition_law": (
-        lambda x=0.4, t=1.0: twotype.transition_law(PAR, x, t), {"x": UNIT, "t": TIME}),
+        lambda x=0.4, t=1.0: twotype.transition_law(PAR, x, t), {"x": UNIT, "t": TIME_INF}),
     "twotype.transition_density_eval": (
         lambda x=0.4, t=1.0, xi=0.9: twotype.transition_density_eval(PAR, x, t, xi),
         {"x": UNIT, "t": TIME_POS_INF, "xi": ANY}),
