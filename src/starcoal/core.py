@@ -270,8 +270,9 @@ def _blocks(size: int):
 SIM_WORK_CAP = 1e9
 
 # The largest n of the exact line-count laws, which grow as n^2 to n^3 in
-# big-integer work.  At n = 2000, theta = 0.1, t = 0.3 the direct law takes
-# about 1 s and the spectral one about 11 s.
+# big-integer work, and of eigen_poly's P_n, which holds n + 1 floats.  At
+# n = 2000, theta = 0.1, t = 0.3 the direct law takes about 1 s and the
+# spectral one about 11 s.
 LINE_LAW_N_CAP = 2000
 
 

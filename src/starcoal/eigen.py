@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (
+    LINE_LAW_N_CAP,
     InvalidParameterError,
     TwoTypeParams,
     _quad_led_by,
@@ -41,8 +42,7 @@ __all__ = [
 class PolyRep:
     """Polynomial stored by coefficients in powers of (x - shift).
 
-    coeffs[k] multiplies (x - shift)^k.  The tuple may carry trailing zeros;
-    degree reports the largest index with a non-zero entry.
+    coeffs[k] multiplies (x - shift)^k.  The tuple may carry trailing zeros.
     """
 
     shift: float
@@ -54,13 +54,6 @@ class PolyRep:
         for k, c in enumerate(self.coeffs):
             check_real(f"coeffs[{k}]", c, -math.inf, math.inf, open_lo=True, open_hi=True)
         check_real("shift", self.shift, -math.inf, math.inf, open_lo=True, open_hi=True)
-
-    @property
-    def degree(self) -> int:
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[k] != 0.0:
-                return k
-        return 0
 
     def coefficient(self, k: int) -> float:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0.0
@@ -118,9 +111,12 @@ def eigen_poly(params: TwoTypeParams, n: int) -> PolyRep:
 
     P_0 = 1, P_1 = x - p, and for n >= 2 the pure power is corrected by a
     linear and a constant term so the low-degree output of the generator
-    cancels.
+    cancels.  It holds n + 1 floats, so n above LINE_LAW_N_CAP raises before
+    any allocation.
     """
     check_int("n", n, 0)
+    if n > LINE_LAW_N_CAP:
+        raise InvalidParameterError(f"eigen polynomial for n={n!r} exceeds LINE_LAW_N_CAP = {LINE_LAW_N_CAP}")
     if n == 0:
         return PolyRep(params.p, (1.0,))
     if n == 1:

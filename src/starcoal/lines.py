@@ -107,15 +107,16 @@ def an_distribution(n: int, theta: float, t: float) -> LineDist:
 
 
 def _spectral_pairs(n: int, theta: float):
-    """q[k], the rows p[j][.] and the factors r[k] as integer (num, den) pairs.
+    """q[k], the rows p[0][.] and p[1][.] and the factors r[k] as integer
+    (num, den) pairs.
 
     With (T, D, d) from _rate_ratios, 1 + m theta/2 = d[m] / D.  Returns
-    (q, rows, r, Lq): rows yields p[0], ..., p[n] one at a time, p[j][k] =
-    (-1)^{j+1} C(k,j) r[k] for j >= 2, and Lq[k] is L over q[k]'s
-    denominator, L = Lq[0] = d[0] ... d[n-1] being that of q[1].  The
-    spectral law sums rows 0 and 1 by Horner and rows j >= 2 by one Taylor
-    shift of E_k = q[k] r[k]; no pair holds a survival term of an_distribution,
-    which forms no q or p, so the two routes stay independent.
+    (q, rows, r, Lq): rows is (p[0], p[1]), and Lq[k] is L over q[k]'s
+    denominator, L = Lq[0] = d[0] ... d[n-1] being that of q[1].  The rows
+    j >= 2 are p[j][k] = (-1)^{j+1} C(k,j) r[k]; the spectral law sums rows
+    0 and 1 by Horner and the others by one Taylor shift of E_k = q[k] r[k].
+    No pair holds a survival term of an_distribution, which forms no q or
+    p, so the two routes stay independent.
     """
     T, D, d = _rate_ratios(theta, n, "line-count law")
     L = math.prod(d[:n])
@@ -124,16 +125,8 @@ def _spectral_pairs(n: int, theta: float):
     q1 = n * L + D * sum(sign[k] * math.comb(n, k) * Lq[k] for k in range(2, n + 1))
     q = [(1, 1), (q1, L)] + [(sign[k] * math.comb(n, k) * (k - 1) * d[k], d[k - 1]) for k in range(2, n + 1)]
     r = [(1, 1)] * 2 + [(d[k - 1], (k - 1) * d[k]) for k in range(2, n + 1)]  # k = 0, 1 pad: C(k,j) = 0
-
-    def rows():
-        yield [(1, 1), (-1, 1)] + [(-T, d[k]) for k in range(2, n + 1)]
-        yield [(0, 1)] + [(1, 1)] * n
-        col = list(range(n + 1))  # C(k, j) for k = 0..n, one Pascal step per j
-        for j in range(2, n + 1):
-            col = [0] * j + list(itertools.accumulate(col[j - 1 : n]))
-            yield [(sign[j] * ck * rn, rd) for ck, (rn, rd) in zip(col, r)]
-
-    return q, rows(), r, Lq
+    rows = ([(1, 1), (-1, 1)] + [(-T, d[k]) for k in range(2, n + 1)], [(0, 1)] + [(1, 1)] * n)
+    return q, rows, r, Lq
 
 
 def an_distribution_spectral(n: int, theta: float, t: float) -> LineDist:
@@ -163,7 +156,7 @@ def an_distribution_spectral(n: int, theta: float, t: float) -> LineDist:
             raise InvalidParameterError(f"spectral weights for n={n!r}, theta={theta!r} are not integers")
         return quo
 
-    for row in itertools.islice(rows, 2):
+    for row in rows:
         # The weights q[k] p[j][k] over L = Lq[0] are integers, summed by Horner in A
         # over e^{-t} p^k = B A^k 2^{a(n-k)} / 2^shift; k = 0, 1 have factors 1, p.
         w = [exact(qn * pn, pd) * Lk for (qn, _), (pn, pd), Lk in zip(q, row, Lq)]

@@ -490,8 +490,8 @@ def stationary_law(drift: DriftSpec) -> MixedLaw:
     Neutral drift reuses the two-type law.  Mutation with selection splits
     at the interior equilibrium r1: branch masses (pi2, pi1) and exact cdfs
     from the inverse flow (the factor e^{-t(xi)} is the decay term of the
-    density).  Each branch writes its density once, in the offset from r1,
-    since the absolute coordinate cannot resolve the factor
+    density).  One function builds both branches, writing the density in
+    the offset from r1, since the absolute coordinate cannot resolve the factor
     |xi - r1|^{1/g - 1} within an ulp of the root.  Custom drifts have no
     closed inverse and are served pointwise by stationary_density instead.
     """
@@ -513,42 +513,27 @@ def stationary_law(drift: DriftSpec) -> MixedLaw:
     expo = 1.0 / rp.decay_rate
     half_beta = 0.5 * drift.beta
 
-    def dens_lo_off(d: float) -> float:
-        back = gap - d
-        return pi2 * (d * (-r2) / (back * r1)) ** expo / (half_beta * d * back)
+    def flow_piece(end: float, mass: float) -> Piece:
+        """The flow from end (0.0 or 1.0) toward r1, in the offset d from r1,
+        where xi - r2 = gap + sign d; r2 < 0 < r1 < 1 make far = end - r2 and
+        near = |end - r1| exact and positive."""
+        sign = 1.0 if end else -1.0
+        far, near = end - r2, sign * (end - r1)
 
-    def cdf_lo(z: float) -> float:
-        return pi2 * (1.0 - ((r1 - z) * (-r2) / ((z - r2) * r1)) ** expo)
+        def density(d):
+            span = gap + sign * d
+            return mass * (d * far / (span * near)) ** expo / (half_beta * d * span)
 
-    def dens_up_off(d: float) -> float:
-        fwd = gap + d
-        return pi1 * (d * (1.0 - r2) / (fwd * (1.0 - r1))) ** expo / (half_beta * d * fwd)
+        def cdf(z: float) -> float:
+            u = (sign * (z - r1) * far / ((z - r2) * near)) ** expo
+            return mass * (u if end else 1.0 - u)
 
-    def cdf_up(z: float) -> float:
-        return pi1 * ((z - r1) * (1.0 - r2) / ((z - r2) * (1.0 - r1))) ** expo
+        lower, upper = (r1, end) if end else (end, r1)
+        return Piece(lower, upper, mass, cdf, density, "lower" if end else "upper", near)
 
     return MixedLaw(
         atoms=(),
-        pieces=(
-            Piece(
-                lower=0.0,
-                upper=r1,
-                mass=pi2,
-                cdf=cdf_lo,
-                offset_density=dens_lo_off,
-                offset_side="upper",
-                offset_width=r1,
-            ),
-            Piece(
-                lower=r1,
-                upper=1.0,
-                mass=pi1,
-                cdf=cdf_up,
-                offset_density=dens_up_off,
-                offset_side="lower",
-                offset_width=1.0 - r1,
-            ),
-        ),
+        pieces=(flow_piece(0.0, pi2), flow_piece(1.0, pi1)),
         label=f"selection stationary_law(theta={drift.theta!r}, p={drift.p!r}, beta={drift.beta!r})",
     )
 

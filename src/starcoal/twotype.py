@@ -142,53 +142,41 @@ def transition_law(params: TwoTypeParams, x: float, t: float) -> MixedLaw:
     # x is 0 or 1; p + (x-p) eh would differ from the edge by an ulp.
     q1 = x * eh + p * mix
 
+    def branch(end, weight, shift, scale, mass):
+        """One replacement branch: type 1 above p (end 1.0), type 2 below (end 0.0).
+
+        Its density is written in the offset d from the piece edge nearest
+        p, where both branches have a boundary layer of width eh that the
+        absolute coordinate cannot resolve once eh is below an ulp of p.
+        Its cdf is the head form above p and the tail form below.  None
+        when massless, else the Piece or its edge atom.
+        """
+        if not mass > 0.0:
+            return None
+        width = scale * mix
+        lower, upper = (eh + p * mix, 1.0) if end else (0.0, width)
+        if not lower < upper:
+            return end, mass
+
+        def cdf(xi, _end=end, _w=weight, _s=shift, _c=scale, _p=p, _a=a, _d=delta, _t=t, _am=atom_mass, _K=big_k):
+            v = (xi - _p) / _c if _end else 1.0 - xi / _c
+            win = exp_decay_window(_d, _t, _t + _a * math.log(v)) if _t < math.inf else 0.0
+            return _w * (v**_a - _am) + _s * win if _end else _w * (1.0 - v**_a) + _s * (_K - win)
+
+        return Piece(
+            lower=lower,
+            upper=upper,
+            mass=mass,
+            cdf=cdf,
+            offset_density=lambda d: _branch_density(weight, eh, shift, eh + d / scale, (width - d) / scale, a, scale),
+            offset_side="lower" if end else "upper",
+            offset_width=width,
+        )
+
     mass_up = p * s + (x - p) * big_k
-    mass_lo = s - mass_up
-    width_up, width_lo = q * mix, p * mix
-
-    def cdf_up(xi: float, _p=p, _x=x, _a=a, _d=delta, _t=t, _am=atom_mass) -> float:
-        w = (xi - _p) / (1.0 - _p)
-        win = exp_decay_window(_d, _t, _t + _a * math.log(w)) if _t < math.inf else 0.0
-        return _p * (w**_a - _am) + (_x - _p) * win
-
-    def cdf_lo(xi: float, _p=p, _x=x, _a=a, _d=delta, _t=t, _K=big_k) -> float:
-        v = 1.0 - xi / _p
-        win = exp_decay_window(_d, _t, _t + _a * math.log(v)) if _t < math.inf else 0.0
-        return (1.0 - _p) * (1.0 - v**_a) - (_x - _p) * (_K - win)
-
-    # Densities in the offset d from the piece edge nearest p: both branches
-    # have a boundary layer of width eh there that the absolute coordinate
-    # cannot resolve once eh is below an ulp of p.
-    pieces, atoms = [], []
-    lower = eh + p * mix
-    if mass_up > 0.0 and lower < 1.0:
-        pieces.append(
-            Piece(
-                lower=lower,
-                upper=1.0,
-                mass=mass_up,
-                cdf=cdf_up,
-                offset_density=lambda d: _branch_density(p, eh, x - p, eh + d / q, (width_up - d) / q, a, q),
-                offset_side="lower",
-                offset_width=width_up,
-            )
-        )
-    elif mass_up > 0.0:
-        atoms.append((1.0, mass_up))
-    if mass_lo > 0.0 and width_lo > 0.0:
-        pieces.append(
-            Piece(
-                lower=0.0,
-                upper=width_lo,
-                mass=mass_lo,
-                cdf=cdf_lo,
-                offset_density=lambda d: _branch_density(q, eh, p - x, eh + d / p, (width_lo - d) / p, a, p),
-                offset_side="upper",
-                offset_width=width_lo,
-            )
-        )
-    elif mass_lo > 0.0:
-        atoms.append((0.0, mass_lo))
+    parts = (branch(1.0, p, x - p, q, mass_up), branch(0.0, q, p - x, p, s - mass_up))
+    pieces = [b for b in parts if isinstance(b, Piece)]
+    atoms = [b for b in parts if isinstance(b, tuple)]
     # e^{-t} underflows past t ~ 745, and a massless atom is no atom.
     if atom_mass > 0.0:
         atoms.append((q1, atom_mass))

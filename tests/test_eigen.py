@@ -29,7 +29,6 @@ from starcoal.twotype import transition_moment
 
 def test_polyrep_basics():
     g = PolyRep(0.5, (1.0, -2.0, 0.0, 4.0, 0.0))
-    assert g.degree == 3
     assert g.coefficient(3) == 4.0
     assert g.coefficient(9) == 0.0
     x = 0.8

@@ -192,9 +192,12 @@ def _mean_absorption_fraction(n: int, theta: float) -> float:
 
 
 def _assert_coeffs_equal(n: int, theta: float, q, p):
-    pq, rows, _, _ = lines._spectral_pairs(n, theta)
+    pq, rows, r, _ = lines._spectral_pairs(n, theta)
     assert [Fraction(*v) for v in pq] == q
-    assert [[Fraction(*v) for v in row] for row in rows] == p
+    assert [[Fraction(*v) for v in row] for row in rows] == p[:2]
+    # The rows j >= 2, which the Taylor shift sums, are (-1)^{j+1} C(k,j) r[k].
+    taylor = [[(-1) ** (j + 1) * math.comb(k, j) * Fraction(*r[k]) for k in range(n + 1)] for j in range(2, n + 1)]
+    assert taylor == p[2:]
 
 
 @pytest.mark.parametrize("theta", ORACLE_THETAS)

@@ -384,6 +384,15 @@ def test_mean_absorption_time_past_the_cap_raises_at_once():
         _in_time(lambda: lines.mean_absorption_time(n, 0.1))
 
 
+@pytest.mark.parametrize("n", [core.LINE_LAW_N_CAP + 1, 10**9, 10**18])
+def test_eigen_poly_past_the_cap_raises_at_once(n):
+    # P_n holds n + 1 floats: several GB at n = 1e9 without the cap.
+    cap = core.LINE_LAW_N_CAP
+    with pytest.raises(InvalidParameterError, match=rf"^eigen polynomial for n={n} exceeds LINE_LAW_N_CAP = {cap}$"):
+        _in_time(lambda: eigen.eigen_poly(PAR, n))
+    assert eigen.eigen_poly(PAR, cap).coefficient(cap) == 1.0
+
+
 def test_cli_simulated_lines_past_the_cap_exit_with_an_error(capsys):
     # The ensemble runs first and passes SIM_WORK_CAP; the exact mean then raises.
     argv = ["simulate", "lines", "--n", "100000", "--theta", "0.1", "--n-mc", "2", "--seed", "1"]
