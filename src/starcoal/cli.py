@@ -8,8 +8,8 @@ identical invocations produce byte-identical output.
 
 Exit status: 0 on success (and, for ``verify``, only when every check
 passed), 1 on a numeric failure inside the library, 2 on bad arguments.
-The default seed comes from the STARCOAL_SEED environment variable when
-set; --seed always wins.
+Only ``simulate`` and ``verify`` draw, so only they take --seed; their
+default seed comes from the STARCOAL_SEED environment variable when set.
 """
 
 from __future__ import annotations
@@ -293,7 +293,6 @@ def _cmd_verify(args, parser) -> int:
 def _add_common(sp) -> None:
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
-    sp.add_argument("--seed", type=int, default=None, help="overrides STARCOAL_SEED")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -350,18 +349,16 @@ def _build_parser() -> argparse.ArgumentParser:
     fv.add_argument("--p", type=float, required=True)
     fv.add_argument("--x", type=float, required=True)
     fv.add_argument("--t", type=float, required=True)
-    fv.add_argument("--n-mc", type=int, default=10_000)
-    _add_common(fv)
     ln = sim.add_parser("lines", help="backward line-count paths")
     ln.add_argument("--n", type=int, required=True)
     ln.add_argument("--theta", type=float, required=True)
-    ln.add_argument("--n-mc", type=int, default=10_000)
-    _add_common(ln)
     ag = sim.add_parser("asg", help="branching-line collapse clocks")
     ag.add_argument("--n", type=int, required=True)
     ag.add_argument("--beta", type=float, required=True)
-    ag.add_argument("--n-mc", type=int, default=10_000)
-    _add_common(ag)
+    for ensemble in (fv, ln, ag):
+        ensemble.add_argument("--n-mc", type=int, default=10_000)
+        _add_common(ensemble)
+        ensemble.add_argument("--seed", type=int, default=None, help="overrides STARCOAL_SEED")
 
     sp = sub.add_parser("multitype", help="simplex kernels and the sampling distribution")
     sp.set_defaults(run=_cmd_multitype)

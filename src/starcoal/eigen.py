@@ -23,6 +23,7 @@ from .core import (
     check_real,
     quad_offset,
 )
+from .twotype import _alternating_gap
 
 __all__ = [
     "PolyRep",
@@ -96,13 +97,14 @@ def eigenvalue(params: TwoTypeParams, n: int) -> float:
 
 
 def eigen_coefficients(params: TwoTypeParams, n: int) -> tuple[float, float]:
-    """Constant and linear corrections (c_n0, c_n1) of the n-th eigen poly."""
+    """Constant and linear corrections (c_n0, c_n1) of the n-th eigen poly,
+    through _alternating_gap, which does not cancel near p = 1/2; the 0.0 -
+    keeps c_n1 at +0.0, not -0.0, at p = 1/2, so printed tables read 0."""
     check_int("n", n, 2)
     theta, p = params.theta, params.p
     a = 2.0 / theta
-    q = 1.0 - p
-    c0 = -(a / (n + a)) * (p * q**n + q * (-p) ** n)
-    c1 = (a / (n - 1.0 + a)) * ((-p) ** n - q**n)
+    c0 = -(a / (n + a)) * p * (1.0 - p) * _alternating_gap(p, n - 1)
+    c1 = 0.0 - (a / (n - 1.0 + a)) * _alternating_gap(p, n)
     return c0, c1
 
 

@@ -71,7 +71,6 @@ __all__ = [
 ASG_STATE_CAP = 10_000_000
 _UA_RESIDUAL_STATE = 1_000
 _GF_TERM_BUDGET = 10_000_000
-_SERIES_RATIO_LIMIT = 0.9
 
 
 @dataclass(frozen=True)
@@ -319,50 +318,6 @@ def flow(drift: DriftSpec, chi0: float, t: float) -> float:
     return _flow_step(drift)(chi0, t)
 
 
-def _skeleton_series(drift: DriftSpec) -> tuple[float, float]:
-    """Exp(1)-averaged endpoint flows by geometric-series expansion.
-
-    p11 expands b e^{-g t}/(1 - b e^{-g t}) termwise; p21 uses the
-    binomial expansion in Y = c/(1+c) < 1, each term carrying the
-    prefactor (1+c)^{-1/g} Y^{k+1} in log space: at weak mutation and
-    selection the prefactor alone underflows, and the terms rise for about
-    Y/(g(1-Y)) steps before they fall, so the sum stops only past its peak.
-    Both series need their ratios b, Y away from 1; skeleton_matrix falls
-    back to quadrature otherwise.
-    """
-    rp = roots(drift.theta, drift.beta, drift.p)
-    scale = 2.0 / drift.beta
-    g = rp.decay_rate
-    inv_g = 1.0 / g
-    b = rp.b
-    acc = 0.0
-    k = 0
-    term = b / (inv_g + 1.0)
-    while abs(term) > 1e-17 * max(1.0, abs(acc)):
-        acc += term
-        k += 1
-        term *= b * (inv_g + k) / (inv_g + k + 1.0)
-        if k > 500_000:
-            msg = f"skeleton series for p11 failed to converge for {drift!r}"
-            raise QuadratureError(msg, rp.r1 + scale * acc, scale * abs(term))
-    p11 = rp.r1 + scale * acc
-
-    y = rp.c / (1.0 + rp.c)
-    log_term = math.log(y / (inv_g + 1.0)) - inv_g * math.log1p(rp.c)
-    acc, k, ratio = 0.0, 0, math.inf
-    while ratio >= 1.0 or term > 1e-17 * max(1.0, acc):
-        term = math.exp(log_term)
-        acc += term
-        k += 1
-        ratio = y * (inv_g + k) * (inv_g + k) / (k * (inv_g + k + 1.0))
-        log_term += math.log(ratio)
-        if k > 500_000:
-            msg = f"skeleton series for p21 failed to converge for {drift!r}"
-            raise QuadratureError(msg, rp.r1 - scale * acc, scale * term)
-    p21 = rp.r1 - scale * acc
-    return p11, p21
-
-
 def _skeleton_quadrature(drift: DriftSpec) -> tuple[float, float]:
     """Exp(1)-averaged endpoint flows as integrals over u = e^{-t}; a custom
     drift reads each pass's nodes from one trajectory per endpoint."""
@@ -373,28 +328,20 @@ def _skeleton_quadrature(drift: DriftSpec) -> tuple[float, float]:
     return p11, p21
 
 
-def _series_converges(rp: RootPair) -> bool:
-    """Whether both skeleton series ratios, b and c/(1+c), are at most _SERIES_RATIO_LIMIT."""
-    return rp.b <= _SERIES_RATIO_LIMIT and rp.c / (1.0 + rp.c) <= _SERIES_RATIO_LIMIT
-
-
 @lru_cache(maxsize=128)
 def _skeleton_core(drift: DriftSpec) -> tuple[float, float]:
-    """(E mu(T), E nu(T)) for T ~ Exp(1), cached per drift.
-
+    """(E mu(T), E nu(T)) for T ~ Exp(1), cached per drift: closed forms for
+    the neutral and logistic kinds, else one quadrature of the aged flows,
+    which the selection suite checks against their geometric series.
     stationary_density calls this at every evaluation point, so the cache
-    is what makes integrating the density affordable when the skeleton
-    itself needs quadrature.  DriftSpec is frozen and hashes by field
-    values (custom velocity callables by identity).
+    makes integrating the density affordable.  DriftSpec is frozen and
+    hashes by field values (custom velocity callables by identity).
     """
     if drift.kind == "neutral":
         shrink = 1.0 / (1.0 + 0.5 * drift.theta)
         return drift.p + (1.0 - drift.p) * shrink, drift.p * (1.0 - shrink)
     if drift.kind == "logistic":
         return 1.0, 0.0
-    if drift.kind == "mutation_selection":
-        if _series_converges(roots(drift.theta, drift.beta, drift.p)):
-            return _skeleton_series(drift)
     return _skeleton_quadrature(drift)
 
 
@@ -403,7 +350,8 @@ def skeleton_matrix(drift: DriftSpec) -> np.ndarray:
 
     Row 1 is (E mu(T), 1 - E mu(T)) and row 2 is (E nu(T), 1 - E nu(T))
     with T ~ Exp(1).  Neutral drift gives E mu(T) = p + (1-p)/(1 + theta/2)
-    and E nu(T) = p (theta/2)/(1 + theta/2); pure selection is absorbing.
+    and E nu(T) = p (theta/2)/(1 + theta/2); pure selection is absorbing;
+    any other drift's aged flows are one quadrature over u = e^{-T}.
     """
     e_mu, e_nu = _skeleton_core(drift)
     return np.array([[e_mu, 1.0 - e_mu], [e_nu, 1.0 - e_nu]])

@@ -242,12 +242,16 @@ def stationary_sample(params: TwoTypeParams, rng: RngStream, size=None):
 
 
 def _alternating_gap(p: float, m: int) -> float:
-    """(1 - p)^m - (-p)^m; for even m as (1 - 2p) sum_k (1 - p)^k p^(m-1-k),
-    which, unlike the difference, does not cancel as p nears 1/2."""
+    """(1 - p)^m - (-p)^m in O(1); for even m, +-big^m (1 - (small/big)^m),
+    with log(small/big) from the exact 1 - 2p on [1/4, 3/4], where the powers
+    cancel, and taken directly outside, where 1 - |1 - 2p|/big rounds to 0."""
     q = 1.0 - p
     if m % 2:
         return q**m + p**m
-    return (1.0 - 2.0 * p) * sum(q**k * p ** (m - 1 - k) for k in range(m))
+    big = max(p, q)
+    r = math.log1p(-abs(1.0 - 2.0 * p) / big) if 0.25 <= p <= 0.75 else math.log(min(p, q) / big)
+    gap = -(big**m) * math.expm1(m * r)
+    return gap if p <= 0.5 else -gap
 
 
 def transition_moment(params: TwoTypeParams, n: int, x: float, t: float) -> float:

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import InvalidParameterError, RngStream, StarcoalError, mean_se, mean_se_of_sums, quad_offset, shifted_sums
+from .core import InvalidParameterError, QuadratureError, RngStream, StarcoalError, mean_se, mean_se_of_sums, quad_offset, shifted_sums
 from .eigen import (
     PolyRep,
     eigen_poly,
@@ -59,9 +59,8 @@ from .multitype import (
     pim_transition_law,
 )
 from .selection import (
-    _series_converges,
-    _skeleton_quadrature,
-    _skeleton_series,
+    DriftSpec,
+    RootPair,
     asg_stationary,
     asg_stationary_gf,
     custom_drift,
@@ -134,6 +133,7 @@ _STREAM = {
 
 _THETA_GRID = (0.5, 1.0, 2.0, 5.0)
 _P_GRID = (0.1, 0.5, 0.9)
+_SERIES_RATIO_LIMIT = 0.9
 
 
 def _check_result(suite: str, name: str, gaps, bound: float, direction: str = "le") -> CheckResult:
@@ -536,6 +536,55 @@ def _suite_multitype(seed: int) -> list[tuple]:
     ]
 
 
+def _skeleton_series(drift: DriftSpec) -> tuple[float, float]:
+    """Exp(1)-averaged endpoint flows by geometric-series expansion.
+
+    p11 expands b e^{-g t}/(1 - b e^{-g t}) termwise; p21 uses the
+    binomial expansion in Y = c/(1+c) < 1, each term carrying the
+    prefactor (1+c)^{-1/g} Y^{k+1} in log space: at weak mutation and
+    selection the prefactor alone underflows, and the terms rise for about
+    Y/(g(1-Y)) steps before they fall, so the sum stops only past its peak.
+    Both series need their ratios b, Y away from 1; the selection suite
+    uses them only where _series_converges.
+    """
+    rp = roots(drift.theta, drift.beta, drift.p)
+    scale = 2.0 / drift.beta
+    g = rp.decay_rate
+    inv_g = 1.0 / g
+    b = rp.b
+    acc = 0.0
+    k = 0
+    term = b / (inv_g + 1.0)
+    while abs(term) > 1e-17 * max(1.0, abs(acc)):
+        acc += term
+        k += 1
+        term *= b * (inv_g + k) / (inv_g + k + 1.0)
+        if k > 500_000:
+            msg = f"skeleton series for p11 failed to converge for {drift!r}"
+            raise QuadratureError(msg, rp.r1 + scale * acc, scale * abs(term))
+    p11 = rp.r1 + scale * acc
+
+    y = rp.c / (1.0 + rp.c)
+    log_term = math.log(y / (inv_g + 1.0)) - inv_g * math.log1p(rp.c)
+    acc, k, ratio = 0.0, 0, math.inf
+    while ratio >= 1.0 or term > 1e-17 * max(1.0, acc):
+        term = math.exp(log_term)
+        acc += term
+        k += 1
+        ratio = y * (inv_g + k) * (inv_g + k) / (k * (inv_g + k + 1.0))
+        log_term += math.log(ratio)
+        if k > 500_000:
+            msg = f"skeleton series for p21 failed to converge for {drift!r}"
+            raise QuadratureError(msg, rp.r1 - scale * acc, scale * term)
+    p21 = rp.r1 - scale * acc
+    return p11, p21
+
+
+def _series_converges(rp: RootPair) -> bool:
+    """Whether both skeleton series ratios, b and c/(1+c), are at most _SERIES_RATIO_LIMIT."""
+    return rp.b <= _SERIES_RATIO_LIMIT and rp.c / (1.0 + rp.c) <= _SERIES_RATIO_LIMIT
+
+
 def _suite_selection(seed: int) -> list[tuple]:
     """Drift roots, skeleton routes, stationary law, fixation identities."""
     # where is (theta, beta, p), with xi added for pointwise densities.
@@ -555,12 +604,12 @@ def _suite_selection(seed: int) -> list[tuple]:
             for p in (0.3, 0.5, 0.7):
                 points.append((theta, beta, p))
     for theta, beta, p in points:
-        # Only where the series converge geometrically can they check the quadrature.
+        # Only where the series converge can they check the production skeleton.
         if not _series_converges(roots(theta, beta, p)):
             continue
         drift = mutation_selection_drift(theta, p, beta)
         s_mu, s_nu = _skeleton_series(drift)
-        q_mu, q_nu = _skeleton_quadrature(drift)
+        q_mu, q_nu = skeleton_matrix(drift)[:, 0].tolist()
         skel_gaps.append((max(abs(s_mu - q_mu), abs(s_nu - q_nu)), (theta, beta, p)))
 
     masses, means, densities = [], [], []

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +202,29 @@ def test_non_integer_seed_variable_is_a_usage_error(capsys, monkeypatch):
         assert err.startswith("usage:") and "STARCOAL_SEED must be an integer, got 'abc'" in err
     rc, _, _ = run_cli(capsys, ["simulate", "lines", "--n", "3", "--theta", "1", "--n-mc", "100", "--seed", "4"])
     assert rc == 0
+
+
+def test_table_commands_take_no_seed(capsys):
+    # Only simulate and verify draw, so only they read a seed.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eigen", "--theta", "2", "--p", "0.5", "--n", "3", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_readme_examples_run(capsys, monkeypatch, tmp_path):
+    # Every starcoal line of README's sh blocks except the full battery, which
+    # test_criterion_14_determinism runs, from a directory holding swap.txt.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [chunk.split("```", 1)[0] for chunk in readme.split("```sh\n")[1:]]
+    commands = [line.split()[1:] for b in blocks for line in b.splitlines() if line.startswith("starcoal ")]
+    commands = [argv for argv in commands if argv[:3] != ["verify", "--suite", "all"]]
+    assert len(commands) == 13
+    (tmp_path / "swap.txt").write_text("0 1\n1 0\n")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        rc, out, err = run_cli(capsys, argv)
+        assert (rc, err) == (0, "") and out, argv
 
 
 def test_out_of_range_seed_is_a_usage_error(capsys, monkeypatch):

@@ -11,6 +11,9 @@ import math
 
 import pytest
 
+import starcoal.eigen as eigen
+import starcoal.twotype as twotype
+import starcoal.verification as verification
 from starcoal.core import InvalidParameterError, QuadratureError, TwoTypeParams
 from starcoal.eigen import (
     PolyRep,
@@ -71,6 +74,76 @@ def test_eigen_coefficient_oracles():
     assert c1 == pytest.approx(-7.0 / 100.0, rel=1e-14)
     with pytest.raises(InvalidParameterError):
         eigen_coefficients(TwoTypeParams(theta=1.0, p=0.5), 1)
+
+
+@pytest.mark.parametrize(
+    "theta, p, n",
+    [(3417.0, 0.5 - 5.1e-12, 7), (3417.0, 0.5 - 5.1e-12, 8), (1.0, 0.5 + 1e-9, 6), (2.0, 0.5 + 1e-13, 11)],
+)
+def test_eigen_coefficients_near_one_half_against_mpmath(theta, p, n):
+    # p q^n + q (-p)^n and (-p)^n - q^n cancel as p nears 1/2: evaluated
+    # as written in floats, c_n0 is 6.3e-6 off at the first point.
+    mpmath = pytest.importorskip("mpmath")
+    c0, c1 = eigen_coefficients(TwoTypeParams(theta=theta, p=p), n)
+    with mpmath.workdps(50):
+        pm, a = mpmath.mpf(p), 2 / mpmath.mpf(theta)
+        q = 1 - pm
+        want0 = -(a / (n + a)) * (pm * q**n + q * (-pm) ** n)
+        want1 = (a / (n - 1 + a)) * ((-pm) ** n - q**n)
+    assert c0 == pytest.approx(float(want0), rel=1e-13, abs=0.0)
+    assert c1 == pytest.approx(float(want1), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [1e-17, 5e-324, 1.0 - 2.0**-53])
+def test_brackets_at_extreme_p_against_mpmath(p):
+    # For p below about 1e-17, 1 - (1 - 2p)/(1 - p) rounds to 0, so a log1p
+    # form of the bracket would take log(0); the closed forms must not raise.
+    mpmath = pytest.importorskip("mpmath")
+    theta, x, t = 1.0, 0.3, 0.7
+    par = TwoTypeParams(theta=theta, p=p)
+    with mpmath.workdps(50):
+        pm, a, xm, tm = mpmath.mpf(p), 2 / mpmath.mpf(theta), mpmath.mpf(x), mpmath.mpf(t)
+        q = 1 - pm
+
+        def gap(m):
+            return q**m - (-pm) ** m
+
+        for n in (1, 2, 3):
+            rate = (1 + n * theta / 2) * tm
+            want = (
+                mpmath.exp(-rate) * (xm - pm) ** n
+                + (a / (n + a)) * pm * q * gap(n - 1) * -mpmath.expm1(-rate)
+                + (xm - pm)
+                * mpmath.exp(-theta * tm / 2)
+                * (a / (n - 1 + a))
+                * gap(n)
+                * -mpmath.expm1(-(1 + (n - 1) * theta / 2) * tm)
+            )
+            assert transition_moment(par, n, x, t) == pytest.approx(float(want), rel=1e-14, abs=1e-300)
+        for n in (2, 3, 4):
+            c0, c1 = eigen_coefficients(par, n)
+            want0 = -(a / (n + a)) * (pm * q**n + q * (-pm) ** n)
+            want1 = (a / (n - 1 + a)) * ((-pm) ** n - q**n)
+            assert c0 == pytest.approx(float(want0), rel=1e-14, abs=1e-300)
+            assert c1 == pytest.approx(float(want1), rel=1e-14, abs=1e-300)
+
+
+def test_battery_fails_on_a_scaled_alternating_gap(monkeypatch):
+    # The eigen coefficients and the transition moments share one bracket;
+    # the generator and the numeric pv integral still pin it.
+    gap = twotype._alternating_gap
+
+    def scaled(p, m):
+        return (1.0 + 1e-6) * gap(p, m)
+
+    monkeypatch.setattr(twotype, "_alternating_gap", scaled)
+    monkeypatch.setattr(eigen, "_alternating_gap", scaled)
+    results = verification.run_suites(["eigen-equation", "expansion", "pairing"], seed=42)
+    assert {r.name for r in results if not r.passed} == {
+        "max coefficient residual, n <= 12",
+        "max |spectral - moment route|, 20 random degree-8 g",
+        "max |numeric pv route - exact pv route|",
+    }
 
 
 def test_eigen_poly_structure():

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.stats import kstest
 
@@ -187,27 +189,93 @@ def test_skeleton_series_and_quadrature_agree():
     assert m[0, 0] == pytest.approx(0.8942883810870853847, rel=1e-12)
     assert m[1, 0] == pytest.approx(0.2631353153328790285, rel=1e-12)
     sq = selection._skeleton_quadrature(MS)
-    ss = selection._skeleton_series(MS)
+    ss = verification._skeleton_series(MS)
     assert ss[0] == pytest.approx(sq[0], abs=1e-9)
     assert ss[1] == pytest.approx(sq[1], abs=1e-9)
-    # Near-degenerate roots push the series ratios toward 1; the two
-    # routes must still agree where the dispatcher switches over.
+    # Near-degenerate roots push the series ratios toward 1; the battery's
+    # reference series must still agree with the quadrature there.
     tight = mutation_selection_drift(1.0, 0.001, 1.0)
     sq = selection._skeleton_quadrature(tight)
-    ss = selection._skeleton_series(tight)
+    ss = verification._skeleton_series(tight)
     assert ss[0] == pytest.approx(sq[0], abs=1e-9)
     assert ss[1] == pytest.approx(sq[1], abs=1e-9)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def _mp_skeleton(theta, p, beta):
+    """(E mu(T), E nu(T)), T ~ Exp(1), as 30-digit integrals of e^{-t} times
+    the closed-form flow, (x - r1)/(x - r2) = ratio0 e^{-rate t}.
+
+    The cuts sit at 1 and 10 for the weight, at 1/rate and 10/rate for the
+    flow's layer, and at log|ratio0|/rate, where a flow started near the
+    unstable root takes off; cuts past t = 100 carry no weight.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        phi = mpmath.mpf(theta) / beta
+        s = 1 - phi
+        disc = mpmath.sqrt(s * s + 4 * mpmath.mpf(p) * phi)
+        r1, r2 = (s + disc) / 2, (s - disc) / 2
+        rate = mpmath.mpf(beta) / 2 * (r1 - r2)
+        out = []
+        for x0 in (1, 0):
+            ratio0 = (x0 - r1) / (x0 - r2)
+            cuts = {mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(10), 1 / rate, 10 / rate}
+            if abs(ratio0) > 1:
+                cuts.add(mpmath.log(abs(ratio0)) / rate)
+
+            def weighted_flow(t, ratio0=ratio0):
+                u = ratio0 * mpmath.exp(-rate * t)
+                return mpmath.exp(-t) * (r1 - r2 * u) / (1 - u)
+
+            out.append(float(mpmath.quad(weighted_flow, sorted(c for c in cuts if c < 100) + [mpmath.inf])))
+        return np.array(out)
+
+
+@settings(max_examples=40)
+@given(theta=_log_uniform(1e-9, 1e3), p=st.floats(1e-6, 1.0 - 1e-6), beta=_log_uniform(1e-9, 1e3))
+@example(theta=1e-6, p=0.5, beta=1e-8)
+@example(theta=1e-6, p=0.3, beta=1e-6)
+@example(theta=1e-7, p=0.1, beta=1e-8)
+@example(theta=1e-20, p=0.5, beta=1e-20)
+def test_skeleton_matches_mpmath_at_any_theta_and_beta(theta, p, beta):
+    # At the second fixed point the geometric series raises, and at the
+    # third it is 43-fold off in E nu(T).
+    got = skeleton_matrix(mutation_selection_drift(theta, p, beta))[:, 0]
+    assert np.max(np.abs(got - _mp_skeleton(theta, p, beta))) < 1e-12
 
 
 @pytest.mark.parametrize("theta, p, beta", [(0.001, 0.3, 0.001), (0.01, 0.3, 0.01)])
 def test_skeleton_series_at_weak_mutation_and_selection(theta, p, beta):
     # The series prefactor (1 + c)^(-1/g) is 2^-1826 and 2^-183 here, and
-    # the terms rise for about 1/g steps; E nu(T) used to come back as r1.
+    # the terms rise for about 1/g steps.
     drift = mutation_selection_drift(theta, p, beta)
-    want = np.array(selection._skeleton_quadrature(drift))
-    assert np.max(np.abs(skeleton_matrix(drift)[:, 0] - want)) < 1e-10
+    assert np.max(np.abs(skeleton_matrix(drift)[:, 0] - _mp_skeleton(theta, p, beta))) < 1e-10
     pi1, _ = replacement_stationary(drift)
     assert stationary_law(drift).mean() == pytest.approx(pi1, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "module, route",
+    [(selection, "_skeleton_core"), (verification, "_skeleton_series")],
+    ids=["production E nu", "reference series p21"],
+)
+def test_skeleton_check_fails_when_either_route_is_scaled(monkeypatch, module, route):
+    # The selection suite's skeleton check compares the production skeleton
+    # with the geometric series; a fault of 1e-6 in either side must show.
+    check = "max |series skeleton - quadrature skeleton|"
+    assert all(r.passed for r in verification.run_suites(["selection"], seed=42) if r.name == check)
+    exact = getattr(module, route)
+
+    def scaled(drift):
+        e_mu, e_nu = exact(drift)
+        return e_mu, (1.0 + 1e-6) * e_nu
+
+    monkeypatch.setattr(module, route, scaled)
+    assert check in {r.name for r in verification.run_suites(["selection"], seed=42) if not r.passed}
 
 
 def test_skeleton_custom_matches_named():
@@ -671,7 +739,7 @@ def test_skeleton_series_raises_typed_error():
     # phi = 1 with tiny p puts the p11 ratio b within 2e-6 of 1, far
     # beyond the series' term budget.
     with pytest.raises(QuadratureError, match="theta=1.0") as exc:
-        selection._skeleton_series(mutation_selection_drift(1.0, 1e-12, 1.0))
+        verification._skeleton_series(mutation_selection_drift(1.0, 1e-12, 1.0))
     assert math.isfinite(exc.value.estimate)
 
 
