@@ -265,8 +265,8 @@ def _blocks(size: int):
 # The most expected work a forward simulation may take.  count replicates
 # to horizon t expect t rate-1 events each, and one staged pass per unit of
 # t costs about 1000 events' interpreter time: work t (count + 1000).  At
-# about 60 ns a unit, the largest call allowed runs for a minute or so.  The
-# backward line engines stop within n + 1 stages, and pass n + 1 as horizon.
+# about 50 ns a unit, the largest call allowed runs for a minute or so.  The
+# backward line engines (5-21 ns a unit) pass their n + 1 stages as horizon.
 SIM_WORK_CAP = 1e9
 
 # The largest n of the exact line-count laws, which grow as n^2 to n^3 in
@@ -327,16 +327,25 @@ def _replicates(size: int) -> np.ndarray:
     return np.arange(size, dtype=np.int32 if size < 2**31 else np.intp)
 
 
+def _select(m: np.ndarray, v: np.ndarray, w) -> np.ndarray:
+    """np.where(m, v, w) bit for bit, for m in {0., 1.} and finite v, w other than -0.0: v m + w (1 - m), in place."""
+    v *= m
+    np.subtract(1.0, m, out=m)
+    m *= w
+    v += m
+    return v
+
+
 def _sweep(active: np.ndarray, visit) -> np.ndarray:
     """One stage of a staged engine: visit(block) on active's blocks in
-    order, drawing in replicate order.  visit returns None to keep all, or
-    a mask of those kept, compacted in place to a view it returns."""
+    order, drawing in replicate order.  visit returns None to keep all, or a
+    mask of those kept, compacted in place (flatnonzero, take) to a view it returns."""
     kept = 0
     for s in _blocks(active.size):
         block = active[s]
         mask = visit(block)
         if mask is not None:
-            block = block[mask]
+            block = block.take(np.flatnonzero(mask))
         active[kept : kept + block.size] = block
         kept += block.size
     return active[:kept]

@@ -242,16 +242,18 @@ def _line_ensemble(
         landed /= 0.5 * theta * count + (count >= 2)
         landed += clock[a]
         alive = landed <= t
-        clock[a[alive]] = landed[alive]
+        kept = np.flatnonzero(alive)
+        clock[a.take(kept)] = landed.take(kept)
         return alive
 
     def resolve(a):
         # From i >= 2 lines the total rate is 1 + i theta/2, and the collapse
         # has rate 1: it wins with probability 1/rate.
         count = state[a]
-        coal = (count >= 2) & (rng.gen.random(a.size) * (0.5 * theta * count + (count >= 2)) < 1.0)
-        coal_before[a[coal]] = count[coal]
-        count = np.where(coal, 1, count - 1)
+        coal = np.flatnonzero((count >= 2) & (rng.gen.random(a.size) * (0.5 * theta * count + (count >= 2)) < 1.0))
+        coal_before[a.take(coal)] = count.take(coal)
+        count -= 1
+        count[coal] = 1
         state[a] = count
         return count >= 1
 
@@ -328,9 +330,10 @@ def stationary_moment_via_coalescent(
 
     def step(b):
         count = state[b]
-        coal = rng.gen.random(b.size) * (0.5 * params.theta * count + 1.0) < 1.0
-        a[b[coal]] = count[coal]
-        count = np.where(coal, 1, count - 1)
+        coal = np.flatnonzero(rng.gen.random(b.size) * (0.5 * params.theta * count + 1.0) < 1.0)
+        a[b.take(coal)] = count.take(coal)
+        count -= 1
+        count[coal] = 1
         state[b] = count
         return count >= 2
 

@@ -28,7 +28,7 @@ from .core import (
     replacement_decay_integral,
     truncated_exponential_inverse_cdf,
 )
-from .core import _blocks, _check_work, _replicates, _sample, _sweep
+from .core import _blocks, _check_work, _replicates, _sample, _select, _sweep
 
 __all__ = [
     "PathRecord",
@@ -236,7 +236,8 @@ def stationary_sample(params: TwoTypeParams, rng: RngStream, size=None):
         eta **= 0.5 * params.theta
         out = 1.0 - eta
         out *= params.p
-        return np.add(out, eta, out=out, where=gens[1].random(m) < params.p)
+        eta *= gens[1].random(m) < params.p  # eta where the type is 1, else +0.0
+        return np.add(out, eta, out=out)
 
     return _sample(rng, size, 2, draw)
 
@@ -319,7 +320,7 @@ def _transition_blocks(params: TwoTypeParams, x: float, t: float, rng: RngStream
 
 
 def _transition_from_uniforms(params: TwoTypeParams, x: float, t: float, u_atom, u_tau, u_type):
-    """The transition draws sample_transition makes from its three uniform runs."""
+    """The transition draws sample_transition makes from its three uniform runs, which it overwrites."""
     theta, p = params.theta, params.p
     atom = p + (x - p) * math.exp(-0.5 * theta * t)
     tau = truncated_exponential_inverse_cdf(u_tau, t)
@@ -327,7 +328,8 @@ def _transition_from_uniforms(params: TwoTypeParams, x: float, t: float, u_atom,
     q1_back = p + (x - p) * np.exp(-0.5 * theta * (t - tau))
     upper = p + (1.0 - p) * decay
     lower = p * (1.0 - decay)
-    return np.where(u_atom < math.exp(-t), atom, np.where(u_type < q1_back, upper, lower))
+    draw = _select(np.less(u_type, q1_back, out=u_type), upper, lower)
+    return _select(np.greater_equal(u_atom, math.exp(-t), out=u_atom), draw, atom)
 
 
 def _jump_path(step, x: float, horizon: float, rng: RngStream) -> PathRecord:
@@ -374,9 +376,10 @@ def _jump_endpoints(step, x: float, t: float, size: int, rng: RngStream) -> np.n
         wait = rng.gen.standard_exponential(a.size)
         landed = clock[a] + wait
         hit = landed <= t
-        a = a[hit]
-        clock[a] = landed[hit]
-        freq[a] = step(freq[a], wait[hit])
+        kept = np.flatnonzero(hit)
+        a = a.take(kept)
+        clock[a] = landed.take(kept)
+        freq[a] = step(freq[a], wait.take(kept))
         return hit
 
     def jump(a):

@@ -18,7 +18,7 @@ import starcoal.lines as lines
 import starcoal.multitype as multitype
 import starcoal.selection as selection
 import starcoal.twotype as twotype
-from starcoal.core import _BLOCK, RngStream, TwoTypeParams, mean_se, truncated_exponential_inverse_cdf
+from starcoal.core import _BLOCK, RngStream, TwoTypeParams, _sweep, mean_se, truncated_exponential_inverse_cdf
 from starcoal.multitype import MultiParams
 
 B = _BLOCK
@@ -227,6 +227,40 @@ def test_sample_transition_blocks(size):
             lambda r: twotype.sample_transition(PAR, x, t, r, size=size),
             lambda r: ref_sample_transition(PAR, x, t, r, size=size),
         )
+
+
+# Edge cases of the exact selects: e^{-t} that rounds to 1 (every draw an
+# atom) or to 0 (none), atoms at 0, p and 1, and decays that are exactly 1
+# (theta = 1e-300, lower = +0.0) or 0 (theta = 1e300).  A -0.0, NaN or
+# flipped branch shows in the bitwise comparison.
+@pytest.mark.parametrize("theta", (1e-300, 1.3, 1e300))
+@pytest.mark.parametrize("x", (0.0, PAR.p, 1.0))
+@pytest.mark.parametrize("t", (1e-17, 0.9, 800.0))
+def test_sample_transition_exact_select_edges(theta, x, t):
+    par = TwoTypeParams(theta, PAR.p)
+    _check(
+        lambda r: twotype.sample_transition(par, x, t, r, size=B + 1),
+        lambda r: ref_sample_transition(par, x, t, r, size=B + 1),
+    )
+
+
+@pytest.mark.parametrize("p", (1e-6, 1.0 - 1e-6))
+@pytest.mark.parametrize("theta", (1e-300, 1.3, 1e300))
+def test_stationary_sample_exact_select_edges(p, theta):
+    par = TwoTypeParams(theta, p)
+    _check(lambda r: twotype.stationary_sample(par, r, size=B + 1), lambda r: ref_stationary_sample(par, r, B + 1))
+
+
+@pytest.mark.parametrize("size", (1, B, B + 1, 3 * B + 7))
+@pytest.mark.parametrize("share", (0.0, 0.5, 1.0))
+def test_sweep_compacts_as_a_boolean_mask(size, share):
+    # One-shot boolean-mask compaction against _sweep's blocked index
+    # compaction, in blocks that keep all, none, a share, or hold one replicate.
+    active = np.random.default_rng(size).permutation(size).astype(np.int32)
+    keep = np.random.default_rng(1).random(size) < share
+    got = _sweep(active.copy(), lambda b: keep[b])
+    _same(got, active[keep[active]])
+    _same(_sweep(active.copy(), lambda b: None), active)
 
 
 @pytest.mark.parametrize("size", (*SIZES, (2, B + 3)))
