@@ -33,7 +33,6 @@ from .core import (
     TwoTypeParams,
     exp_decay_window,
     replacement_decay_integral,
-    truncated_exponential_inverse_cdf,
 )
 from .eigen import (
     PolyRep,

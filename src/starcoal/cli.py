@@ -48,6 +48,7 @@ from .selection import (
 from .selection import stationary_density as selection_stationary_density
 from .twotype import (
     TwoTypeParams,
+    _check_raw_moment_n,
     _raw_moment,
     marginal_q,
     path_endpoint_ensemble,
@@ -147,6 +148,7 @@ def _cmd_stationary(args, parser) -> int:
 
 def _cmd_moments(args, parser) -> int:
     check_int("n_max", args.n_max, 0)
+    _check_raw_moment_n(args.n_max)
     par = TwoTypeParams(theta=args.theta, p=args.p)
     rows = []
     for n in range(args.n_max + 1):

@@ -52,7 +52,6 @@ __all__ = [
     "brent_root",
     "Piece",
     "MixedLaw",
-    "truncated_exponential_inverse_cdf",
     "replacement_decay_integral",
     "exp_decay_window",
     "check_real",
@@ -303,20 +302,20 @@ def _check_work(call: str, horizon: float, count: int) -> None:
         raise SimulationAbortError(f"{call} to horizon {horizon!r} with {count} replicates exceeds SIM_WORK_CAP = {SIM_WORK_CAP:g}")
 
 
-def _sample(rng: RngStream, size, runs: int, draw, width=()):
+def _sample(rng: RngStream, size, draw, width=()):
     """A sample of shape size + width, drawn block by block, equal to what
-    one-shot code drawing `runs` consecutive runs of prod(size) variates
+    one-shot code drawing two consecutive runs of prod(size) variates
     gives.  draw(gens, m) returns m rows from gens, one generator per run
-    at the block's place in it.  The last is rng itself, moved past the
-    other runs, so its variates may take several outputs each (Exp(1)).
+    at the block's place in it.  The second is rng itself, moved past the
+    first run, so its variates may take several outputs each (Exp(1)).
     size=None is the one draw of size=1, as a float or a row of width."""
     shape = check_size("size", size) or (1,)
     n = math.prod(shape)
-    gens = [rng.ahead(j * n) for j in range(runs - 1)]
-    rng.gen.bit_generator.advance((runs - 1) * n)
+    gens = [rng.ahead(0), rng.gen]
+    rng.gen.bit_generator.advance(n)
     out = np.empty((n, *width))
     for s in _blocks(n):
-        out[s] = draw([*gens, rng.gen], s.stop - s.start)
+        out[s] = draw(gens, s.stop - s.start)
     if size is None:
         return out[0] if width else float(out[0])
     return out.reshape(*shape, *width)
@@ -612,22 +611,6 @@ def replacement_decay_integral(theta: float, t: float) -> float:
     check_real("theta", theta, 0.0, math.inf, open_lo=True, open_hi=True)
     check_real("t", t, 0.0, math.inf, open_hi=True)
     return exp_decay_window(1.0 - 0.5 * theta, t, t)
-
-
-# ---------------------------------------------------------------------------
-# Truncated exponential
-# ---------------------------------------------------------------------------
-
-
-def truncated_exponential_inverse_cdf(u, t: float):
-    """Map uniform u in [0, 1) to the rate-1 exponential conditioned below t.
-
-    Closed form -log(1 - u * (1 - exp(-t))), written with expm1/log1p so both
-    tiny and huge t keep full precision.  u == 0 lands on the excluded lower
-    boundary 0 of the open support.
-    """
-    check_real("t", t, 0.0, math.inf, open_lo=True, open_hi=True)
-    return -np.log1p(np.asarray(u) * np.expm1(-t))
 
 
 # ---------------------------------------------------------------------------

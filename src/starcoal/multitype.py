@@ -231,7 +231,7 @@ def pim_stationary_sample(mp: MultiParams, rng: RngStream, size=None):
         out[np.arange(m), gens[1].choice(mp.d, p=p, size=m)] += eta
         return out
 
-    return _sample(rng, size, 2, draw, (mp.d,))
+    return _sample(rng, size, draw, (mp.d,))
 
 
 def markov_line_kernel(mm: MutationMatrix, theta: float, t: float) -> np.ndarray:

@@ -490,7 +490,7 @@ def stationary_sample(drift: DriftSpec, rng: RngStream, size=None):
     """Draw from the stationary law: endpoint by pi, age Exp(1), then flow."""
     pi1, _ = replacement_stationary(drift)
     step = _flow_step(drift)
-    return _sample(rng, size, 2, lambda gens, m: step((gens[0].random(m) < pi1).astype(float), gens[1].standard_exponential(m)))
+    return _sample(rng, size, lambda gens, m: step((gens[0].random(m) < pi1).astype(float), gens[1].standard_exponential(m)))
 
 
 def simulate_path(drift: DriftSpec, x: float, horizon: float, rng: RngStream) -> PathRecord:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    InvalidParameterError,
     MixedLaw,
     Piece,
     RngStream,
@@ -26,7 +27,6 @@ from .core import (
     check_real,
     exp_decay_window,
     replacement_decay_integral,
-    truncated_exponential_inverse_cdf,
 )
 from .core import _blocks, _check_work, _replicates, _sample, _select, _sweep
 
@@ -239,7 +239,7 @@ def stationary_sample(params: TwoTypeParams, rng: RngStream, size=None):
         eta *= gens[1].random(m) < params.p  # eta where the type is 1, else +0.0
         return np.add(out, eta, out=out)
 
-    return _sample(rng, size, 2, draw)
+    return _sample(rng, size, draw)
 
 
 def _alternating_gap(p: float, m: int) -> float:
@@ -284,52 +284,66 @@ def transition_moment(params: TwoTypeParams, n: int, x: float, t: float) -> floa
     return main + stat + cross
 
 
+def _check_raw_moment_n(n: int) -> None:
+    """Raise InvalidParameterError, before any work, past n = 1029, where
+    C(n, n/2) no longer converts to a float as _raw_moment's sum holds it."""
+    if n > 1029:
+        raise InvalidParameterError(f"raw moment n={n!r} exceeds 1029: C(n, n/2) overflows a float")
+
+
 def _raw_moment(params: TwoTypeParams, n: int, x: float, t: float) -> float:
     """E_x[xi(t)^n] = sum_k C(n,k) p^(n-k) E_x[(xi(t) - p)^k], summed by fsum."""
+    _check_raw_moment_n(n)
     return math.fsum(math.comb(n, k) * params.p ** (n - k) * transition_moment(params, k, x, t) for k in range(n + 1))
 
 
 def sample_transition(params: TwoTypeParams, x: float, t: float, rng: RngStream, size=None):
     """Exact draw(s) from the transition law.
 
-    Uses the last-replacement representation: with probability e^{-t} return
-    the atom q1(t; x); otherwise draw the back-distance tau from the
-    truncated exponential on (0, t), choose branch 1 with probability
-    q1(t - tau; x), and return p_{11}(tau) or p_{21}(tau).
+    Uses the last-replacement representation: the back-distance tau to the
+    last replacement is Exp(1).  If tau >= t (probability e^{-t}) return the
+    atom q1(t; x); otherwise choose branch 1 with probability q1(t - tau; x)
+    and return p_{11}(tau) or p_{21}(tau).
 
     Args:
         size: None for the one draw of size=1, else an ensemble shape.  A
-            call draws prod(size) doubles from rng for each of u_atom, u_tau
-            and u_type in turn, each one PCG64 output, so the k-th of a
-            series of equal-size calls starts 3 k prod(size) outputs past
-            the first; the transition-moments suite relies on this.
+            call draws prod(size) doubles from rng for each of u (the
+            back-distance) and u_type in turn, each one PCG64 output, so the
+            k-th of a series of equal-size calls starts 2 k prod(size)
+            outputs past the first; the transition-moments suite relies on this.
     """
     check_real("x", x, 0.0, 1.0)
     check_real("t", t, 0.0, math.inf, open_lo=True, open_hi=True)
     draw = lambda gens, m: _transition_from_uniforms(params, x, t, *(g.random(m) for g in gens))
-    return _sample(rng, size, 3, draw)
+    return _sample(rng, size, draw)
 
 
 def _transition_blocks(params: TwoTypeParams, x: float, t: float, rng: RngStream, size: int, k: int):
     """Yield (slice, draws), block by block and without moving rng, for the
-    draws of the k-th of a series of sample_transition(., size) calls on rng."""
-    gens = [rng.ahead(size * (3 * k + j)) for j in range(3)]
+    draws of the k-th of a series of sample_transition(., size) calls on rng.
+    Each block's draws are a new array, which the caller may overwrite."""
+    gens = [rng.ahead(size * (2 * k + j)) for j in range(2)]
     for s in _blocks(size):
         m = s.stop - s.start
         yield s, _transition_from_uniforms(params, x, t, *(g.random(m) for g in gens))
 
 
-def _transition_from_uniforms(params: TwoTypeParams, x: float, t: float, u_atom, u_tau, u_type):
-    """The transition draws sample_transition makes from its three uniform runs, which it overwrites."""
-    theta, p = params.theta, params.p
-    atom = p + (x - p) * math.exp(-0.5 * theta * t)
-    tau = truncated_exponential_inverse_cdf(u_tau, t)
-    decay = np.exp(-0.5 * theta * tau)
-    q1_back = p + (x - p) * np.exp(-0.5 * theta * (t - tau))
-    upper = p + (1.0 - p) * decay
-    lower = p * (1.0 - decay)
-    draw = _select(np.less(u_type, q1_back, out=u_type), upper, lower)
-    return _select(np.greater_equal(u_atom, math.exp(-t), out=u_atom), draw, atom)
+def _transition_from_uniforms(params: TwoTypeParams, x: float, t: float, u, u_type):
+    """The transition draws sample_transition makes from its two uniform
+    runs, which it overwrites.  log(1 - u), in [-36.7, 0], is minus the
+    Exp(1) back-distance tau; the draw is the atom iff tau >= t, else
+    p + (1[u_type < q1(t - tau; x)] - p) e^{-theta tau/2}.  Both exponents
+    are clamped to [-1e3, 0], where exp is 0.0 already, so none overflows."""
+    rate, p = 0.5 * params.theta, params.p
+    atom = p + (x - p) * math.exp(-rate * t)
+    cap = t if rate * t <= 1e3 else 1e3 / rate
+    log_v = np.log(np.subtract(1.0, u, out=u), out=u)
+    q1_back = p + (x - p) * np.exp(-rate * np.clip(log_v + t, 0.0, cap))
+    draw = np.less(u_type, q1_back, out=u_type)
+    draw -= p
+    draw *= np.exp(rate * np.maximum(log_v, -cap))
+    draw += p
+    return _select(np.greater(log_v, -t, out=log_v), draw, atom)
 
 
 def _jump_path(step, x: float, horizon: float, rng: RngStream) -> PathRecord:

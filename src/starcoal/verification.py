@@ -299,8 +299,9 @@ def _suite_transition_moments(seed: int, pool) -> Callable[[], list[tuple]]:
 
     Submits one task per grid cell to pool and returns the function that
     collects them into the check.  Cell k draws, in blocks, exactly what
-    the k-th of a run of sample_transition calls of 1e6 draws would, so
-    neither the pool size nor what runs beside the cells changes the
+    the k-th of a run of sample_transition calls of 1e6 draws would: its
+    two uniform runs start 2e6 k outputs on, read ahead of the one stream,
+    so neither the pool size nor what runs beside the cells changes the
     result.  Sums are taken about each power's mean over the first block.
     """
     rng = RngStream(seed, _STREAM["transition-moments"])

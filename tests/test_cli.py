@@ -507,3 +507,12 @@ def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--suite", "bogus"])
     assert exc.value.code == 2
+
+
+def test_raw_moment_overflow_is_an_error(capsys):
+    # C(n, k) overflows a float from n = 1030; the table stops, before any
+    # row, with an error line naming n, not a traceback.
+    argv = ["moments", "--theta", "1.3", "--p", "0.35", "--x", "0.8", "--n-max", "1030", "--t-grid", "0.9"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: raw moment n=1030") and "Traceback" not in err

@@ -18,7 +18,6 @@ from starcoal.core import (
     mean_se,
     quad_offset,
     replacement_decay_integral,
-    truncated_exponential_inverse_cdf,
 )
 from starcoal.selection import mutation_selection_drift, replacement_stationary
 from starcoal.selection import stationary_law as selection_stationary_law
@@ -157,19 +156,6 @@ def test_replacement_decay_integral():
     assert lo == pytest.approx(hi, rel=1e-9)
     with pytest.raises(InvalidParameterError):
         replacement_decay_integral(1.0, -0.5)
-
-
-def test_truncated_exponential_round_trip():
-    t = 2.5
-    norm = -math.expm1(-t)
-    for u in (0.0, 0.2, 0.77, 0.999999):
-        s = float(truncated_exponential_inverse_cdf(u, t))
-        assert 0.0 <= s < t
-        assert -math.expm1(-s) / norm == pytest.approx(u, abs=1e-12)
-    arr = truncated_exponential_inverse_cdf(np.array([0.1, 0.9]), t)
-    assert arr.shape == (2,)
-    with pytest.raises(InvalidParameterError):
-        truncated_exponential_inverse_cdf(0.5, 0.0)
 
 
 def _toy_law() -> MixedLaw:

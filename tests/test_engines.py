@@ -10,15 +10,17 @@ mean_se over those values to rounding.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+import starcoal.core as core
 import starcoal.lines as lines
 import starcoal.multitype as multitype
 import starcoal.selection as selection
 import starcoal.twotype as twotype
-from starcoal.core import _BLOCK, RngStream, TwoTypeParams, _sweep, mean_se, truncated_exponential_inverse_cdf
+from starcoal.core import _BLOCK, RngStream, TwoTypeParams, _sweep, mean_se
 from starcoal.multitype import MultiParams
 
 B = _BLOCK
@@ -38,15 +40,15 @@ DRIFTS = (
 
 def ref_sample_transition(params, x, t, rng, size=None):
     shape = () if size is None else size
-    u_atom, u_tau, u_type = (rng.gen.random(shape) for _ in range(3))
-    theta, p = params.theta, params.p
-    atom = p + (x - p) * math.exp(-0.5 * theta * t)
-    tau = truncated_exponential_inverse_cdf(u_tau, t)
-    decay = np.exp(-0.5 * theta * tau)
-    q1_back = p + (x - p) * np.exp(-0.5 * theta * (t - tau))
+    u, u_type = (rng.gen.random(shape) for _ in range(2))
+    rate, p = 0.5 * params.theta, params.p
+    atom = p + (x - p) * math.exp(-rate * t)
+    tau = -np.log(1.0 - u)
+    decay = np.exp(-rate * tau)
+    q1_back = p + (x - p) * np.exp(-rate * np.maximum(t - tau, 0.0))
     upper = p + (1.0 - p) * decay
-    lower = p * (1.0 - decay)
-    out = np.where(u_atom < math.exp(-t), atom, np.where(u_type < q1_back, upper, lower))
+    lower = p - p * decay
+    out = np.where(tau >= t, atom, np.where(u_type < q1_back, upper, lower))
     return float(out) if size is None else out
 
 
@@ -229,10 +231,11 @@ def test_sample_transition_blocks(size):
         )
 
 
-# Edge cases of the exact selects: e^{-t} that rounds to 1 (every draw an
-# atom) or to 0 (none), atoms at 0, p and 1, and decays that are exactly 1
-# (theta = 1e-300, lower = +0.0) or 0 (theta = 1e300).  A -0.0, NaN or
-# flipped branch shows in the bitwise comparison.
+# Edge cases of the exact selects: t below every back-distance but 0 (all
+# atoms but u = 0) or above the largest, -log 2^-53 = 36.7 (none), atoms at
+# 0, p and 1, and decays that are exactly 1 (theta = 1e-300, lower = +0.0)
+# or 0 (theta = 1e300).  A -0.0, NaN or flipped branch shows in the bitwise
+# comparison.
 @pytest.mark.parametrize("theta", (1e-300, 1.3, 1e300))
 @pytest.mark.parametrize("x", (0.0, PAR.p, 1.0))
 @pytest.mark.parametrize("t", (1e-17, 0.9, 800.0))
@@ -242,6 +245,33 @@ def test_sample_transition_exact_select_edges(theta, x, t):
         lambda r: twotype.sample_transition(par, x, t, r, size=B + 1),
         lambda r: ref_sample_transition(par, x, t, r, size=B + 1),
     )
+
+
+@pytest.mark.parametrize("size", (1, B + 1, (2, B + 3)))
+def test_sample_transition_stream_layout(size):
+    # Two runs of prod(size) outputs: the call leaves rng where ahead(2 n) is.
+    rng = RngStream(5, 9)
+    ahead = rng.ahead(2 * int(np.prod(size)))
+    twotype.sample_transition(PAR, 0.8, 0.9, rng, size=size)
+    assert rng.gen.random(4).tolist() == ahead.random(4).tolist()
+
+
+def test_sample_transition_finite_operands_and_no_warnings(monkeypatch):
+    # Atom draws put t - tau < 0 in the type threshold, and theta tau/2 passes
+    # the float range at the largest theta; the kernel clamps both, so no
+    # exp or product overflows and every _select operand is finite.
+    def checked(m, v, w):
+        assert np.all((m == 0.0) | (m == 1.0)) and np.isfinite(v).all() and math.isfinite(w)
+        return core._select(m, v, w)
+
+    monkeypatch.setattr(twotype, "_select", checked)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in (5e-324, 1e-300, 1e4, 1e300, 1.7976931348623157e308):
+            for x in (0.0, PAR.p, 1.0):
+                for t in (1e-17, 0.9, 36.0, 40.0, 800.0):
+                    draws = twotype.sample_transition(TwoTypeParams(theta, PAR.p), x, t, RngStream(2, 1), size=B + 1)
+                    assert ((draws >= 0.0) & (draws <= 1.0)).all()
 
 
 @pytest.mark.parametrize("p", (1e-6, 1.0 - 1e-6))

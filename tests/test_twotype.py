@@ -325,6 +325,58 @@ def test_sample_transition_matches_moments():
     assert abs(atom_freq - want) < 4.0 * math.sqrt(want * (1 - want) / draws.size)
 
 
+# Each point's atom, type-1 and type-2 branches, with the draws each
+# expects out of LAW_DRAWS.  A check reads a branch only where it expects at
+# least 1e3 draws: at (theta, x, t) = (1e-3, 0, 0.05) type 1 expects under
+# one, the sample SE never sees it, and any sampler reads z of about 90.
+LAW_DRAWS = 200_000
+LAW_POINTS = [
+    (TwoTypeParams(theta, 0.35), x, t)
+    for theta in (1e-3, 1.3, 400.0)
+    for x in (0.0, 0.35, 1.0)
+    for t in (0.05, 1.0, 20.0)
+]
+
+
+def _law_checks(par, x, t):
+    """(check the atom share, check the moments) at one point.  The atom is
+    counted by value, so its check also needs e^{-theta t/2} >= e^{-30},
+    far above rounding: beyond, replacement draws round onto the atom p.
+    The moments need both replacement branches; at t = 20 the atom's mass
+    e^{-20} moves no moment by more than 2e-9, far under the SE."""
+    atom = math.exp(-t)
+    type1 = par.p * -math.expm1(-t) + (x - par.p) * replacement_decay_integral(par.theta, t)
+    atom_n, type1_n, type2_n = (LAW_DRAWS * w for w in (atom, type1, 1.0 - atom - type1))
+    return min(atom_n, type1_n + type2_n) >= 1e3 and par.theta * t <= 60.0, min(type1_n, type2_n) >= 1e3
+
+
+@pytest.mark.parametrize("k", range(len(LAW_POINTS)))
+def test_sample_transition_law(k):
+    # The atom share against e^{-t} (binomial z) and E[(xi - p)^n], n <= 4,
+    # against transition_moment, at a fixed seed per point.
+    par, x, t = LAW_POINTS[k]
+    check_atom, check_moments = _law_checks(par, x, t)
+    draws = sample_transition(par, x, t, RngStream(37, k), size=LAW_DRAWS)
+    z = []
+    if check_atom:
+        share = math.exp(-t)
+        hits = np.count_nonzero(draws == marginal_q(par, x, t)[0])
+        z.append((hits - LAW_DRAWS * share) / math.sqrt(LAW_DRAWS * share * (1.0 - share)))
+    if check_moments:
+        draws -= par.p
+        for n in range(1, 5):
+            vals = draws**n
+            se = float(vals.std(ddof=1)) / math.sqrt(LAW_DRAWS)
+            z.append((float(vals.mean()) - transition_moment(par, n, x, t)) / se)
+    assert max(map(abs, z), default=0.0) <= 5.0, z
+
+
+def test_sample_transition_law_points_checked():
+    # The filters leave the atom checked at 15 points and the moments at 20.
+    checks = [_law_checks(*pt) for pt in LAW_POINTS]
+    assert [sum(c) for c in zip(*checks)] == [15, 20]
+
+
 def test_replacement_components_sum_to_density():
     par, x, t = TwoTypeParams(theta=2.0, p=0.3), 0.7, 0.8
     for xi in (0.05, 0.12, 0.85, 0.97):

@@ -74,8 +74,6 @@ CASES = {
     "core.replacement_decay_integral": (
         lambda theta=1.0, t=1.0: core.replacement_decay_integral(theta, t),
         {"theta": POSITIVE, "t": TIME}),
-    "core.truncated_exponential_inverse_cdf": (
-        lambda t=1.0: core.truncated_exponential_inverse_cdf(0.5, t), {"t": TIME_POS}),
     "twotype.line_kernel": (lambda t=1.0: twotype.line_kernel(PAR, t), {"t": TIME_INF}),
     "twotype.marginal_q": (
         lambda x=0.4, t=1.0: twotype.marginal_q(PAR, x, t), {"x": UNIT, "t": TIME_INF}),
