@@ -21,7 +21,7 @@ import os
 import sys
 
 from .core import RngStream, StarcoalError, check_int, mean_se
-from .eigen import PolyRep, eigen_coefficients, eigen_poly, eigenvalue
+from .eigen import PolyRep, _check_poly_degree, eigen_coefficients, eigen_poly, eigenvalue
 from .lines import (
     absorption_time_ensemble,
     an_distribution,
@@ -160,7 +160,7 @@ def _cmd_moments(args, parser) -> int:
 
 
 def _cmd_eigen(args, parser) -> int:
-    check_int("n", args.n, 0)
+    _check_poly_degree(args.n)
     par = TwoTypeParams(theta=args.theta, p=args.p)
     rows = []
     for n in range(args.n + 1):

@@ -108,6 +108,13 @@ def eigen_coefficients(params: TwoTypeParams, n: int) -> tuple[float, float]:
     return c0, c1
 
 
+def _check_poly_degree(n: int) -> None:
+    """Raise InvalidParameterError unless 0 <= n <= LINE_LAW_N_CAP."""
+    check_int("n", n, 0)
+    if n > LINE_LAW_N_CAP:
+        raise InvalidParameterError(f"eigen polynomial for n={n!r} exceeds LINE_LAW_N_CAP = {LINE_LAW_N_CAP}")
+
+
 def eigen_poly(params: TwoTypeParams, n: int) -> PolyRep:
     """Monic eigen polynomial P_n in powers of (x - p).
 
@@ -116,9 +123,7 @@ def eigen_poly(params: TwoTypeParams, n: int) -> PolyRep:
     cancels.  It holds n + 1 floats, so n above LINE_LAW_N_CAP raises before
     any allocation.
     """
-    check_int("n", n, 0)
-    if n > LINE_LAW_N_CAP:
-        raise InvalidParameterError(f"eigen polynomial for n={n!r} exceeds LINE_LAW_N_CAP = {LINE_LAW_N_CAP}")
+    _check_poly_degree(n)
     if n == 0:
         return PolyRep(params.p, (1.0,))
     if n == 1:

@@ -3,8 +3,9 @@
 With d types and parent-independent mutation the process stays a finite
 mixture of the two-type laws: conditioning on the last replacement's type i
 puts the state on the segment from the mutation equilibrium p toward the
-i-th vertex, so each region is a one-dimensional density in the coordinate
-xi_i with the other coordinates pinned affinely.  Markov mutation (a
+i-th vertex, and type i against the rest is the two-type process at
+(p_i, x_i), so each region's density in xi_i is that law's upper branch,
+with the other coordinates pinned affinely.  Markov mutation (a
 row-stochastic matrix applied at rate theta/2 per line) changes only the
 single-line kernel, evaluated here by scaling and squaring.  The
 infinitely-many-types limit leaves one replacement family of mass eta
@@ -20,8 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import InvalidParameterError, RngStream, _rate_ratios, _sample, replacement_decay_integral
+from .core import InvalidParameterError, RngStream, TwoTypeParams, _rate_ratios, _sample, replacement_decay_integral
 from .core import check_int, check_real
+from .twotype import transition_density_eval
 
 __all__ = [
     "MultiParams",
@@ -102,8 +104,10 @@ class SimplexRegion:
     """One replacement branch of the simplex-valued law.
 
     Parametrized by the coordinate xi_i of the replaced type on
-    (lower, upper); companion(xi_i) returns the full state vector, whose
-    other coordinates are the affine pin (1 - (xi_i - p_i)/(1 - p_i)) p_j.
+    (lower, upper); density(xi_i) is the two-type density at (p_i, x_i):
+    its upper branch on (lower, 1], 0 on the gap below and above 1.
+    companion(xi_i) returns the full state vector, whose other coordinates
+    are the affine pin (1 - (xi_i - p_i)/(1 - p_i)) p_j.
     """
 
     index: int
@@ -143,19 +147,6 @@ def _check_state(mp: MultiParams, x_vec) -> np.ndarray:
     return x
 
 
-def _region_density(p: float, x: float, eh: float, a: float, v: float) -> float:
-    """Branch density (p + eh (x - p) / w) a w^(a-1) / (1 - p) at xi_i = v.
-
-    w = (v - p) / (1 - p) is the branch coordinate; for w >= 1/2 the power
-    is exp((a-1) log1p(-(1 - v) / (1 - p))), from the exact distance to 1,
-    since a = 2/theta would amplify the rounding of w near 1.
-    """
-    q = 1.0 - p
-    w = (v - p) / q
-    power = math.exp((a - 1.0) * math.log1p(-(1.0 - v) / q)) if w >= 0.5 else w ** (a - 1.0)
-    return (p + eh * (x - p) / w) * a * power / q
-
-
 def pim_line_kernel(mp: MultiParams, t: float) -> np.ndarray:
     """Single-line kernel delta_ij e^{-theta t/2} + (1 - e^{-theta t/2}) p_j.
 
@@ -171,16 +162,16 @@ def pim_transition_law(mp: MultiParams, x_vec, t: float) -> SimplexLaw:
     """Law at time t from state x: atom plus d replacement segments.
 
     Region i is the two-type upper piece in the coordinate xi_i with the
-    pair (p_i, x_i); its mass p_i(1 - e^{-t}) + (x_i - p_i) K(theta, t)
-    integrates the branch-i choice probability over the last replacement
-    time.  Masses add to 1 exactly because the (x_i - p_i) terms cancel.
+    pair (p_i, x_i), whose density transition_density_eval evaluates; its
+    mass p_i(1 - e^{-t}) + (x_i - p_i) K(theta, t) integrates the branch-i
+    choice probability over the last replacement time.  Masses add to 1
+    exactly because the (x_i - p_i) terms cancel.
     """
     x = _check_state(mp, x_vec)
     check_real("t", t, 0.0, math.inf, open_hi=True)
     if t == 0.0:
         return SimplexLaw(d=mp.d, atom_point=tuple(float(v) for v in x), atom_mass=1.0, regions=())
     theta = mp.theta
-    a = 2.0 / theta
     eh = math.exp(-0.5 * theta * t)
     s = -math.expm1(-t)
     big_k = replacement_decay_integral(theta, t)
@@ -205,7 +196,7 @@ def pim_transition_law(mp: MultiParams, x_vec, t: float) -> SimplexLaw:
                 lower=pi + (1.0 - pi) * eh,
                 upper=1.0,
                 mass=mass,
-                density=lambda v, _p=pi, _x=xi0: _region_density(_p, _x, eh, a, v),
+                density=lambda v, _par=TwoTypeParams(theta, pi), _x=xi0: transition_density_eval(_par, _x, t, v),
                 companion=comp,
             )
         )

@@ -486,7 +486,9 @@ def _suite_replacement_parts(seed: int) -> list[tuple]:
 def _suite_multitype(seed: int) -> list[tuple]:
     """Two-type embedding, Markov mutation kernel, sampling identity."""
     # The line kernels are compared at t = 0.7, where = (theta, p); the
-    # laws at where = (theta, p, x, t).
+    # laws at where = (theta, p, x, t).  Region i is the two-type upper
+    # branch at (p_i, x_i), so it is compared through the mirror xi -> 1 - xi
+    # with the other type's lower piece, in 1 - xi / p, not (xi - p) / (1 - p).
     embeds = []
     for theta in (0.5, 2.0, 5.0):
         for p in (0.3, 0.5):
@@ -499,23 +501,18 @@ def _suite_multitype(seed: int) -> list[tuple]:
                     law = transition_law(par, x, t)
                     slaw = pim_transition_law(mp, (x, 1.0 - x), t)
                     (atom_pos, atom_mass), = law.atoms
-                    upper = next(pc for pc in law.pieces if pc.upper == 1.0)
-                    lower = next(pc for pc in law.pieces if pc.lower == 0.0)
-                    r0, r1 = slaw.regions
                     gaps = [
                         abs(slaw.atom_mass - atom_mass),
                         abs(slaw.atom_point[0] - atom_pos),
                         abs(slaw.atom_point[1] - (1.0 - atom_pos)),
-                        abs(r0.lower - upper.lower),
-                        abs(r0.mass - upper.mass),
-                        abs((1.0 - r1.lower) - lower.upper),
-                        abs(r1.mass - lower.mass),
                     ]
-                    for f in (0.2, 0.5, 0.8):
-                        xi = r0.lower + (1.0 - r0.lower) * f
-                        gaps.append(abs(r0.density(xi) - transition_density_eval(par, x, t, xi)))
-                        xi2 = r1.lower + (1.0 - r1.lower) * f
-                        gaps.append(abs(r1.density(xi2) - transition_density_eval(par, x, t, 1.0 - xi2)))
+                    others = ((TwoTypeParams(theta=theta, p=1.0 - p), 1.0 - x), (par, x))
+                    for r, (other, x_other) in zip(slaw.regions, others):
+                        lower = next(pc for pc in transition_law(other, x_other, t).pieces if pc.lower == 0.0)
+                        gaps += [abs((1.0 - r.lower) - lower.upper), abs(r.mass - lower.mass)]
+                        for f in (0.2, 0.5, 0.8):
+                            v = r.lower + (1.0 - r.lower) * f
+                            gaps.append(abs(r.density(v) - transition_density_eval(other, x_other, t, 1.0 - v)))
                     embeds.append((max(gaps), (theta, p, x, t)))
     swap = MutationMatrix(matrix=((0.0, 1.0), (1.0, 0.0)))
     swaps = []

@@ -423,12 +423,15 @@ def test_simulate_rejects_single_replicate(capsys, kind_args):
          "n_max must be an integer >= 0, got -1"),
         (["eigen", "--theta", "1", "--p", "0.3", "--n", "-1"], "n must be an integer >= 0, got -1"),
         (["multitype", "--theta", "1", "--n", "-2"], "n must be an integer >= 1, got -2"),
+        (["eigen", "--theta", "2", "--p", "0.5", "--n", "2001"],
+         "eigen polynomial for n=2001 exceeds LINE_LAW_N_CAP = 2000"),
     ],
-    ids=["moments", "eigen", "multitype"],
+    ids=["moments", "eigen", "multitype", "eigen-above-cap"],
 )
 def test_negative_sizes_exit_on_the_library_message(capsys, argv, message):
     # A size below its minimum once printed an empty table, or for
-    # multitype a usage error that named no size.
+    # multitype a usage error that named no size.  eigen --n above
+    # LINE_LAW_N_CAP stops before the first row, as eigen_poly does.
     rc, out, err = run_cli(capsys, argv)
     assert rc == 1
     assert out == ""

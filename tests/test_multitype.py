@@ -1,7 +1,10 @@
 """Multi-type laws: simplex embeddings, Markov mutation, sampling formulas.
 
-The two-type module is the reference for d = 2 embeddings (region 1 maps
-through xi -> 1 - xi).  Markov kernels are checked against scipy's matrix
+Each simplex region evaluates the two-type upper branch at (p_i, x_i), so
+the two-type module is the reference only through the type mirror
+xi -> 1 - xi, whose lower piece is written in its own coordinate; planted
+faults show which battery checks still guard that shared branch formula.
+Markov kernels are checked against scipy's matrix
 exponential, and the sampling distributions against exact rational
 arithmetic plus a direct binomial-mixture simulation.
 """
@@ -15,6 +18,7 @@ import pytest
 from scipy import integrate
 from scipy.linalg import expm
 
+from starcoal import multitype, twotype, verification
 from starcoal.core import InvalidParameterError, RngStream, TwoTypeParams
 from starcoal.multitype import (
     MultiParams,
@@ -90,7 +94,21 @@ def test_pim_line_kernel_embeds_two_type():
     assert k3.sum(axis=1) == pytest.approx(np.ones(3), abs=1e-15)
 
 
+def _assert_region_mirrors(region, theta, p_other, x_other, t, points):
+    """region against the lower piece of the two-type law of the frequency
+    1 - xi, at (p_other, x_other): edge, mass and density at 1 - v."""
+    other = TwoTypeParams(theta=theta, p=p_other)
+    lower = next(pc for pc in transition_law(other, x_other, t).pieces if pc.lower == 0.0)
+    assert 1.0 - region.lower == pytest.approx(lower.upper, rel=1e-15)
+    assert region.mass == pytest.approx(lower.mass, rel=1e-13)
+    for v in points:
+        assert region.density(v) == pytest.approx(transition_density_eval(other, x_other, t, 1.0 - v), rel=1e-13)
+
+
 def test_pim_transition_law_embeds_two_type():
+    # Region i is the upper branch at (p_i, x_i); the type mirror xi -> 1 - xi
+    # maps it onto the lower piece of the other type's law, which the two-type
+    # module writes in 1 - xi / p rather than in (xi - p) / (1 - p).
     theta, p, x, t = 1.0, 0.3, 0.7, 1.0
     par = TwoTypeParams(theta=theta, p=p)
     mp = MultiParams(theta=theta, p_vec=(p, 1.0 - p))
@@ -99,23 +117,22 @@ def test_pim_transition_law_embeds_two_type():
     assert law.atom_mass == two.atoms[0][1]
     assert law.atom_point[0] == pytest.approx(marginal_q(par, x, t)[0], rel=1e-15)
     assert math.fsum(law.atom_point) == pytest.approx(1.0, abs=1e-15)
-
-    upper = max(two.pieces, key=lambda pc: pc.lower)
-    lower = min(two.pieces, key=lambda pc: pc.lower)
     r0, r1 = law.regions
-    assert r0.lower == pytest.approx(upper.lower, rel=1e-15)
-    assert r0.mass == pytest.approx(upper.mass, rel=1e-13)
-    assert r1.mass == pytest.approx(lower.mass, rel=1e-13)
-    for v in (0.84, 0.93, 0.99):
-        assert r0.density(v) == pytest.approx(
-            transition_density_eval(par, x, t, v), rel=1e-13
-        )
-    # Region 1 describes the type-2 coordinate; xi -> 1 - xi embeds it.
-    for v in (0.9, 0.96):
-        assert r1.density(v) == pytest.approx(
-            transition_density_eval(par, x, t, 1.0 - v), rel=1e-13
-        )
+    _assert_region_mirrors(r0, theta, 1.0 - p, 1.0 - x, t, (0.84, 0.93, 0.99))
+    _assert_region_mirrors(r1, theta, p, x, t, (0.9, 0.96))
     assert law.total_mass() == pytest.approx(1.0, abs=1e-14)
+
+
+def test_pim_regions_mirror_two_type_for_three_types():
+    # With d = 3, type i against the rest is the two-type process at
+    # (p_i, x_i), so the rest's frequency follows the law at (1 - p_i, 1 - x_i).
+    x_vec, t = (0.5, 0.25, 0.25), 0.9
+    for r, p_i, x_i in zip(pim_transition_law(MP3, x_vec, t).regions, MP3.p_vec, x_vec):
+        points = [r.lower + (1.0 - r.lower) * f for f in (0.1, 0.5, 0.9)]
+        _assert_region_mirrors(r, MP3.theta, 1.0 - p_i, 1.0 - x_i, t, points)
+        # 0 on the gap, which ends at lower, and above 1.
+        assert r.density(r.lower) == 0.0
+        assert r.density(math.nextafter(1.0, 2.0)) == 0.0
 
 
 def test_region_density_near_one_against_mpmath():
@@ -135,9 +152,9 @@ def test_region_density_near_one_against_mpmath():
 
 
 def test_embedding_region_densities_against_mpmath():
-    # The multitype suite's embedding check compares region 0 with the
-    # two-type density, two routes doing the same float operations, so its
-    # gaps read 0; at the suite's 72 points both are held to 30 digits.
+    # Region 0 evaluates the two-type upper branch itself, so the multitype
+    # suite's embedding check reaches it only through the type mirror; at the
+    # suite's 72 points the region density is also held to 30 digits.
     mpmath = pytest.importorskip("mpmath")
     for theta in (0.5, 2.0, 5.0):
         for p in (0.3, 0.5):
@@ -152,6 +169,37 @@ def test_embedding_region_densities_against_mpmath():
                             w = (mpmath.mpf(xi) - pm) / (1 - pm)
                             want = (pm + mpmath.exp(-t / a) * (xm - pm) / w) * a * w ** (a - 1) / (1 - pm)
                         assert r0.density(xi) == pytest.approx(float(want), rel=1e-14), (theta, p, x, t, xi)
+
+
+EMBED = "max two-type embedding mismatch, d = 2"
+
+
+def _scale(monkeypatch, module, name):
+    f = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: (1.0 + 1e-6) * f(*args))
+
+
+@pytest.mark.parametrize("name", ["transition_density_eval", "replacement_decay_integral"])
+def test_embedding_check_fails_on_a_scaled_region(monkeypatch, name):
+    # The (x_i - p_i) K terms cancel in the total mass, so a scaled K still
+    # builds a valid SimplexLaw; only the embedding check sees it.
+    assert all(r.passed for r in verification.run_suites("multitype", seed=42))
+    _scale(monkeypatch, multitype, name)
+    results = verification.run_suites("multitype", seed=42)
+    assert {r.name for r in results if not r.passed} == {EMBED}
+
+
+def test_battery_guards_the_shared_branch_density(monkeypatch):
+    # Regions and two-type laws share _branch_density, so the embedding
+    # check cannot see a fault in it; quadrature mass and the replacement
+    # decomposition do.
+    suites = ["transition-mass", "replacement-parts", "multitype"]
+    _scale(monkeypatch, twotype, "_branch_density")
+    failing = {(r.suite, r.name) for r in verification.run_suites(suites, seed=42) if not r.passed}
+    assert failing == {
+        ("transition-mass", "max |quadrature mass - 1| over parameter grid"),
+        ("replacement-parts", "max |sum of 50 components - density|"),
+    }
 
 
 def test_pim_transition_law_three_types():

@@ -398,12 +398,26 @@ def test_cli_simulated_lines_past_the_cap_exit_with_an_error(capsys):
     assert "LINE_LAW_N_CAP" in capsys.readouterr().err
 
 
-def test_cli_eigen_table_is_linear_in_n(capsys):
-    # Each row prints c0 and c1 only, not the whole P_n of n + 1 coefficients.
-    assert _in_time(lambda: cli.main(["eigen", "--theta", "1.3", "--p", "0.35", "--n", "20000", "--format", "json"]), 2.0) == 0
+def test_cli_eigen_table_is_linear_in_n(capsys, monkeypatch):
+    # Each row prints c0 and c1 only, not the whole P_n of n + 1 coefficients,
+    # and n is capped at LINE_LAW_N_CAP, as eigen_poly is: uncapped, the table
+    # took 5.3 s and 357 MB at n = 1e6.
+    built = []
+
+    def poly(par, n):
+        built.append(n)
+        return eigen.eigen_poly(par, n)
+
+    monkeypatch.setattr(cli, "eigen_poly", poly)
+    cap = core.LINE_LAW_N_CAP
+    argv = ["eigen", "--theta", "1.3", "--p", "0.35", "--format", "json", "--n"]
+    assert _in_time(lambda: cli.main(argv + [str(cap)]), 2.0) == 0
+    assert built == [0, 1]
     rows = json.loads(capsys.readouterr().out)["rows"]
-    assert len(rows) == 20001
+    assert len(rows) == cap + 1
     par = TwoTypeParams(1.3, 0.35)
     for n, value, c0, c1 in rows[:13]:
         g = eigen.eigen_poly(par, n)
         assert (value, c0, c1) == (eigen.eigenvalue(par, n), g.coefficient(0), g.coefficient(1))
+    assert _in_time(lambda: cli.main(argv + [str(cap + 1)]), 0.5) == 1
+    assert capsys.readouterr().err == f"error: eigen polynomial for n={cap + 1} exceeds LINE_LAW_N_CAP = {cap}\n"
