@@ -220,6 +220,20 @@ def simulate_lines(n: int, theta: float, rng: RngStream) -> LinePath:
     return LinePath(final_lines=state, absorption_time=clock)
 
 
+def _line_jump(state: np.ndarray, coal_before: np.ndarray, a: np.ndarray, theta: float, rng: RngStream) -> np.ndarray:
+    """One jump of the line-count chain at the replicates a, one uniform
+    each; returns their new counts.  From i >= 2 lines the collapse has rate
+    1 of 1 + i theta/2: it sets the count to 1 and records i in coal_before.
+    Otherwise a line resolves, i -> i - 1."""
+    count = state[a]
+    coal = np.flatnonzero((count >= 2) & (rng.gen.random(a.size) * (0.5 * theta * count + (count >= 2)) < 1.0))
+    coal_before[a.take(coal)] = count.take(coal)
+    count -= 1
+    count[coal] = 1
+    state[a] = count
+    return count
+
+
 def _line_ensemble(
     n: int, theta: float, t: float, size: int, rng: RngStream
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -227,8 +241,8 @@ def _line_ensemble(
 
     The second array is 0 for replicates with no collapse before t; the
     clock holds each replicate's last event time by t.  Each stage draws
-    one Exp(1) wait for every active replicate and one uniform for each
-    whose event lands by t, so at most n + 1 stages run regardless of size.
+    one Exp(1) wait for every active replicate, and each whose event lands
+    by t takes one _line_jump, so at most n + 1 stages run regardless of size.
     t = inf runs every chain to absorption, where the clock is the
     absorption time.
     """
@@ -246,20 +260,9 @@ def _line_ensemble(
         clock[a.take(kept)] = landed.take(kept)
         return alive
 
-    def resolve(a):
-        # From i >= 2 lines the total rate is 1 + i theta/2, and the collapse
-        # has rate 1: it wins with probability 1/rate.
-        count = state[a]
-        coal = np.flatnonzero((count >= 2) & (rng.gen.random(a.size) * (0.5 * theta * count + (count >= 2)) < 1.0))
-        coal_before[a.take(coal)] = count.take(coal)
-        count -= 1
-        count[coal] = 1
-        state[a] = count
-        return count >= 1
-
     active = _replicates(size)
     while active.size:
-        active = _sweep(_sweep(active, land), resolve)
+        active = _sweep(_sweep(active, land), lambda a: _line_jump(state, coal_before, a, theta, rng) >= 1)
     return state, coal_before, clock
 
 
@@ -313,10 +316,10 @@ def stationary_moment_via_coalescent(
 ) -> tuple[float, float]:
     """Estimate of the stationary E[xi^n] from the embedded jump chain.
 
-    Runs the discrete chain until the first collapse from i >= 2 lines
-    (value p^{n+1-i}) or until a single line remains without any collapse
-    (value p^n, the same as a collapse from one line).  Time plays no role,
-    only the jump probabilities i theta / (2 + i theta).
+    Runs _line_jump, the staged engine's jump step, until the first
+    collapse from i >= 2 lines (value p^{n+1-i}) or until a single line
+    remains without any collapse (value p^n, the same as a collapse from
+    one line).  Time plays no role, only the jump probabilities.
 
     Returns:
         (estimate, standard error); n = 1 returns (p, 0.0) since every
@@ -327,19 +330,9 @@ def stationary_moment_via_coalescent(
     _check_work("lines.stationary_moment_via_coalescent", n + 1, n_mc)
     state = np.full(n_mc, n, dtype=np.min_scalar_type(n))
     a = np.ones_like(state)
-
-    def step(b):
-        count = state[b]
-        coal = np.flatnonzero(rng.gen.random(b.size) * (0.5 * params.theta * count + 1.0) < 1.0)
-        a[b.take(coal)] = count.take(coal)
-        count -= 1
-        count[coal] = 1
-        state[b] = count
-        return count >= 2
-
     active = _replicates(n_mc)
     while active.size:
-        active = _sweep(active, step)
+        active = _sweep(active, lambda b: _line_jump(state, a, b, params.theta, rng) >= 2)
     # A path's value p^{n+1-a} depends only on a.
     counts = sum(np.bincount(a[b], minlength=n + 1) for b in _blocks(n_mc))
     return mean_se_of_counts(counts, params.p ** (n + 1 - np.arange(n + 1)).astype(float))

@@ -104,8 +104,9 @@ class SimplexRegion:
     """One replacement branch of the simplex-valued law.
 
     Parametrized by the coordinate xi_i of the replaced type on
-    (lower, upper); density(xi_i) is the two-type density at (p_i, x_i):
-    its upper branch on (lower, 1], 0 on the gap below and above 1.
+    (lower, upper); density(xi_i) is the upper branch of the two-type
+    density at (p_i, x_i) on (lower, 1], and 0 elsewhere: below lower, where
+    the two-type law has its gap and its lower branch, and above 1.
     companion(xi_i) returns the full state vector, whose other coordinates
     are the affine pin (1 - (xi_i - p_i)/(1 - p_i)) p_j.
     """
@@ -182,6 +183,7 @@ def pim_transition_law(mp: MultiParams, x_vec, t: float) -> SimplexLaw:
     for i in range(mp.d):
         pi, xi0 = float(p[i]), float(x[i])
         mass = pi * s + (xi0 - pi) * big_k
+        lower = pi + (1.0 - pi) * eh
 
         def comp(v: float, _i=i, _p=pi, _pv=p) -> tuple[float, ...]:
             shrink = (1.0 - v) / (1.0 - _p)
@@ -193,10 +195,12 @@ def pim_transition_law(mp: MultiParams, x_vec, t: float) -> SimplexLaw:
         regions.append(
             SimplexRegion(
                 index=i,
-                lower=pi + (1.0 - pi) * eh,
+                lower=lower,
                 upper=1.0,
                 mass=mass,
-                density=lambda v, _par=TwoTypeParams(theta, pi), _x=xi0: transition_density_eval(_par, _x, t, v),
+                density=lambda v, _par=TwoTypeParams(theta, pi), _x=xi0, _lo=lower: (
+                    0.0 if v <= _lo else transition_density_eval(_par, _x, t, v)
+                ),
                 companion=comp,
             )
         )

@@ -225,21 +225,9 @@ def stationary_density_eval(params: TwoTypeParams, xi: float) -> float:
 
 
 def stationary_sample(params: TwoTypeParams, rng: RngStream, size=None):
-    """Exact stationary draw via the eta representation.
-
-    eta = U^{theta/2} has density (2/theta) eta^{2/theta - 1}; the sample is
-    p(1-eta) + eta with probability p, else p(1-eta).
-    """
-
-    def draw(gens, m):
-        eta = gens[0].random(m)
-        eta **= 0.5 * params.theta
-        out = 1.0 - eta
-        out *= params.p
-        eta *= gens[1].random(m) < params.p  # eta where the type is 1, else +0.0
-        return np.add(out, eta, out=out)
-
-    return _sample(rng, size, draw)
+    """Exact stationary draw(s): sample_transition at t = inf, where x drops
+    out; p + (1 - p) e^{-theta tau/2} with probability p, else p - p e^{-theta tau/2}."""
+    return sample_transition(params, params.p, math.inf, rng, size)
 
 
 def _alternating_gap(p: float, m: int) -> float:
@@ -298,12 +286,13 @@ def _raw_moment(params: TwoTypeParams, n: int, x: float, t: float) -> float:
 
 
 def sample_transition(params: TwoTypeParams, x: float, t: float, rng: RngStream, size=None):
-    """Exact draw(s) from the transition law.
+    """Exact draw(s) from the transition law, t in (0, inf].
 
     Uses the last-replacement representation: the back-distance tau to the
     last replacement is Exp(1).  If tau >= t (probability e^{-t}) return the
     atom q1(t; x); otherwise choose branch 1 with probability q1(t - tau; x)
-    and return p_{11}(tau) or p_{21}(tau).
+    and return p_{11}(tau) or p_{21}(tau).  At t = inf the atom has mass 0
+    and q1 is p, so the draws do not depend on x: the stationary law.
 
     Args:
         size: None for the one draw of size=1, else an ensemble shape.  A
@@ -313,7 +302,7 @@ def sample_transition(params: TwoTypeParams, x: float, t: float, rng: RngStream,
             outputs past the first; the transition-moments suite relies on this.
     """
     check_real("x", x, 0.0, 1.0)
-    check_real("t", t, 0.0, math.inf, open_lo=True, open_hi=True)
+    check_real("t", t, 0.0, math.inf, open_lo=True)
     draw = lambda gens, m: _transition_from_uniforms(params, x, t, *(g.random(m) for g in gens))
     return _sample(rng, size, draw)
 
@@ -333,12 +322,18 @@ def _transition_from_uniforms(params: TwoTypeParams, x: float, t: float, u, u_ty
     runs, which it overwrites.  log(1 - u), in [-36.7, 0], is minus the
     Exp(1) back-distance tau; the draw is the atom iff tau >= t, else
     p + (1[u_type < q1(t - tau; x)] - p) e^{-theta tau/2}.  Both exponents
-    are clamped to [-1e3, 0], where exp is 0.0 already, so none overflows."""
+    are clamped to [-1e3, 0], where exp is 0.0 already, so none overflows.
+    At t = inf the atom (of mass 0) and q1 are p, set directly, as
+    transition_law sets K = 0 there: a theta that halves to 0 makes
+    theta t/2 = 0 * inf NaN, which leaves the cap at t."""
     rate, p = 0.5 * params.theta, params.p
-    atom = p + (x - p) * math.exp(-rate * t)
-    cap = t if rate * t <= 1e3 else 1e3 / rate
+    cap = 1e3 / rate if rate * t > 1e3 else t
     log_v = np.log(np.subtract(1.0, u, out=u), out=u)
-    q1_back = p + (x - p) * np.exp(-rate * np.clip(log_v + t, 0.0, cap))
+    if t < math.inf:
+        atom = p + (x - p) * math.exp(-rate * t)
+        q1_back = p + (x - p) * np.exp(-rate * np.clip(log_v + t, 0.0, cap))
+    else:
+        atom = q1_back = p
     draw = np.less(u_type, q1_back, out=u_type)
     draw -= p
     draw *= np.exp(rate * np.maximum(log_v, -cap))

@@ -52,15 +52,6 @@ def ref_sample_transition(params, x, t, rng, size=None):
     return float(out) if size is None else out
 
 
-def ref_stationary_sample(params, rng, size):
-    eta = rng.gen.random(size)
-    eta **= 0.5 * params.theta
-    out = 1.0 - eta
-    out *= params.p
-    np.add(out, eta, out=out, where=rng.gen.random(size) < params.p)
-    return out
-
-
 def ref_pim_stationary_sample(mp, rng, size):
     p = np.asarray(mp.p_vec)
     eta = rng.gen.random(size) ** (0.5 * mp.theta)
@@ -259,7 +250,8 @@ def test_sample_transition_stream_layout(size):
 def test_sample_transition_finite_operands_and_no_warnings(monkeypatch):
     # Atom draws put t - tau < 0 in the type threshold, and theta tau/2 passes
     # the float range at the largest theta; the kernel clamps both, so no
-    # exp or product overflows and every _select operand is finite.
+    # exp or product overflows and every _select operand is finite.  At
+    # t = inf, theta t/2 is 0 * inf where theta = 5e-324 halves to 0.
     def checked(m, v, w):
         assert np.all((m == 0.0) | (m == 1.0)) and np.isfinite(v).all() and math.isfinite(w)
         return core._select(m, v, w)
@@ -269,16 +261,32 @@ def test_sample_transition_finite_operands_and_no_warnings(monkeypatch):
         warnings.simplefilter("error")
         for theta in (5e-324, 1e-300, 1e4, 1e300, 1.7976931348623157e308):
             for x in (0.0, PAR.p, 1.0):
-                for t in (1e-17, 0.9, 36.0, 40.0, 800.0):
+                for t in (1e-17, 0.9, 36.0, 40.0, 800.0, math.inf):
                     draws = twotype.sample_transition(TwoTypeParams(theta, PAR.p), x, t, RngStream(2, 1), size=B + 1)
                     assert ((draws >= 0.0) & (draws <= 1.0)).all()
+
+
+@pytest.mark.parametrize("theta", (5e-324, 1e-300, 1.3, 1e300))
+def test_sample_transition_at_infinity_drops_x(theta):
+    # At t = inf the atom has mass 0 and the type threshold is p, whatever x.
+    # theta = 5e-324 halves to a rate of 0, no mutation: each draw is its
+    # replacement's type, 1 exactly when u_type (the second run) is below p.
+    par = TwoTypeParams(theta, PAR.p)
+    want = twotype.sample_transition(par, par.p, math.inf, RngStream(6, 3), size=B + 1)
+    for x in (0.0, 1.0):
+        _same(twotype.sample_transition(par, x, math.inf, RngStream(6, 3), size=B + 1), want)
+    if theta == 5e-324:
+        _same(want, (RngStream(6, 3).ahead(B + 1).random(B + 1) < PAR.p).astype(float))
 
 
 @pytest.mark.parametrize("p", (1e-6, 1.0 - 1e-6))
 @pytest.mark.parametrize("theta", (1e-300, 1.3, 1e300))
 def test_stationary_sample_exact_select_edges(p, theta):
     par = TwoTypeParams(theta, p)
-    _check(lambda r: twotype.stationary_sample(par, r, size=B + 1), lambda r: ref_stationary_sample(par, r, B + 1))
+    _check(
+        lambda r: twotype.stationary_sample(par, r, size=B + 1),
+        lambda r: ref_sample_transition(par, p, math.inf, r, size=B + 1),
+    )
 
 
 @pytest.mark.parametrize("size", (1, B, B + 1, 3 * B + 7))
@@ -296,7 +304,10 @@ def test_sweep_compacts_as_a_boolean_mask(size, share):
 @pytest.mark.parametrize("size", (*SIZES, (2, B + 3)))
 def test_fixed_count_samplers(size):
     for par in (PAR, TwoTypeParams(2.0, 0.5), TwoTypeParams(7.0, 0.9)):
-        _check(lambda r: twotype.stationary_sample(par, r, size=size), lambda r: ref_stationary_sample(par, r, size))
+        _check(
+            lambda r: twotype.stationary_sample(par, r, size=size),
+            lambda r: ref_sample_transition(par, par.p, math.inf, r, size=size),
+        )
     mp = MultiParams(1.3, (0.2, 0.5, 0.3))
     _check(
         lambda r: multitype.pim_stationary_sample(mp, r, size=size),

@@ -135,6 +135,17 @@ def test_pim_regions_mirror_two_type_for_three_types():
         assert r.density(math.nextafter(1.0, 2.0)) == 0.0
 
 
+def test_region_density_is_zero_below_its_region():
+    # At v = 0.05 both regions sit below their lower edges (0.665 and 0.857),
+    # where the two-type density at (p_i, x_i) is its lower branch: 1.507 and
+    # 1.346 there.  A region holds only the upper branch.
+    law = pim_transition_law(MultiParams(1.3, (0.3, 0.7)), (0.9, 0.1), 1.0)
+    for r, p_i, x_i in zip(law.regions, (0.3, 0.7), (0.9, 0.1)):
+        assert r.lower > 0.05
+        assert transition_density_eval(TwoTypeParams(1.3, p_i), x_i, 1.0, 0.05) > 1.0
+        assert r.density(0.05) == 0.0
+
+
 def test_region_density_near_one_against_mpmath():
     # At theta = 1e-8 the power w^(2/theta - 1) amplifies the rounding of
     # w = (xi - p) / (1 - p) near 1 by 2e8; the region density takes it

@@ -3,7 +3,8 @@
 Every real argument has a documented domain.  NaN is outside every one
 of them, and t = inf is inside only where a docstring says so: the closed
 forms transition_moment, transition_density_eval, marginal_q, line_kernel,
-pim_line_kernel and flow for the named drift kinds.  Any value outside
+pim_line_kernel and flow for the named drift kinds, and the sampler
+sample_transition.  Any value outside
 the domain must raise InvalidParameterError before any work starts: not a
 nan result, not a bare numpy error, and not an event loop that never
 ends.  Each case below calls one entry point with valid defaults and
@@ -88,7 +89,7 @@ CASES = {
         lambda x=0.4, t=1.0: twotype.transition_moment(PAR, 2, x, t), {"x": UNIT, "t": TIME_INF}),
     "twotype.sample_transition": (
         lambda x=0.4, t=1.0: twotype.sample_transition(PAR, x, t, rng()),
-        {"x": UNIT, "t": TIME_POS}),
+        {"x": UNIT, "t": TIME_POS_INF}),
     "twotype.simulate_path": (
         lambda x=0.4, horizon=1.0: twotype.simulate_path(PAR, x, horizon, rng()),
         {"x": UNIT, "horizon": TIME_POS}),
