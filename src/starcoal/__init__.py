@@ -49,6 +49,7 @@ from .eigen import (
 from .lines import (
     LineDist,
     LinePath,
+    absorption_time_ensemble,
     an_distribution,
     an_distribution_spectral,
     duality_check,

@@ -20,7 +20,7 @@ import math
 import os
 import sys
 
-from .core import RngStream, StarcoalError, check_int, mean_se
+from .core import RngStream, StarcoalError, TwoTypeParams, check_int, mean_se
 from .eigen import PolyRep, _check_poly_degree, eigen_coefficients, eigen_poly, eigenvalue
 from .lines import (
     absorption_time_ensemble,
@@ -47,7 +47,6 @@ from .selection import (
 )
 from .selection import stationary_density as selection_stationary_density
 from .twotype import (
-    TwoTypeParams,
     _check_raw_moment_n,
     _raw_moment,
     marginal_q,
@@ -246,10 +245,8 @@ def _cmd_selection(args, parser) -> int:
     rows: list[tuple[str, object, float]] = []
     params: list[tuple[str, object]] = []
     if args.drift_coeffs is not None:
-        coeffs = args.drift_coeffs
-        lipschitz = sum(k * abs(c) for k, c in enumerate(coeffs)) or 1.0
-        drift = custom_drift(PolyRep(0.0, tuple(coeffs)), lipschitz)
-        params.append(("drift_coeffs", ",".join(_fmt(c) for c in coeffs)))
+        drift = custom_drift(PolyRep(0.0, tuple(args.drift_coeffs)))
+        params.append(("drift_coeffs", ",".join(_fmt(c) for c in args.drift_coeffs)))
     elif args.beta is not None and args.theta is None:
         # Pure selection: absorbing endpoints, so the table reports
         # fixation probabilities over the grid instead of a density.

@@ -58,6 +58,7 @@ __all__ = [
     "check_int",
     "mean_se",
     "mean_se_of_sums",
+    "mean_se_of_counts",
     "shifted_sums",
 ]
 

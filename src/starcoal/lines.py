@@ -29,6 +29,7 @@ __all__ = [
     "an_distribution",
     "an_distribution_spectral",
     "mean_absorption_time",
+    "absorption_time_ensemble",
     "simulate_lines",
     "duality_check",
     "stationary_moment_via_coalescent",

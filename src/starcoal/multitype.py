@@ -183,7 +183,7 @@ def pim_transition_law(mp: MultiParams, x_vec, t: float) -> SimplexLaw:
     for i in range(mp.d):
         pi, xi0 = float(p[i]), float(x[i])
         mass = pi * s + (xi0 - pi) * big_k
-        lower = pi + (1.0 - pi) * eh
+        lower = eh + pi * -math.expm1(-0.5 * theta * t)
 
         def comp(v: float, _i=i, _p=pi, _pv=p) -> tuple[float, ...]:
             shrink = (1.0 - v) / (1.0 - _p)

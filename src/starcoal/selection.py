@@ -33,13 +33,14 @@ from .core import (
     QuadratureError,
     RngStream,
     SimulationAbortError,
+    TwoTypeParams,
     check_int,
     check_real,
     mean_se,
     quad_offset,
 )
 from .core import _check_work, _quad_led_by, _rate_ratios, _replicates, _sample, _sweep, mean_se_of_counts
-from .twotype import PathRecord, TwoTypeParams, _jump_endpoints, _jump_path, transition_density_eval
+from .twotype import PathRecord, _jump_endpoints, _jump_path, transition_density_eval
 from .twotype import stationary_law as _neutral_stationary_law
 
 __all__ = [
@@ -78,9 +79,8 @@ class DriftSpec:
     """Between-event drift, one of four kinds.
 
     kind "neutral" uses (theta, p); "logistic" uses beta; the combined
-    "mutation_selection" uses all three; "custom" carries a velocity
-    callable with a Lipschitz bound for step control.  Use the factory
-    functions rather than filling fields by hand.
+    "mutation_selection" uses all three; "custom" carries a velocity callable
+    alone.  Use the factory functions rather than filling fields by hand.
     """
 
     kind: str
@@ -88,7 +88,6 @@ class DriftSpec:
     p: float | None = None
     beta: float | None = None
     velocity_fn: Callable[[float], float] | None = None
-    lipschitz: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("neutral", "logistic", "mutation_selection", "custom"):
@@ -101,7 +100,6 @@ class DriftSpec:
         if self.kind == "custom":
             if not callable(self.velocity_fn):
                 raise InvalidParameterError("custom drift needs a velocity callable")
-            check_real("lipschitz", self.lipschitz, 0.0, math.inf, open_lo=True, open_hi=True)
 
     def velocity(self, x: float) -> float:
         if self.kind == "neutral":
@@ -125,8 +123,9 @@ def mutation_selection_drift(theta: float, p: float, beta: float) -> DriftSpec:
     return DriftSpec(kind="mutation_selection", theta=theta, p=p, beta=beta)
 
 
-def custom_drift(velocity, lipschitz: float) -> DriftSpec:
-    return DriftSpec(kind="custom", velocity_fn=velocity, lipschitz=lipschitz)
+def custom_drift(velocity) -> DriftSpec:
+    """Drift dx/dt = velocity(x); Dormand-Prince error control sets every flow step."""
+    return DriftSpec(kind="custom", velocity_fn=velocity)
 
 
 @dataclass(frozen=True)
@@ -199,15 +198,16 @@ _DP_D = (-12715105075.0 / 11282082432.0, 0.0, 87487479700.0 / 32700410799.0, -10
 _RTOL, _ATOL = 1e-12, 1e-15
 
 
-def _dp45(v, y0: float, t_end: float, max_step: float):
+def _dp45(v, y0: float, t_end: float):
     """One trajectory of y' = v(y), y(0) = y0, through t_end, with dense output.
 
     Dormand-Prince 5(4), advancing with the fifth-order solution.  A step is
     accepted when its error estimate over _ATOL + _RTOL times the larger of
     the old and new magnitude is below 1; the next step is h times
-    0.9 err^(-1/5), kept within [0.2, 10], not above 1 just after a
-    rejection, and never above max_step.  No step is cut at t_end: the run
-    stops at the first accepted step past it, so no step depends on t_end.
+    0.9 err^(-1/5), kept within [0.2, 10] and not above 1 just after a
+    rejection, which also holds a stiff drift's step near the stability
+    boundary.  No step is cut at t_end: the run stops at the first accepted
+    step past it, so no step depends on t_end.
     Returns the accepted steps' starts, widths and coefficients c0..c4, with
     y(start + theta width) = c0 + theta (c1 + (1 - theta) (c2 + theta (c3 +
     (1 - theta) c4))) on theta in [0, 1] (Hairer, Norsett and Wanner (1993),
@@ -223,7 +223,6 @@ def _dp45(v, y0: float, t_end: float, max_step: float):
     h = min(100.0 * h0, h1)
     s, y, ks, steps, rejected = 0.0, y0, [f0], [], False
     while s <= t_end:
-        h = min(h, max_step)
         if not h >= 10.0 * (math.nextafter(s, math.inf) - s):
             return None
         ks = ks[:1]
@@ -254,7 +253,7 @@ def _flow_read(drift: DriftSpec, chi0: float, ages: np.ndarray) -> np.ndarray:
     a value read leaves [0, 1]."""
     t = float(np.max(ages))
     inputs = f"chi0 = {chi0!r}, t = {t!r}, {drift.kind} drift"
-    traj = _dp45(lambda y: float(drift.velocity(y)), chi0, t, 1.0 / max(drift.lipschitz, 1e-12))
+    traj = _dp45(lambda y: float(drift.velocity(y)), chi0, t)
     if traj is None:
         raise DomainEscapeError(f"flow integration failed ({inputs}): required step size is less than spacing between numbers")
     starts, widths, (c0, c1, c2, c3, c4) = traj
@@ -276,8 +275,8 @@ def _flow_step(drift: DriftSpec):
 
     The named kinds' closed forms take floats or float ndarrays alike, and
     t = inf lands on the stable equilibrium.  Custom drift runs one dense
-    trajectory per distinct start, its step size capped by the Lipschitz
-    bound, and reads it at every age; a float start and time give a float.
+    trajectory per distinct start and reads it at every age; a float start
+    and time give a float.
     """
     if drift.kind == "neutral":
         return lambda chi0, t: drift.p + (chi0 - drift.p) * _exp(-0.5 * drift.theta * t)

@@ -196,7 +196,7 @@ def transition_density_eval(params: TwoTypeParams, x: float, t: float, xi: float
     theta, p, q = params.theta, params.p, 1.0 - params.p
     a = 2.0 / theta
     eh = math.exp(-0.5 * theta * t)
-    if xi > p + q * eh and xi <= 1.0:
+    if eh + p * -math.expm1(-0.5 * theta * t) < xi <= 1.0:
         return float(_branch_density(p, eh, x - p, (xi - p) / q, (1.0 - xi) / q, a, q))
     if 0.0 <= xi < p * -math.expm1(-0.5 * theta * t):
         return float(_branch_density(q, eh, p - x, 1.0 - xi / p, xi / p, a, p))
@@ -454,7 +454,7 @@ def replacement_component_density(
     theta, p = params.theta, params.p
     eh = math.exp(-0.5 * theta * t)
     log_poisson = k * math.log(t) - t - math.lgamma(k + 1.0)
-    if xi > p + (1.0 - p) * eh and xi <= 1.0:
+    if eh + p * -math.expm1(-0.5 * theta * t) < xi <= 1.0:
         w = (xi - p) / (1.0 - p)
         u = 1.0 + 2.0 * math.log(w) / (theta * t)
         return _component_branch(p, eh, x - p, w, xi - p, u, k, theta * t, log_poisson)

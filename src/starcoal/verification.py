@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import InvalidParameterError, QuadratureError, RngStream, StarcoalError, mean_se, mean_se_of_sums, quad_offset, shifted_sums
+from .core import InvalidParameterError, QuadratureError, RngStream, StarcoalError, TwoTypeParams, mean_se, mean_se_of_sums, quad_offset, shifted_sums
 from .eigen import (
     PolyRep,
     eigen_poly,
@@ -77,7 +77,6 @@ from .selection import (
 from .selection import stationary_density as selection_stationary_density
 from .selection import stationary_law as selection_stationary_law
 from .twotype import (
-    TwoTypeParams,
     _component_branch,
     _transition_blocks,
     line_kernel,
@@ -626,7 +625,7 @@ def _suite_selection(seed: int) -> list[tuple]:
                 densities.append((abs(pc.density(xi) - selection_stationary_density(drift, xi)), (theta, beta, p, xi)))
 
     named = mutation_selection_drift(1.0, 0.5, 2.0)
-    bespoke = custom_drift(lambda y: 0.5 * (0.5 - y) + y * (1.0 - y), 2.0)
+    bespoke = custom_drift(lambda y: 0.5 * (0.5 - y) + y * (1.0 - y))
     customs = [
         (abs(selection_stationary_density(bespoke, xi) - selection_stationary_density(named, xi)), (1.0, 2.0, 0.5, xi))
         for xi in (0.1, 0.35, 0.6, 0.9)

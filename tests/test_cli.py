@@ -7,6 +7,8 @@ contracts (parameter echo, column names, row shapes), output routing,
 seeds, and exit codes.
 """
 
+import ast
+import importlib
 import json
 import math
 import os
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import starcoal
 from starcoal import cli
 from starcoal.lines import mean_absorption_time
 from starcoal.multitype import MultiParams, pim_line_kernel
@@ -465,7 +468,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 law = twotype.transition_law(core.TwoTypeParams(1.0, 0.3), 0.6, 1.0)
 rng = core.RngStream(0)
 assert all(0.0 <= law.sample(rng) <= 1.0 for _ in range(100))
-assert selection.stationary_density(selection.custom_drift(lambda y: 0.5 * (0.5 - y) + y * (1.0 - y), 2.0), 0.6) > 0.0
+assert selection.stationary_density(selection.custom_drift(lambda y: 0.5 * (0.5 - y) + y * (1.0 - y)), 0.6) > 0.0
 {_SCIPY_MODULES}
 """
 
@@ -478,6 +481,40 @@ def test_import_loads_no_scipy():
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+def test_sibling_imports_are_exported():
+    # A public name that one module takes from another is part of that
+    # module's API, so it must be in that module's __all__; re-importing a
+    # name through a module that does not define it is caught the same way.
+    package = Path(cli.__file__).parent
+    missing = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                exported = importlib.import_module(f"starcoal.{node.module}").__all__
+                missing += [
+                    f"{path.stem}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if not alias.name.startswith("_") and alias.name not in exported
+                ]
+    assert missing == []
+
+
+def test_package_reexports_the_module_apis():
+    # starcoal re-exports every module's __all__ but core's helpers, cli's
+    # entry point and the selection names that clash with twotype's.
+    kept_out = {
+        "core": {"quad_offset", "brent_root", "check_real", "check_int", "mean_se", "mean_se_of_sums",
+                 "mean_se_of_counts", "shifted_sums"},
+        "selection": {"stationary_density", "stationary_law", "stationary_sample", "simulate_path"},
+        "cli": {"main"},
+    }
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.stem != "__init__":
+            module = importlib.import_module(f"starcoal.{path.stem}")
+            absent = {n for n in module.__all__ if getattr(starcoal, n, None) is not getattr(module, n)}
+            assert absent == kept_out.get(path.stem, set()), path.stem
 
 
 def test_out_file_matches_stdout(capsys, tmp_path):

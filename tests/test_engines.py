@@ -321,7 +321,7 @@ def test_fixed_count_samplers(size):
 
 
 def test_custom_drift_stationary_sample_blocks():
-    drift = selection.custom_drift(lambda y: 0.5 * (0.4 - y) + y * (1.0 - y), 2.0)
+    drift = selection.custom_drift(lambda y: 0.5 * (0.4 - y) + y * (1.0 - y))
     named = selection.mutation_selection_drift(1.0, 0.4, 2.0)
     got = selection.stationary_sample(drift, RngStream(4, 2), size=(2, 3))
     want = selection.stationary_sample(named, RngStream(4, 2), size=(2, 3))
@@ -331,7 +331,7 @@ def test_custom_drift_stationary_sample_blocks():
 def test_scalar_draw_is_the_first_batch_draw():
     # size=None returns bitwise the one draw of size=1 and leaves the stream
     # where size=1 does, for every fixed-count sampler.
-    custom = selection.custom_drift(lambda y: 0.5 * (0.4 - y) + y * (1.0 - y), 2.0)
+    custom = selection.custom_drift(lambda y: 0.5 * (0.4 - y) + y * (1.0 - y))
     mp = MultiParams(1.3, (0.2, 0.5, 0.3))
     samplers = [
         *(lambda r, s, x=x, t=t: twotype.sample_transition(PAR, x, t, r, size=s) for x, t in ((0.8, 0.9), (0.0, 0.05))),

@@ -63,10 +63,8 @@ def test_ks_pvalue_matches_kstest():
 
 
 def test_custom_flow_matches_closed_forms():
-    # Lipschitz bounds of v on [0, 1]: beta/2 and (theta + beta)/2.
-    named = ((logistic_drift(1.7), 0.85), (mutation_selection_drift(1.0, 0.3, 2.5), 1.75))
-    for drift, lipschitz in named:
-        copy = custom_drift(drift.velocity, lipschitz)
+    for drift in (logistic_drift(1.7), mutation_selection_drift(1.0, 0.3, 2.5)):
+        copy = custom_drift(drift.velocity)
         for x0 in (0.0, 0.05, 0.4, 0.9, 1.0):
             for t in (0.01, 0.7, 3.0, 12.0):
                 assert flow(copy, x0, t) == pytest.approx(flow(drift, x0, t), abs=1e-9), (drift.kind, x0, t)
@@ -77,9 +75,9 @@ def test_flow_of_a_nan_velocity_fails_fast():
     # through the floor instead of shrinking forever.
     start = time.perf_counter()
     with pytest.raises(DomainEscapeError, match=r"flow integration failed \(chi0 = 0\.5, t = 2\.0, custom drift\)"):
-        flow(custom_drift(lambda y: math.nan, 1.0), 0.5, 2.0)
+        flow(custom_drift(lambda y: math.nan), 0.5, 2.0)
     with pytest.raises(DomainEscapeError, match="flow integration failed"):
-        flow(custom_drift(lambda y: math.nan if y < 0.45 else -0.1, 1.0), 0.5, 2.0)
+        flow(custom_drift(lambda y: math.nan if y < 0.45 else -0.1), 0.5, 2.0)
     assert time.perf_counter() - start < 1.0
 
 
@@ -120,7 +118,7 @@ def test_brent_root_needs_a_sign_change():
 
 
 # 0.5 (0.5 - y) + y (1 - y) as a callable, and its closed form.
-BESPOKE = custom_drift(lambda y: 0.5 * (0.5 - y) + y * (1.0 - y), 2.0)
+BESPOKE = custom_drift(lambda y: 0.5 * (0.5 - y) + y * (1.0 - y))
 NAMED = mutation_selection_drift(1.0, 0.5, 2.0)
 
 

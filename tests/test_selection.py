@@ -69,7 +69,7 @@ def test_drift_spec_validation():
     assert MS.velocity(0.3) == pytest.approx(
         0.5 * (0.5 - 0.3) + 0.3 * 0.7, rel=1e-14
     )
-    cd = custom_drift(lambda y: 0.1 * (0.4 - y), 0.2)
+    cd = custom_drift(lambda y: 0.1 * (0.4 - y))
     assert cd.velocity(0.9) == pytest.approx(-0.05, rel=1e-14)
     with pytest.raises(InvalidParameterError):
         DriftSpec(kind="quadratic")
@@ -78,9 +78,7 @@ def test_drift_spec_validation():
     with pytest.raises(InvalidParameterError):
         logistic_drift(-2.0)
     with pytest.raises(InvalidParameterError):
-        custom_drift(None, 1.0)
-    with pytest.raises(InvalidParameterError):
-        custom_drift(lambda y: y, 0.0)
+        custom_drift(None)
 
 
 def test_roots():
@@ -124,7 +122,7 @@ def test_flow_closed_forms_against_ode():
             _ivp_flow(drift.velocity, x0, t), abs=1e-8
         )
     # Custom kind runs the same ODE machinery internally.
-    cd = custom_drift(MS.velocity, 2.0)
+    cd = custom_drift(MS.velocity)
     assert flow(cd, 0.3, 0.9) == pytest.approx(flow(MS, 0.3, 0.9), abs=1e-8)
 
 
@@ -139,7 +137,7 @@ def test_flow_semigroup_and_equilibria():
     assert flow(logistic_drift(1.5), 0.4, math.inf) == 1.0
     assert flow(logistic_drift(1.5), 0.0, math.inf) == 0.0
     with pytest.raises(InvalidParameterError):
-        flow(custom_drift(lambda y: 0.0, 1.0), 0.5, math.inf)
+        flow(custom_drift(lambda y: 0.0), 0.5, math.inf)
     with pytest.raises(InvalidParameterError):
         flow(MS, 1.2, 1.0)
     with pytest.raises(InvalidParameterError):
@@ -149,7 +147,7 @@ def test_flow_semigroup_and_equilibria():
 def test_flow_returns_python_floats():
     # One step per drift serves floats and arrays; a scalar start and time
     # must come back a Python float, not a numpy scalar or a 0-d array.
-    cd = custom_drift(MS.velocity, 2.0)
+    cd = custom_drift(MS.velocity)
     for drift in (neutral_drift(1.0, 0.3), logistic_drift(1.5), MS, cd):
         for x0 in (0.0, 0.4, 1.0):
             for t in (0.0, 0.7) if drift is cd else (0.0, 0.7, math.inf):
@@ -279,7 +277,7 @@ def test_skeleton_check_fails_when_either_route_is_scaled(monkeypatch, module, r
 
 
 def test_skeleton_custom_matches_named():
-    cd = custom_drift(MS.velocity, 1.5)
+    cd = custom_drift(MS.velocity)
     got = skeleton_matrix(cd)
     want = skeleton_matrix(MS)
     assert np.max(np.abs(got - want)) < 1e-8
@@ -339,17 +337,37 @@ def test_neutral_stationary_density_small_theta_vs_mpmath():
 
 
 def test_stationary_density_custom_matches_named():
-    cd = custom_drift(MS.velocity, 1.5)
+    cd = custom_drift(MS.velocity)
     for xi in (0.3, 0.6, 0.95):
         assert stationary_density(cd, xi) == pytest.approx(
             stationary_density(MS, xi), rel=1e-8
         )
 
 
+def test_stiff_custom_drift_needs_no_step_cap():
+    # 6 + 80 y - 100 y^2 is the drift at theta = 40, p = 0.3, beta = 200.
+    # The error controller alone keeps the stiff flow accurate; a step cap
+    # at 1/L, L = 280, took 191,374 velocity calls for this skeleton.
+    named = mutation_selection_drift(40.0, 0.3, 200.0)
+    calls = [0]
+
+    def velocity(y):
+        calls[0] += 1
+        return 6.0 + 80.0 * y - 100.0 * y * y
+
+    cd = custom_drift(velocity)
+    got = skeleton_matrix(cd)
+    assert calls[0] <= 60_000
+    assert got == pytest.approx(skeleton_matrix(named), rel=1e-12)
+    assert replacement_stationary(cd)[0] == pytest.approx(replacement_stationary(named)[0], rel=1e-12)
+    for xi in (0.1, 0.5, 0.9):
+        assert stationary_density(cd, xi) == pytest.approx(stationary_density(named, xi), rel=1e-12)
+
+
 def _custom_density_error(velocity) -> float:
     """Largest relative gap between the custom density of velocity and MS's
     closed form, over 27 points of (0.02, 0.98) and four points near r1."""
-    cd = custom_drift(velocity, 2.0)
+    cd = custom_drift(velocity)
     r1 = roots(1.0, 2.0, 0.5).r1
     points = np.linspace(0.02, 0.98, 29)[1:-1].tolist() + [r1 - 1e-3, r1 + 1e-3, r1 - 1e-6, r1 + 1e-6]
     return max(abs(stationary_density(cd, xi) / stationary_density(MS, xi) - 1.0) for xi in points)
@@ -370,7 +388,7 @@ def test_custom_density_check_sees_a_planted_fault():
 def test_custom_density_runs_no_flow(monkeypatch):
     # With the skeleton cached, the density integrates 1/|v| alone: no
     # flow, no ODE step.
-    cd = custom_drift(MS.velocity, 2.0)
+    cd = custom_drift(MS.velocity)
     replacement_stationary(cd)
 
     def forbidden(*args):
@@ -384,7 +402,7 @@ def test_custom_density_runs_no_flow(monkeypatch):
 
 def test_custom_density_endpoint_equilibrium_is_empty():
     # v(1) = 0: the flow from 1 never leaves it, so nothing reaches 0.7.
-    assert stationary_density(custom_drift(lambda y: (0.3 - y) * (1.0 - y), 2.0), 0.7) == 0.0
+    assert stationary_density(custom_drift(lambda y: (0.3 - y) * (1.0 - y)), 0.7) == 0.0
 
 
 @pytest.mark.parametrize("fault", [math.nan, 0.0])
@@ -392,7 +410,7 @@ def test_custom_density_bad_velocity_names_the_call(fault):
     # The fault sits between xi and the orbit guard's first grid point, where
     # only the quadrature's nodes land.
     broken = {"on": False}
-    cd = custom_drift(lambda y: fault if broken["on"] and 0.85 < y < 0.85 + 1e-9 else MS.velocity(y), 2.0)
+    cd = custom_drift(lambda y: fault if broken["on"] and 0.85 < y < 0.85 + 1e-9 else MS.velocity(y))
     replacement_stationary(cd)  # the skeleton, cached, sees the sound velocity
     broken["on"] = True
     with pytest.raises(QuadratureError, match=r"stationary_density\(custom drift, xi=0\.85\): .* not finite"):
@@ -402,7 +420,7 @@ def test_custom_density_bad_velocity_names_the_call(fault):
 def test_stationary_density_rejects_non_monotone_custom():
     # Three interior equilibria: inward at both boundaries, but the orbit
     # from 0 cannot pass the stable point at 0.2 to reach 0.6.
-    bad = custom_drift(lambda y: -(y - 0.2) * (y - 0.5) * (y - 0.8), 1.0)
+    bad = custom_drift(lambda y: -(y - 0.2) * (y - 0.5) * (y - 0.8))
     with pytest.raises(NonMonotoneDriftError):
         stationary_density(bad, 0.6)
 
@@ -410,7 +428,7 @@ def test_stationary_density_rejects_non_monotone_custom():
 def test_flow_escape_detection():
     # Every trajectory read names the start, the largest age and the drift
     # kind: the flow its own t, the skeleton its deepest quadrature node.
-    sinking = custom_drift(lambda y: -1.0, 0.1)
+    sinking = custom_drift(lambda y: -1.0)
     with pytest.raises(DomainEscapeError, match=r"\(chi0 = 0\.5, t = 5\.0, custom drift\)"):
         flow(sinking, 0.5, 5.0)
     with pytest.raises(DomainEscapeError, match=r"\(chi0 = 1\.0, t = 53\.96\d*, custom drift\)"):
@@ -442,7 +460,7 @@ def test_stationary_law_structure():
     with pytest.raises(NoStationaryDistributionError):
         stationary_law(logistic_drift(1.0))
     with pytest.raises(InvalidParameterError):
-        stationary_law(custom_drift(lambda y: 0.5 - y, 1.0))
+        stationary_law(custom_drift(lambda y: 0.5 - y))
 
 
 def test_stationary_sampling():
@@ -451,7 +469,7 @@ def test_stationary_sampling():
     cdf_vec = lambda v: np.array([law.cdf(float(s)) for s in np.atleast_1d(v)])
     assert kstest(draws, cdf_vec).pvalue > 0.01
     # Custom drift reads its draws from one trajectory per endpoint.
-    cd = custom_drift(MS.velocity, 1.5)
+    cd = custom_drift(MS.velocity)
     few = stationary_sample(cd, RngStream(62, 0), size=4)
     assert few.shape == (4,)
     assert np.all((few >= 0.0) & (few <= 1.0))

@@ -8,6 +8,7 @@ the deterministic mutation flow for the remaining s.  That construction
 never touches the closed-form density implemented here.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from scipy import integrate
 from scipy.stats import kstest
 
 from starcoal.core import InvalidParameterError, RngStream, TwoTypeParams, replacement_decay_integral
+from starcoal.multitype import MultiParams, pim_transition_law
 from starcoal.twotype import (
     line_kernel,
     marginal_q,
@@ -108,6 +110,23 @@ def test_piece_density_matches_pointwise_density():
             for f in (0.1, 0.5, 0.9):
                 xi = pc.lower + f * (pc.upper - pc.lower)
                 assert pc.density(xi) == pytest.approx(stationary_density_eval(par, xi), rel=1e-12)
+
+
+def test_pointwise_densities_share_the_law_piece_edges():
+    # At the first float inside each piece the pointwise routes must be in
+    # the branch too.  The type-1 edge written p + (1-p)e^{-theta t/2} once
+    # rounded above the law's e^{-theta t/2} + p(1 - e^{-theta t/2}), and
+    # both routes returned 0 where Piece.density was positive.
+    for theta, p, t in itertools.product((0.01, 0.3, 1.3, 7.0), (0.01, 0.2, 0.7, 0.99), (0.001, 0.05, 0.7, 3.0)):
+        par = TwoTypeParams(theta, p)
+        low, high = sorted(transition_law(par, 0.4, t).pieces, key=lambda pc: pc.lower)
+        region = pim_transition_law(MultiParams(theta, (p, 1.0 - p)), (0.4, 0.6), t).regions[0]
+        assert region.lower == high.lower, (theta, p, t)
+        for pc, xi in ((low, math.nextafter(low.upper, 0.0)), (high, math.nextafter(high.lower, 1.0))):
+            want = pc.density(xi)
+            assert transition_density_eval(par, 0.4, t, xi) == pytest.approx(want, rel=1e-9), (theta, p, t, xi)
+            assert replacement_component_density(par, 0.4, t, 1, xi) > 0.0, (theta, p, t, xi)
+        assert region.density(math.nextafter(high.lower, 1.0)) > 0.0, (theta, p, t)
 
 
 def test_transition_piece_masses_against_scipy():

@@ -131,9 +131,6 @@ CASES = {
     "selection.mutation_selection_drift": (
         lambda theta=1.0, p=0.5, beta=2.0: selection.mutation_selection_drift(theta, p, beta),
         {"theta": POSITIVE, "p": OPEN_UNIT, "beta": POSITIVE}),
-    "selection.custom_drift": (
-        lambda lipschitz=1.0: selection.custom_drift(lambda y: 0.0, lipschitz),
-        {"lipschitz": POSITIVE}),
     "selection.roots": (
         lambda theta=1.0, beta=2.0, p=0.5: selection.roots(theta, beta, p),
         {"theta": POSITIVE, "beta": POSITIVE, "p": OPEN_UNIT}),
